@@ -3,7 +3,8 @@
 // Every paper-artifact binary accepts the same flags:
 //   --threads N        worker threads for the parallel experiment engine
 //                      (default: TTSC_THREADS env var, else hardware
-//                      concurrency)
+//                      concurrency; a value that is not a whole number
+//                      prints usage and exits 2, like an unknown flag)
 //   --serial           run the serial reference driver instead of the engine
 //   --stats            print the per-stage timing/counter section
 //   --reference        simulate on the reference interpreter loops instead
@@ -68,11 +69,14 @@
 // enabling any observability flag never changes the stdout bytes.
 #pragma once
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <system_error>
+#include <type_traits>
 
 #include "mach/configs.hpp"
 #include "obs/flight.hpp"
@@ -124,9 +128,46 @@ inline bool flag_value(int argc, char** argv, int& i, const char* name, std::str
   return false;
 }
 
+/// Strict whole-string value of a numeric flag or environment variable:
+/// decimal, or 0x-prefixed hex for integers; unsigned types take no sign.
+/// Anything else — empty, trailing characters, out of range — calls `fail`,
+/// which prints usage and exits 2, so a typo never silently runs as 0. An
+/// integer with a leading zero (`010`) fails too: C's base-0 parsing reads
+/// it as octal, so its meaning is ambiguous.
+template <typename T, typename Fail>
+T parse_number(const std::string& text, Fail&& fail) {
+  const char* first = text.data();
+  const char* const last = first + text.size();
+  T value{};
+  std::from_chars_result r{};
+  if constexpr (std::is_integral_v<T>) {
+    const bool hex = text.size() > 2 && text[0] == '0' && (text[1] == 'x' || text[1] == 'X');
+    const std::size_t digit = !text.empty() && text[0] == '-' ? 1 : 0;
+    if (!hex && text.size() > digit + 1 && text[digit] == '0') fail();
+    if (hex) first += 2;
+    r = std::from_chars(first, last, value, hex ? 16 : 10);
+  } else {
+    r = std::from_chars(first, last, value);
+  }
+  if (first == last || r.ec != std::errc() || r.ptr != last) fail();
+  return value;
+}
+
+[[noreturn]] inline void usage(const char* prog) {
+  std::fprintf(stderr,
+               "usage: %s [--threads N] [--serial] [--stats] [--reference] "
+               "[--utilization] [--metrics] [--trace] [--keep-going] "
+               "[--superblocks] [--trace-out=FILE] [--report-json=FILE] "
+               "[--profile-json=FILE] [--profile-folded=FILE] "
+               "[--vcd-out=FILE] [--flight-dump=FILE]\n",
+               prog);
+  std::exit(2);
+}
+
 inline Options parse_args(int argc, char** argv) {
   Options opts;
-  if (const char* env = std::getenv("TTSC_THREADS")) opts.threads = std::atoi(env);
+  const auto fail = [&] { usage(argv[0]); };
+  if (const char* env = std::getenv("TTSC_THREADS")) opts.threads = parse_number<int>(env, fail);
   for (int i = 1; i < argc; ++i) {
     std::string value;
     if (std::strcmp(argv[i], "--serial") == 0) {
@@ -158,16 +199,9 @@ inline Options parse_args(int argc, char** argv) {
     } else if (flag_value(argc, argv, i, "--flight-dump", value)) {
       opts.flight_dump = value;
     } else if (flag_value(argc, argv, i, "--threads", value)) {
-      opts.threads = std::atoi(value.c_str());
+      opts.threads = parse_number<int>(value, fail);
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--threads N] [--serial] [--stats] [--reference] "
-                   "[--utilization] [--metrics] [--trace] [--keep-going] "
-                   "[--superblocks] [--trace-out=FILE] [--report-json=FILE] "
-                   "[--profile-json=FILE] [--profile-folded=FILE] "
-                   "[--vcd-out=FILE] [--flight-dump=FILE]\n",
-                   argv[0]);
-      std::exit(2);
+      usage(argv[0]);
     }
   }
   return opts;
@@ -274,8 +308,7 @@ inline void print_trace(const Options& opts) {
   sim::SimOptions sim = sim_options_of(opts);
   sim.observer = &trace;
   sim.collect_utilization = false;
-  report::compile_and_run_prebuilt(cache.get(workload), workload, machine, {}, nullptr, sim,
-                                   &cache);
+  report::compile_and_run_prebuilt(cache.get(workload), workload, machine, {}, nullptr, sim);
   std::fprintf(stderr, "\ntrace (%s on %s):\n%s", workload.name.c_str(), machine.name.c_str(),
                trace.text().c_str());
 }
@@ -288,14 +321,6 @@ inline void print_trace(const Options& opts) {
 /// artifact on stdout is untouched.
 inline void write_flight_exports(const Options& opts, const report::Matrix& matrix) {
   if (opts.vcd_out.empty() && opts.flight_dump.empty()) return;
-  const auto model_name = [](mach::Model m) -> const char* {
-    switch (m) {
-      case mach::Model::Scalar: return "scalar";
-      case mach::Model::Vliw: return "vliw";
-      case mach::Model::Tta: return "tta";
-    }
-    return "?";
-  };
   const auto find_workload = [&](const std::string& name) -> const workloads::Workload& {
     for (const workloads::Workload& w : workloads::all_workloads()) {
       if (w.name == name) return w;
@@ -306,7 +331,7 @@ inline void write_flight_exports(const Options& opts, const report::Matrix& matr
                                     const workloads::Workload& workload, const char* path,
                                     bool want_vcd) {
     obs::FlightRecorder recorder(machine);
-    const report::ReplayOutcome r =
+    const sim::ExecResult r =
         report::replay_with_observer(workload, machine, &recorder, !opts.reference);
     std::string text;
     if (want_vcd) {
@@ -315,7 +340,7 @@ inline void write_flight_exports(const Options& opts, const report::Matrix& matr
       obs::FlightDumpInfo info;
       info.machine = machine.name;
       info.workload = workload.name;
-      info.engine = model_name(machine.model);
+      info.engine = mach::model_name(machine.model);
       info.path = opts.reference ? "reference" : "fast";
       info.status = sim::exec_status_name(r.status);
       if (r.status == sim::ExecStatus::Trapped) {

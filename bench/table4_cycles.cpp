@@ -1,149 +1,8 @@
 // Regenerates the corresponding artifact of the paper's evaluation section
 // through the parallel experiment engine (see bench_util.hpp for flags).
-//
-// Extra mode: --bench-json=FILE skips the artifact and instead times the
-// full 13x8 sweep (best-of-5 wall time, per-stage minima across reps)
-// plain and with the cycle-attribution profiler attached, writing a
-// "ttsc-grid-bench" version-1 summary. CI uploads the file as an artifact;
-// its "profiled.simulate_overhead_pct" field is the evidence for the
-// profiler's <3% simulate-stage overhead requirement.
-#include <chrono>
-#include <cstring>
-
 #include "bench_util.hpp"
-#include "obs/json.hpp"
 #include "report/experiments.hpp"
 
-namespace {
-
-using namespace ttsc;
-
-int run_bench_grid(const std::string& path, int threads) {
-  using clock = std::chrono::steady_clock;
-  if (threads <= 0) threads = 4;
-
-  struct SweepTimes {
-    double wall_s = 1e300;
-    support::StageSeconds stages;
-  };
-  const auto best_of = [&](int reps, bool profiled) {
-    SweepTimes best;
-    best.stages.frontend = best.stages.opt = best.stages.regalloc = 1e300;
-    best.stages.schedule = best.stages.predecode = best.stages.simulate = 1e300;
-    for (int i = 0; i < reps; ++i) {
-      support::Timeline timeline;
-      sim::SimOptions sim;
-      sim.collect_profile = profiled;
-      const auto t0 = clock::now();
-      report::ParallelRunner runner({.threads = threads, .timeline = &timeline, .sim = sim});
-      runner.run();
-      const double s = std::chrono::duration<double>(clock::now() - t0).count();
-      best.wall_s = std::min(best.wall_s, s);
-      // Per-stage minima across reps, not the best-wall rep's breakdown:
-      // stage seconds sum across worker threads, so scheduling interference
-      // inflates individual reps by several percent — the minima are the
-      // stable estimator the overhead comparison needs.
-      best.stages.frontend =
-          std::min(best.stages.frontend, timeline.seconds(support::Stage::kFrontend));
-      best.stages.opt = std::min(best.stages.opt, timeline.seconds(support::Stage::kOpt));
-      best.stages.regalloc =
-          std::min(best.stages.regalloc, timeline.seconds(support::Stage::kRegalloc));
-      best.stages.schedule =
-          std::min(best.stages.schedule, timeline.seconds(support::Stage::kSchedule));
-      best.stages.predecode =
-          std::min(best.stages.predecode, timeline.seconds(support::Stage::kPredecode));
-      best.stages.simulate =
-          std::min(best.stages.simulate, timeline.seconds(support::Stage::kSimulate));
-    }
-    return best;
-  };
-
-  constexpr int kReps = 5;
-  // Best-of-5 either way so scheduling hiccups do not masquerade as
-  // profiler cost (single sweeps jitter a few percent on loaded hosts; the
-  // minima are stable).
-  const SweepTimes plain = best_of(kReps, false);
-  const SweepTimes profiled = best_of(kReps, true);
-
-  const auto write_stages = [](obs::JsonWriter& w, const support::StageSeconds& s) {
-    w.begin_object();
-    w.key("frontend");
-    w.value(s.frontend);
-    w.key("opt");
-    w.value(s.opt);
-    w.key("regalloc");
-    w.value(s.regalloc);
-    w.key("schedule");
-    w.value(s.schedule);
-    w.key("predecode");
-    w.value(s.predecode);
-    w.key("simulate");
-    w.value(s.simulate);
-    w.end_object();
-  };
-
-  const double sim_overhead_pct =
-      plain.stages.simulate > 0.0
-          ? (profiled.stages.simulate - plain.stages.simulate) / plain.stages.simulate * 100.0
-          : 0.0;
-
-  obs::JsonWriter w;
-  w.begin_object();
-  w.key("schema");
-  w.value("ttsc-grid-bench");
-  w.key("version");
-  w.value(std::uint64_t{1});
-  w.key("threads");
-  w.value(threads);
-  w.key("reps");
-  w.value(kReps);
-  w.key("sweep");
-  w.begin_object();
-  w.key("wall_s");
-  w.value(plain.wall_s);
-  w.key("stages");
-  write_stages(w, plain.stages);
-  w.end_object();
-  w.key("profiled");
-  w.begin_object();
-  w.key("wall_s");
-  w.value(profiled.wall_s);
-  w.key("stages");
-  write_stages(w, profiled.stages);
-  w.key("simulate_overhead_pct");
-  w.value(sim_overhead_pct);
-  w.end_object();
-  w.end_object();
-
-  FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "table4_cycles: cannot write %s\n", path.c_str());
-    return 1;
-  }
-  std::fputs((w.take() + "\n").c_str(), f);
-  std::fclose(f);
-  std::fprintf(stderr,
-               "bench-json: sweep %.2fs (simulate %.2fs), profiled %.2fs (simulate %.2fs, "
-               "%+.2f%%) -> %s\n",
-               plain.wall_s, plain.stages.simulate, profiled.wall_s, profiled.stages.simulate,
-               sim_overhead_pct, path.c_str());
-  return 0;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  // --bench-json mode takes over before the normal harness flag parsing
-  // (it accepts only --threads alongside).
-  std::string bench_json;
-  int threads = 0;
-  if (const char* env = std::getenv("TTSC_THREADS")) threads = std::atoi(env);
-  for (int i = 1; i < argc; ++i) {
-    std::string value;
-    if (ttsc::bench::flag_value(argc, argv, i, "--bench-json", value)) bench_json = value;
-    else if (ttsc::bench::flag_value(argc, argv, i, "--threads", value))
-      threads = std::atoi(value.c_str());
-  }
-  if (!bench_json.empty()) return run_bench_grid(bench_json, threads);
   return ttsc::bench::run_harness(argc, argv, ttsc::report::render_table4_cycles);
 }

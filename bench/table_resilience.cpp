@@ -23,9 +23,7 @@
 //   --forensics         first-divergence forensics: replay SDC/latent
 //                       injections golden-vs-faulty with paired commit
 //                       recorders; stdout gains a per-injection table and
-//                       the report JSON per-cell "forensics" sections (in
-//                       bench mode, time the replay pass and record its
-//                       overhead in the bench JSON)
+//                       the report JSON per-cell "forensics" sections
 //   --forensics-budget N  forensic replays per cell (default: automatic,
 //                       max(1, injections/64) — keeps overhead under 5%)
 //   --protect=p1,p2     also inject into the named protection variants of
@@ -51,14 +49,12 @@
 //                       stderr
 //   --report-json=FILE  write the machine-readable campaign report
 //                       ("ttsc-resil-report" v1; diffable via report_diff)
-//   --bench-json=FILE   run the batched-vs-scalar throughput benchmark on
-//                       the configured cell set instead of a campaign and
-//                       write "ttsc-resil-bench" v1 JSON (BENCH_resil.json
-//                       in CI); stdout carries a per-cell speedup table
 //
-// Stream hygiene matches the other harnesses: stdout carries only the
-// table; diagnostics go to stderr. Exits non-zero on any ERR cell or
-// injection infrastructure failure.
+// Numeric values must be whole numbers (bench_util.hpp parse_number):
+// anything else prints usage and exits 2, like an unknown flag. Stream
+// hygiene matches the other harnesses: stdout carries only the table;
+// diagnostics go to stderr. Exits non-zero on any ERR cell or injection
+// infrastructure failure.
 //
 // SIGINT/SIGTERM are caught: the campaign stops at the next cell boundary
 // and the completed prefix is still rendered (and written to --report-json)
@@ -99,7 +95,7 @@ std::vector<std::string> split_list(const std::string& csv) {
                "[--superblocks] [--forensics] [--forensics-budget N] "
                "[--protect=p1,p2] [--double-bit N] [--retry-budget N] [--checkpoint N] "
                "[--cell-timeout S] [--keep-going] [--metrics] "
-               "[--report-json=FILE] [--bench-json=FILE]\n",
+               "[--report-json=FILE]\n",
                prog);
   std::exit(2);
 }
@@ -109,10 +105,12 @@ std::vector<std::string> split_list(const std::string& csv) {
 int main(int argc, char** argv) {
   using namespace ttsc;
   resil::CampaignOptions options;
-  if (const char* env = std::getenv("TTSC_THREADS")) options.threads = std::atoi(env);
+  const auto fail = [&] { usage(argv[0]); };
+  if (const char* env = std::getenv("TTSC_THREADS")) {
+    options.threads = bench::parse_number<int>(env, fail);
+  }
   bool metrics = false;
   std::string report_json;
-  std::string bench_json;
   std::vector<std::string> protect_profiles;
   for (int i = 1; i < argc; ++i) {
     std::string value;
@@ -131,29 +129,27 @@ int main(int argc, char** argv) {
     } else if (bench::flag_value(argc, argv, i, "--protect", value)) {
       protect_profiles = split_list(value);
     } else if (bench::flag_value(argc, argv, i, "--double-bit", value)) {
-      options.double_bit_permille = std::atoi(value.c_str());
+      options.double_bit_permille = bench::parse_number<int>(value, fail);
     } else if (bench::flag_value(argc, argv, i, "--retry-budget", value)) {
-      options.retry_budget_override = std::atoi(value.c_str());
+      options.retry_budget_override = bench::parse_number<int>(value, fail);
     } else if (bench::flag_value(argc, argv, i, "--checkpoint", value)) {
-      options.checkpoint_override = std::atoi(value.c_str());
+      options.checkpoint_override = bench::parse_number<int>(value, fail);
     } else if (bench::flag_value(argc, argv, i, "--cell-timeout", value)) {
-      options.cell_timeout_seconds = std::atof(value.c_str());
+      options.cell_timeout_seconds = bench::parse_number<double>(value, fail);
     } else if (bench::flag_value(argc, argv, i, "--forensics-budget", value)) {
-      options.forensics_budget = std::atoi(value.c_str());
+      options.forensics_budget = bench::parse_number<int>(value, fail);
     } else if (bench::flag_value(argc, argv, i, "--batch-lanes", value)) {
-      options.batch_lanes = std::atoi(value.c_str());
-    } else if (bench::flag_value(argc, argv, i, "--bench-json", value)) {
-      bench_json = value;
+      options.batch_lanes = bench::parse_number<int>(value, fail);
     } else if (bench::flag_value(argc, argv, i, "--machines", value)) {
       options.machines = split_list(value);
     } else if (bench::flag_value(argc, argv, i, "--workloads", value)) {
       options.workloads = split_list(value);
     } else if (bench::flag_value(argc, argv, i, "--injections", value)) {
-      options.injections_per_cell = std::atoi(value.c_str());
+      options.injections_per_cell = bench::parse_number<int>(value, fail);
     } else if (bench::flag_value(argc, argv, i, "--seed", value)) {
-      options.seed = std::strtoull(value.c_str(), nullptr, 0);
+      options.seed = bench::parse_number<std::uint64_t>(value, fail);
     } else if (bench::flag_value(argc, argv, i, "--threads", value)) {
-      options.threads = std::atoi(value.c_str());
+      options.threads = bench::parse_number<int>(value, fail);
     } else if (bench::flag_value(argc, argv, i, "--report-json", value)) {
       report_json = value;
     } else {
@@ -179,51 +175,6 @@ int main(int argc, char** argv) {
   options.cancel = &g_cancel;
   std::signal(SIGINT, on_signal);
   std::signal(SIGTERM, on_signal);
-
-  // Benchmark mode: time the batched path against the scalar path on the
-  // configured cell set and emit the BENCH artifact; no campaign table.
-  if (!bench_json.empty()) {
-    resil::BenchReport bench;
-    try {
-      bench = resil::run_batch_benchmark(options);
-      resil::write_resil_bench(bench_json, bench);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
-      return 2;
-    }
-    std::printf("%-10s %-9s %8s %14s %14s %8s\n", "machine", "workload", "inj",
-                "scalar inj/s", "batched inj/s", "speedup");
-    int exit_code = 0;
-    for (const resil::BenchCell& c : bench.cells) {
-      if (!c.ok) {
-        std::fprintf(stderr, "bench cell failed: %s/%s: %s\n", c.machine.c_str(),
-                     c.workload.c_str(), c.error.c_str());
-        exit_code = 1;
-        continue;
-      }
-      const double inj = static_cast<double>(c.injections);
-      std::printf("%-10s %-9s %8llu %14.0f %14.0f %7.1fx\n", c.machine.c_str(),
-                  c.workload.c_str(), static_cast<unsigned long long>(c.injections),
-                  c.scalar_seconds > 0.0 ? inj / c.scalar_seconds : 0.0,
-                  c.batched_seconds > 0.0 ? inj / c.batched_seconds : 0.0,
-                  c.batched_seconds > 0.0 ? c.scalar_seconds / c.batched_seconds : 0.0);
-      if (options.forensics) {
-        std::printf("%-10s %-9s   forensics: %llu analyzed in %.3fs (%.1f%% of batched)\n",
-                    "", "", static_cast<unsigned long long>(c.forensics_analyzed),
-                    c.forensics_seconds,
-                    c.batched_seconds > 0.0 ? 100.0 * c.forensics_seconds / c.batched_seconds
-                                            : 0.0);
-      }
-      if (c.protected_machine) {
-        std::printf("%-10s %-9s   protection: %.3fs protected vs %.3fs scalar (%+.1f%%)\n", "",
-                    "", c.protected_seconds, c.scalar_seconds,
-                    c.scalar_seconds > 0.0
-                        ? 100.0 * (c.protected_seconds / c.scalar_seconds - 1.0)
-                        : 0.0);
-      }
-    }
-    return exit_code;
-  }
 
   obs::Registry registry;
   options.registry = metrics || !report_json.empty() ? &registry : nullptr;

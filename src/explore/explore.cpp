@@ -28,8 +28,7 @@ DesignPoint evaluate(const mach::Machine& machine,
   // the cells run serially or on the pool.
   std::vector<report::RunOutcome> outcomes(suite.size());
   auto run_cell = [&](std::size_t i) {
-    outcomes[i] = report::compile_and_run_prebuilt(cache->get(suite[i]), suite[i], machine, {},
-                                                   nullptr, {}, cache);
+    outcomes[i] = report::compile_and_run_prebuilt(cache->get(suite[i]), suite[i], machine);
   };
   if (pool != nullptr) {
     support::parallel_for(*pool, suite.size(), run_cell);

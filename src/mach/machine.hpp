@@ -113,6 +113,15 @@ struct ScalarTiming {
 
 enum class Model : std::uint8_t { Tta, Vliw, Scalar };
 
+constexpr const char* model_name(Model model) {
+  switch (model) {
+    case Model::Tta: return "tta";
+    case Model::Vliw: return "vliw";
+    case Model::Scalar: return "scalar";
+  }
+  return "?";
+}
+
 /// Per-structure SEU hardening a machine description can declare (the
 /// mitigation side of the src/resil fault model). Every option is costed by
 /// the src/fpga area/fmax model and simulated architecturally by all three

@@ -9,9 +9,7 @@
 #include "ir/verify.hpp"
 #include "obs/trace.hpp"
 #include "opt/passes.hpp"
-#include "report/module_cache.hpp"
 #include "scalar/scalar.hpp"
-#include "sim/predecode.hpp"
 #include "support/strings.hpp"
 #include "tta/binary.hpp"
 #include "vliw/vliw.hpp"
@@ -54,21 +52,23 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 }
 
 /// Per-RF spill breakdown -> "regalloc.spills.rf<i>" counters.
-void record_regalloc_metrics(obs::Registry& cell, const codegen::LowerResult& lowered) {
-  cell.add("regalloc.spill_instrs", static_cast<std::uint64_t>(lowered.spills_inserted));
-  cell.add("regalloc.values_spilled", static_cast<std::uint64_t>(lowered.values_spilled));
+void record_regalloc_metrics(obs::Registry* cell, const codegen::LowerResult& lowered) {
+  if (cell == nullptr) return;
+  cell->add("regalloc.spill_instrs", static_cast<std::uint64_t>(lowered.spills_inserted));
+  cell->add("regalloc.values_spilled", static_cast<std::uint64_t>(lowered.values_spilled));
   for (std::size_t rf = 0; rf < lowered.spilled_per_rf.size(); ++rf) {
     if (lowered.spilled_per_rf[rf] != 0) {
-      cell.add(format("regalloc.spills.rf%zu", rf),
-               static_cast<std::uint64_t>(lowered.spilled_per_rf[rf]));
+      cell->add(format("regalloc.spills.rf%zu", rf),
+                static_cast<std::uint64_t>(lowered.spilled_per_rf[rf]));
     }
   }
 }
 
 /// Move-slot / NOP density of a TTA program: filled bus slots (a wide
 /// immediate fills its extension slot too) against instrs * buses capacity.
-void record_tta_density(obs::Registry& cell, const tta::TtaProgram& prog,
+void record_tta_density(obs::Registry* cell, const tta::TtaProgram& prog,
                         const mach::Machine& machine) {
+  if (cell == nullptr) return;
   std::uint64_t filled = 0;
   for (const tta::TtaInstruction& in : prog.instrs) {
     filled += in.moves.size();
@@ -77,9 +77,9 @@ void record_tta_density(obs::Registry& cell, const tta::TtaProgram& prog,
     }
   }
   const std::uint64_t capacity = prog.instrs.size() * machine.buses.size();
-  cell.add("tta.schedule.slots_filled", filled);
-  cell.add("tta.schedule.slot_capacity", capacity);
-  cell.add("tta.schedule.nop_slots", capacity - filled);
+  cell->add("tta.schedule.slots_filled", filled);
+  cell->add("tta.schedule.slot_capacity", capacity);
+  cell->add("tta.schedule.nop_slots", capacity - filled);
 }
 
 }  // namespace
@@ -136,30 +136,16 @@ ir::Module build_optimized(const Workload& workload, support::Timeline* timeline
   return module;
 }
 
-namespace {
-
-/// One full backend compile + simulate of `optimized` on `machine`. When
-/// `profile` is given, superblocks are formed along it (after the backend's
-/// IR preparation, mirroring the profiled phase-1 pipeline so block ids
-/// line up) and the TTA/VLIW schedulers consume the resulting plan;
-/// `plan_out` receives the formation plan.
-RunOutcome compile_cell(const ir::Module& optimized, const Workload& workload,
+Backend compile_backend(const ir::Module& optimized, const Workload& workload,
                         const mach::Machine& machine, const tta::TtaOptions& tta_options,
-                        support::Timeline* timeline, const sim::SimOptions& sim_options,
-                        ModuleCache* cache, obs::Registry* metrics,
-                        const opt::ProfileData* profile, const opt::SuperblockOptions& sb_options,
-                        opt::SuperblockPlan* plan_out) {
-  obs::Span cell_span("cell", [&] {
-    return obs::SpanArgs{{"machine", machine.name}, {"workload", workload.name}};
-  });
+                        obs::Registry* metrics, const opt::ProfileData* profile,
+                        const opt::SuperblockOptions& sb_options) {
   const auto stage_args = [&] {
     return obs::SpanArgs{{"machine", machine.name}, {"workload", workload.name}};
   };
-  // Cell-local metric shard: every counter below accumulates here and is
-  // merged into the shared registry exactly once at cell end (see the
-  // obs::Registry concurrency contract).
-  obs::Registry cell_metrics;
-  std::optional<obs::Span> stage_span;
+  RunOutcome out;
+  out.machine = machine.name;
+  out.workload = workload.name;
 
   // Backend-specific IR preparation on a copy of the shared optimized
   // module: the scalar model legalizes RISC operand constraints.
@@ -167,40 +153,132 @@ RunOutcome compile_cell(const ir::Module& optimized, const Workload& workload,
   // predication the 4-op select expansion costs more than the branch it
   // removes on every machine here — see bench/ablation_tta_freedoms.)
   const auto t_regalloc = std::chrono::steady_clock::now();
+  std::optional<obs::Span> stage_span;
   stage_span.emplace("regalloc", stage_args);
   ir::Module module = optimized;
+  ir::Function& entry = module.function(workloads::entry_point());
   if (machine.model == mach::Model::Tta && machine.has_guards()) {
     // Guarded TTAs predicate short conditionals: if-convert to Select ops,
     // which the scheduler lowers to guarded moves (one conditional
     // transport per merged value instead of 4-op mask arithmetic).
-    opt::if_convert_selects(module.function(workloads::entry_point()));
+    opt::if_convert_selects(entry);
   } else {
-    codegen::expand_selects(module.function(workloads::entry_point()));
+    codegen::expand_selects(entry);
   }
 
   // Profile-guided superblock formation: the phase-2 module has gone
   // through exactly the transforms the profiled phase-1 module did, so the
   // profile's block ids refer to this function's current blocks.
   opt::SuperblockPlan plan;
-  if (profile != nullptr) {
-    plan = opt::form_superblocks(module.function(workloads::entry_point()), *profile, sb_options);
-  }
+  if (profile != nullptr) plan = opt::form_superblocks(entry, *profile, sb_options);
   const opt::SuperblockPlan* sched_plan = plan.formed > 0 ? &plan : nullptr;
-  if (plan_out != nullptr) *plan_out = plan;
 
-  if (machine.model == mach::Model::Scalar) {
-    codegen::legalize_scalar_operands(module.function(workloads::entry_point()));
-  }
-
+  if (machine.model == mach::Model::Scalar) codegen::legalize_scalar_operands(entry);
   const codegen::LowerResult lowered = codegen::lower(module, workloads::entry_point(), machine);
-
-  RunOutcome out;
-  out.machine = machine.name;
-  out.workload = workload.name;
   out.spills = lowered.spills_inserted;
   out.stage_seconds.regalloc = seconds_since(t_regalloc);
   stage_span.reset();
-  record_regalloc_metrics(cell_metrics, lowered);
+  record_regalloc_metrics(metrics, lowered);
+
+  // The one per-model step: schedule or emit, with the model's static facts
+  // and scheduler counters. Predecoding (the engine) follows in its own
+  // stage.
+  const auto t_schedule = std::chrono::steady_clock::now();
+  stage_span.emplace("schedule", stage_args);
+  std::optional<sim::Engine> engine;
+  const auto predecode = [&](auto program) {
+    out.stage_seconds.schedule = seconds_since(t_schedule);
+    stage_span.emplace("predecode", stage_args);
+    const auto t_pre = std::chrono::steady_clock::now();
+    engine.emplace(machine, std::move(program));
+    out.stage_seconds.predecode = seconds_since(t_pre);
+    stage_span.reset();
+  };
+  switch (machine.model) {
+    case mach::Model::Scalar: {
+      scalar::ScalarProgram prog = scalar::emit_scalar(lowered.func);
+      out.instruction_bits = scalar::ScalarProgram::kInstrBits;
+      out.instruction_count = prog.code_words(machine.scalar);
+      out.image_bits = prog.image_bits(machine.scalar);
+      obs::add(metrics, "scalar.emit.words", out.instruction_count);
+      predecode(std::move(prog));
+      break;
+    }
+    case mach::Model::Vliw: {
+      vliw::ScheduleStats stats;
+      vliw::VliwProgram prog = vliw::schedule_vliw(lowered.func, machine, &stats, sched_plan);
+      out.instruction_bits = vliw::instruction_bits(machine);
+      out.instruction_count = prog.num_bundles();
+      out.image_bits = vliw::image_bits(prog, machine);
+      const std::uint64_t capacity = stats.bundles * static_cast<std::uint64_t>(prog.num_slots);
+      obs::add(metrics, "vliw.schedule.bundles", stats.bundles);
+      obs::add(metrics, "vliw.schedule.ops", stats.ops);
+      obs::add(metrics, "vliw.schedule.slot_capacity", capacity);
+      obs::add(metrics, "vliw.schedule.nop_slots", capacity - stats.ops);
+      obs::add(metrics, "vliw.schedule.fail.rf_read_port", stats.fail_rf_read_port);
+      obs::add(metrics, "vliw.schedule.fail.rf_write_port", stats.fail_rf_write_port);
+      obs::add(metrics, "vliw.schedule.fail.no_slot", stats.fail_no_slot);
+      obs::add(metrics, "vliw.schedule.fail.wide_imm", stats.fail_wide_imm);
+      predecode(std::move(prog));
+      break;
+    }
+    case mach::Model::Tta: {
+      tta::TtaScheduleStats stats;
+      tta::TtaProgram prog =
+          tta::schedule_tta(lowered.func, machine, tta_options, &stats, sched_plan);
+      out.instruction_bits = tta::instruction_bits(machine);
+      out.instruction_count = prog.instrs.size();
+      // Image size from the real binary encoder (instruction stream plus
+      // the literal pool holding wide constants and far branch targets).
+      out.image_bits = tta::encode_program(prog, machine).image_bits();
+      out.moves = stats.moves;
+      out.bypassed_operands = stats.bypassed_operands;
+      out.eliminated_result_moves = stats.eliminated_result_moves;
+      out.shared_operands = stats.shared_operands;
+      if (profile != nullptr) {
+        obs::add(metrics, "sched.superblock.cross_block_bypass",
+                 stats.superblock_cross_block_bypass);
+      }
+      obs::add(metrics, "tta.schedule.instructions", stats.instructions);
+      obs::add(metrics, "tta.schedule.moves", stats.moves);
+      obs::add(metrics, "tta.schedule.bypassed_operands", stats.bypassed_operands);
+      obs::add(metrics, "tta.schedule.eliminated_result_moves", stats.eliminated_result_moves);
+      obs::add(metrics, "tta.schedule.shared_operands", stats.shared_operands);
+      obs::add(metrics, "tta.schedule.guarded_selects", stats.guarded_selects);
+      obs::add(metrics, "tta.schedule.fail.no_bus", stats.fail_no_bus);
+      obs::add(metrics, "tta.schedule.fail.long_imm", stats.fail_long_imm);
+      obs::add(metrics, "tta.schedule.fail.rf_read_port", stats.fail_rf_read_port);
+      obs::add(metrics, "tta.schedule.fail.rf_write_port", stats.fail_rf_write_port);
+      record_tta_density(metrics, prog, machine);
+      predecode(std::move(prog));
+      break;
+    }
+  }
+  return Backend{std::move(module), std::move(*engine), std::move(plan), std::move(out)};
+}
+
+namespace {
+
+/// One full backend compile + simulate of `optimized` on `machine`. When
+/// `profile` is given, superblocks are formed along it and the TTA/VLIW
+/// schedulers consume the resulting plan; `plan_out` receives the
+/// formation plan.
+RunOutcome compile_cell(const ir::Module& optimized, const Workload& workload,
+                        const mach::Machine& machine, const tta::TtaOptions& tta_options,
+                        support::Timeline* timeline, const sim::SimOptions& sim_options,
+                        obs::Registry* metrics, const opt::ProfileData* profile,
+                        const opt::SuperblockOptions& sb_options, opt::SuperblockPlan* plan_out) {
+  obs::Span cell_span("cell", [&] {
+    return obs::SpanArgs{{"machine", machine.name}, {"workload", workload.name}};
+  });
+  // Cell-local metric shard: every counter below accumulates here and is
+  // merged into the shared registry exactly once at cell end (see the
+  // obs::Registry concurrency contract).
+  obs::Registry cell_metrics;
+  Backend backend = compile_backend(optimized, workload, machine, tta_options, &cell_metrics,
+                                    profile, sb_options);
+  if (plan_out != nullptr) *plan_out = backend.plan;
+  RunOutcome out = std::move(backend.outcome);
 
   // Observer plumbing: optionally attach a per-run utilization collector,
   // teeing with a caller-provided observer when both are requested.
@@ -217,169 +295,51 @@ RunOutcome compile_cell(const ir::Module& optimized, const Workload& workload,
     }
   }
 
-  // Cycle-attribution profiler: built per model below (it needs the
-  // scheduled program's static profile). Collection uses the counts mode
-  // (sim::ProfileCounts — two array increments per cycle, no observer
-  // dispatch); the profile is derived from the counts after the run, byte-
-  // identical to the event-driven prof::CycleProfiler (differentially
-  // tested in tests/property_test.cpp).
+  // Cycle-attribution profiler, from the scheduled program's static
+  // profile. Collection uses the counts mode (sim::ProfileCounts — two
+  // array increments per cycle, no observer dispatch); the profile is
+  // derived from the counts after the run, byte-identical to the
+  // event-driven prof::CycleProfiler (differentially tested in
+  // tests/property_test.cpp).
   std::unique_ptr<prof::StaticProfile> static_prof;
   sim::ProfileCounts prof_counts;
-  const auto attach_profiler = [&](prof::StaticProfile sp) {
-    static_prof = std::make_unique<prof::StaticProfile>(std::move(sp));
+  if (sim_opts.collect_profile) {
+    static_prof = std::make_unique<prof::StaticProfile>(backend.engine.visit(
+        [&](const auto& program) { return prof::build_static_profile(program, machine); }));
     prof_counts = prof::make_profile_counts(*static_prof);
     sim_opts.profile = &prof_counts;
-  };
+  }
 
-  ir::Memory mem = make_loaded_memory(module);
-  const auto t_schedule = std::chrono::steady_clock::now();
-  stage_span.emplace("schedule", stage_args);
-  switch (machine.model) {
-    case mach::Model::Scalar: {
-      const scalar::ScalarProgram prog = scalar::emit_scalar(lowered.func);
-      out.stage_seconds.schedule = seconds_since(t_schedule);
-      stage_span.reset();
-      cell_metrics.add("scalar.emit.words", prog.code_words(machine.scalar));
-      if (sim_opts.collect_profile) attach_profiler(prof::build_static_profile(prog, machine));
-      scalar::ScalarSim simulator(prog, machine, mem, sim_opts);
-      if (sim_opts.fast_path) {
-        const auto t_pre = std::chrono::steady_clock::now();
-        stage_span.emplace("predecode", stage_args);
-        simulator.use_predecoded(
-            cache != nullptr
-                ? cache->predecoded(prog, machine, timeline)
-                : std::make_shared<const sim::PredecodedScalar>(sim::predecode(prog, machine)));
-        out.stage_seconds.predecode = seconds_since(t_pre);
-        stage_span.reset();
-      }
-      const auto t_sim = std::chrono::steady_clock::now();
-      stage_span.emplace("simulate", stage_args);
-      const scalar::ExecResult r = simulator.run();
-      out.stage_seconds.simulate = seconds_since(t_sim);
-      stage_span.reset();
-      switch (r.status) {
-        case sim::ExecStatus::Ok: break;
-        case sim::ExecStatus::TimedOut: throw Error("scalar simulation exceeded cycle limit");
-        case sim::ExecStatus::Trapped:
-          throw Error(format("scalar simulation trapped: %s (detail %u) at cycle %llu",
-                             sim::trap_reason_name(r.trap.reason), r.trap.detail,
-                             static_cast<unsigned long long>(r.trap.cycle)));
-      }
-      out.cycles = r.cycles;
-      out.ret = r.ret;
-      out.instruction_bits = scalar::ScalarProgram::kInstrBits;
-      out.instruction_count = prog.code_words(machine.scalar);
-      out.image_bits = prog.image_bits(machine.scalar);
-      break;
-    }
-    case mach::Model::Vliw: {
-      vliw::ScheduleStats stats;
-      const vliw::VliwProgram prog = vliw::schedule_vliw(lowered.func, machine, &stats, sched_plan);
-      out.stage_seconds.schedule = seconds_since(t_schedule);
-      stage_span.reset();
-      cell_metrics.add("vliw.schedule.bundles", stats.bundles);
-      cell_metrics.add("vliw.schedule.ops", stats.ops);
-      const std::uint64_t capacity =
-          stats.bundles * static_cast<std::uint64_t>(prog.num_slots);
-      cell_metrics.add("vliw.schedule.slot_capacity", capacity);
-      cell_metrics.add("vliw.schedule.nop_slots", capacity - stats.ops);
-      cell_metrics.add("vliw.schedule.fail.rf_read_port", stats.fail_rf_read_port);
-      cell_metrics.add("vliw.schedule.fail.rf_write_port", stats.fail_rf_write_port);
-      cell_metrics.add("vliw.schedule.fail.no_slot", stats.fail_no_slot);
-      cell_metrics.add("vliw.schedule.fail.wide_imm", stats.fail_wide_imm);
-      if (sim_opts.collect_profile) attach_profiler(prof::build_static_profile(prog, machine));
-      vliw::VliwSim simulator(prog, machine, mem, sim_opts);
-      if (sim_opts.fast_path) {
-        const auto t_pre = std::chrono::steady_clock::now();
-        stage_span.emplace("predecode", stage_args);
-        simulator.use_predecoded(
-            cache != nullptr
-                ? cache->predecoded(prog, machine, timeline)
-                : std::make_shared<const sim::PredecodedVliw>(sim::predecode(prog, machine)));
-        out.stage_seconds.predecode = seconds_since(t_pre);
-        stage_span.reset();
-      }
-      const auto t_sim = std::chrono::steady_clock::now();
-      stage_span.emplace("simulate", stage_args);
-      const vliw::ExecResult r = simulator.run();
-      out.stage_seconds.simulate = seconds_since(t_sim);
-      stage_span.reset();
-      switch (r.status) {
-        case sim::ExecStatus::Ok: break;
-        case sim::ExecStatus::TimedOut: throw Error("VLIW simulation exceeded cycle limit");
-        case sim::ExecStatus::Trapped:
-          throw Error(format("VLIW simulation trapped: %s (unit %d, detail %u) at cycle %llu",
-                             sim::trap_reason_name(r.trap.reason), r.trap.unit, r.trap.detail,
-                             static_cast<unsigned long long>(r.trap.cycle)));
-      }
-      out.cycles = r.cycles;
-      out.ret = r.ret;
-      out.instruction_bits = vliw::instruction_bits(machine);
-      out.instruction_count = prog.num_bundles();
-      out.image_bits = vliw::image_bits(prog, machine);
-      break;
-    }
-    case mach::Model::Tta: {
-      tta::TtaScheduleStats stats;
-      const tta::TtaProgram prog =
-          tta::schedule_tta(lowered.func, machine, tta_options, &stats, sched_plan);
-      if (profile != nullptr) {
-        cell_metrics.add("sched.superblock.cross_block_bypass",
-                         stats.superblock_cross_block_bypass);
-      }
-      // Image size from the real binary encoder (instruction stream plus
-      // the literal pool holding wide constants and far branch targets).
-      out.image_bits = tta::encode_program(prog, machine).image_bits();
-      out.stage_seconds.schedule = seconds_since(t_schedule);
-      stage_span.reset();
-      cell_metrics.add("tta.schedule.instructions", stats.instructions);
-      cell_metrics.add("tta.schedule.moves", stats.moves);
-      cell_metrics.add("tta.schedule.bypassed_operands", stats.bypassed_operands);
-      cell_metrics.add("tta.schedule.eliminated_result_moves", stats.eliminated_result_moves);
-      cell_metrics.add("tta.schedule.shared_operands", stats.shared_operands);
-      cell_metrics.add("tta.schedule.guarded_selects", stats.guarded_selects);
-      cell_metrics.add("tta.schedule.fail.no_bus", stats.fail_no_bus);
-      cell_metrics.add("tta.schedule.fail.long_imm", stats.fail_long_imm);
-      cell_metrics.add("tta.schedule.fail.rf_read_port", stats.fail_rf_read_port);
-      cell_metrics.add("tta.schedule.fail.rf_write_port", stats.fail_rf_write_port);
-      record_tta_density(cell_metrics, prog, machine);
-      if (sim_opts.collect_profile) attach_profiler(prof::build_static_profile(prog, machine));
-      tta::TtaSim simulator(prog, machine, mem, sim_opts);
-      if (sim_opts.fast_path) {
-        const auto t_pre = std::chrono::steady_clock::now();
-        stage_span.emplace("predecode", stage_args);
-        simulator.use_predecoded(
-            cache != nullptr
-                ? cache->predecoded(prog, machine, timeline)
-                : std::make_shared<const sim::PredecodedTta>(sim::predecode(prog, machine)));
-        out.stage_seconds.predecode = seconds_since(t_pre);
-        stage_span.reset();
-      }
-      const auto t_sim = std::chrono::steady_clock::now();
-      stage_span.emplace("simulate", stage_args);
-      const tta::ExecResult r = simulator.run();
-      out.stage_seconds.simulate = seconds_since(t_sim);
-      stage_span.reset();
-      switch (r.status) {
-        case sim::ExecStatus::Ok: break;
-        case sim::ExecStatus::TimedOut: throw Error("TTA simulation exceeded cycle limit");
-        case sim::ExecStatus::Trapped:
-          throw Error(format("TTA simulation trapped: %s (bus %d, detail %u) at cycle %llu",
-                             sim::trap_reason_name(r.trap.reason), r.trap.unit, r.trap.detail,
-                             static_cast<unsigned long long>(r.trap.cycle)));
-      }
-      out.cycles = r.cycles;
-      out.ret = r.ret;
-      out.instruction_bits = tta::instruction_bits(machine);
-      out.instruction_count = prog.instrs.size();
-      out.moves = stats.moves;
-      out.bypassed_operands = stats.bypassed_operands;
-      out.eliminated_result_moves = stats.eliminated_result_moves;
-      out.shared_operands = stats.shared_operands;
-      break;
+  ir::Memory mem = make_loaded_memory(backend.module);
+  sim::ExecResult r;
+  {
+    const auto t_sim = std::chrono::steady_clock::now();
+    obs::Span span("simulate", [&] {
+      return obs::SpanArgs{{"machine", machine.name}, {"workload", workload.name}};
+    });
+    r = backend.engine.run(mem, sim_opts);
+    out.stage_seconds.simulate = seconds_since(t_sim);
+  }
+  const char* model = mach::model_name(machine.model);
+  switch (r.status) {
+    case sim::ExecStatus::Ok: break;
+    case sim::ExecStatus::TimedOut:
+      throw Error(format("%s simulation exceeded cycle limit", model));
+    case sim::ExecStatus::Trapped: {
+      // TTA traps name the move's bus, VLIW traps the slot's FU; scalar
+      // traps have no unit (-1).
+      const std::string unit =
+          r.trap.unit < 0
+              ? std::string()
+              : format("%s %d, ", machine.model == mach::Model::Tta ? "bus" : "unit", r.trap.unit);
+      throw Error(format("%s simulation trapped: %s (%sdetail %u) at cycle %llu", model,
+                         sim::trap_reason_name(r.trap.reason), unit.c_str(), r.trap.detail,
+                         static_cast<unsigned long long>(r.trap.cycle)));
     }
   }
-  out.output_checksum = output_checksum(module, workload, mem);
+  out.cycles = r.cycles;
+  out.ret = r.ret;
+  out.output_checksum = output_checksum(backend.module, workload, mem);
   if (util != nullptr) {
     util->add_cycles(out.cycles);
     out.utilization = util->report();
@@ -434,12 +394,12 @@ RunOutcome compile_and_run_prebuilt(const ir::Module& optimized, const Workload&
                                     const mach::Machine& machine,
                                     const tta::TtaOptions& tta_options,
                                     support::Timeline* timeline,
-                                    const sim::SimOptions& sim_options, ModuleCache* cache,
+                                    const sim::SimOptions& sim_options,
                                     obs::Registry* metrics,
                                     const opt::SuperblockOptions* superblocks) {
   if (superblocks == nullptr || !superblocks->superblocks) {
-    return compile_cell(optimized, workload, machine, tta_options, timeline, sim_options, cache,
-                        metrics, nullptr, {}, nullptr);
+    return compile_cell(optimized, workload, machine, tta_options, timeline, sim_options, metrics,
+                        nullptr, {}, nullptr);
   }
 
   // Phase 1: the ordinary schedule, run with a block-frequency collector
@@ -451,13 +411,13 @@ RunOutcome compile_and_run_prebuilt(const ir::Module& optimized, const Workload&
   phase1.observer = sim_options.observer != nullptr ? static_cast<sim::ExecObserver*>(&tee)
                                                     : static_cast<sim::ExecObserver*>(&collector);
   RunOutcome base = compile_cell(optimized, workload, machine, tta_options, timeline, phase1,
-                                 cache, nullptr, nullptr, {}, nullptr);
+                                 nullptr, nullptr, {}, nullptr);
 
   // Phase 2: recompile along the measured edge biases and rerun.
   const opt::ProfileData profile = opt::ProfileData::from_collector(collector);
   opt::SuperblockPlan plan;
   RunOutcome sb = compile_cell(optimized, workload, machine, tta_options, timeline, sim_options,
-                               cache, nullptr, &profile, *superblocks, &plan);
+                               nullptr, &profile, *superblocks, &plan);
 
   // Empirical per-cell fallback: adopt the superblock schedule only when it
   // is no worse than the baseline, so no cell can ever regress (a cold-path
@@ -491,65 +451,16 @@ RunOutcome compile_and_run(const Workload& workload, const mach::Machine& machin
   return compile_and_run_prebuilt(optimized, workload, machine, tta_options);
 }
 
-ReplayOutcome replay_with_observer(const Workload& workload, const mach::Machine& machine,
-                                   sim::ExecObserver* observer, bool fast_path) {
+sim::ExecResult replay_with_observer(const Workload& workload, const mach::Machine& machine,
+                                     sim::ExecObserver* observer, bool fast_path) {
   // The standard pipeline, minus the report plumbing and the golden
   // cross-check: the replayed run's own status IS the result.
-  ir::Module module = build_optimized(workload);
-  ir::Function& entry = module.function(workloads::entry_point());
-  if (machine.model == mach::Model::Tta && machine.has_guards()) {
-    opt::if_convert_selects(entry);
-  } else {
-    codegen::expand_selects(entry);
-  }
-  if (machine.model == mach::Model::Scalar) {
-    codegen::legalize_scalar_operands(entry);
-  }
-  const codegen::LowerResult lowered = codegen::lower(module, workloads::entry_point(), machine);
-  ir::Memory mem = make_loaded_memory(module);
+  const Backend backend = compile_backend(build_optimized(workload), workload, machine);
+  ir::Memory mem = make_loaded_memory(backend.module);
   sim::SimOptions opts;
   opts.fast_path = fast_path;
   opts.observer = observer;
-  ReplayOutcome out;
-  const auto capture = [&](const auto& r) {
-    out.status = r.status;
-    out.trap = r.trap;
-    out.cycles = r.cycles;
-    out.ret = r.ret;
-  };
-  switch (machine.model) {
-    case mach::Model::Scalar: {
-      const scalar::ScalarProgram prog = scalar::emit_scalar(lowered.func);
-      scalar::ScalarSim sim(prog, machine, mem, opts);
-      if (fast_path) {
-        sim.use_predecoded(
-            std::make_shared<const sim::PredecodedScalar>(sim::predecode(prog, machine)));
-      }
-      capture(sim.run());
-      break;
-    }
-    case mach::Model::Vliw: {
-      const vliw::VliwProgram prog = vliw::schedule_vliw(lowered.func, machine);
-      vliw::VliwSim sim(prog, machine, mem, opts);
-      if (fast_path) {
-        sim.use_predecoded(
-            std::make_shared<const sim::PredecodedVliw>(sim::predecode(prog, machine)));
-      }
-      capture(sim.run());
-      break;
-    }
-    case mach::Model::Tta: {
-      const tta::TtaProgram prog = tta::schedule_tta(lowered.func, machine);
-      tta::TtaSim sim(prog, machine, mem, opts);
-      if (fast_path) {
-        sim.use_predecoded(
-            std::make_shared<const sim::PredecodedTta>(sim::predecode(prog, machine)));
-      }
-      capture(sim.run());
-      break;
-    }
-  }
-  return out;
+  return backend.engine.run(mem, opts);
 }
 
 }  // namespace ttsc::report

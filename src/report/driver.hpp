@@ -17,13 +17,12 @@
 #include "opt/superblock.hpp"
 #include "prof/prof.hpp"
 #include "sim/collectors.hpp"
+#include "sim/engine.hpp"
 #include "support/timeline.hpp"
 #include "tta/tta.hpp"
 #include "workloads/workload.hpp"
 
 namespace ttsc::report {
-
-class ModuleCache;
 
 /// Memory image with globals loaded, as every simulator expects it.
 ir::Memory make_loaded_memory(const ir::Module& module, std::size_t size = 1u << 20);
@@ -120,6 +119,35 @@ ir::Module build_optimized(const workloads::Workload& workload,
                            support::StageSeconds* build_times = nullptr,
                            obs::Registry* metrics = nullptr);
 
+/// One backend compile (compile_backend): the backend-prepared module, the
+/// engine over its scheduled program, and the cell's static facts.
+struct Backend {
+  /// The optimized module after select handling and scalar legalization:
+  /// its memory layout and output globals are what a run loads and checks.
+  ir::Module module;
+  sim::Engine engine;
+  /// Superblock formation (formed == 0 without a profile).
+  opt::SuperblockPlan plan;
+  /// Static facts in RunOutcome's fields: machine, workload, spills,
+  /// instruction_bits/count, image_bits, the TTA scheduler freedoms, and
+  /// the regalloc/schedule/predecode stage seconds.
+  RunOutcome outcome;
+};
+
+/// The backend half of the pipeline for `optimized` on `machine`, shared by
+/// every caller that simulates: select handling (guarded TTAs if-convert,
+/// everything else expands selects), superblock formation along `profile`
+/// when given, scalar operand legalization, lowering with register
+/// allocation, then the model's scheduler or emitter and the predecode.
+/// Each stage opens a span. `metrics` (optional) receives the regalloc and
+/// scheduler counters ("regalloc.*", "tta.schedule.*", "vliw.schedule.*",
+/// "scalar.emit.*").
+Backend compile_backend(const ir::Module& optimized, const workloads::Workload& workload,
+                        const mach::Machine& machine, const tta::TtaOptions& tta_options = {},
+                        obs::Registry* metrics = nullptr,
+                        const opt::ProfileData* profile = nullptr,
+                        const opt::SuperblockOptions& sb_options = {});
+
 /// As compile_and_run, but reusing a pre-optimized module. When given,
 /// `timeline` accrues the regalloc/schedule/predecode/simulate stages and
 /// the "cells_run" / "cycles_simulated" / "spills" counters (plus the
@@ -127,8 +155,7 @@ ir::Module build_optimized(const workloads::Workload& workload,
 /// times are always reported in the outcome's stage_seconds.
 ///
 /// `sim_options` selects the simulator path (fast/reference), an optional
-/// observer and utilization collection; `cache` (when given) memoizes the
-/// fast path's predecoded programs across cells.
+/// observer and utilization collection.
 ///
 /// `metrics` (optional) receives the cell's scheduler/regalloc/sim counters
 /// with ONE merge at cell end (the obs::Registry shard contract) plus a
@@ -153,27 +180,18 @@ RunOutcome compile_and_run_prebuilt(const ir::Module& optimized,
                                     const tta::TtaOptions& tta_options = {},
                                     support::Timeline* timeline = nullptr,
                                     const sim::SimOptions& sim_options = {},
-                                    ModuleCache* cache = nullptr,
                                     obs::Registry* metrics = nullptr,
                                     const opt::SuperblockOptions* superblocks = nullptr);
 
-/// Raw single-cell replay result for the flight-recorder exports: the
-/// simulator's own verdict, never cross-checked against the reference
-/// interpreter and never thrown as an error.
-struct ReplayOutcome {
-  sim::ExecStatus status = sim::ExecStatus::Ok;
-  sim::TrapInfo trap{};  // valid when status == Trapped
-  std::uint64_t cycles = 0;
-  std::uint32_t ret = 0;
-};
-
 /// Compile `workload` for `machine` through the standard pipeline and run
-/// it once on the chosen path with `observer` attached, returning the raw
-/// result. Unlike compile_and_run, a Trapped or TimedOut run is a *result*
-/// here, not an error — the flight-recorder exports (--vcd-out,
-/// --flight-dump) replay healthy and failing cells alike through this.
-ReplayOutcome replay_with_observer(const workloads::Workload& workload,
-                                   const mach::Machine& machine, sim::ExecObserver* observer,
-                                   bool fast_path = true);
+/// it once on the chosen path with `observer` attached, returning the
+/// simulator's own verdict. Unlike compile_and_run, a Trapped or TimedOut
+/// run is a *result* here, not an error, and nothing is cross-checked
+/// against the reference interpreter — the flight-recorder exports
+/// (--vcd-out, --flight-dump) replay healthy and failing cells alike
+/// through this.
+sim::ExecResult replay_with_observer(const workloads::Workload& workload,
+                                     const mach::Machine& machine, sim::ExecObserver* observer,
+                                     bool fast_path = true);
 
 }  // namespace ttsc::report

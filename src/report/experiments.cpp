@@ -35,7 +35,6 @@ Matrix Matrix::run(support::Timeline* timeline, const sim::SimOptions& sim_optio
   // Each workload's optimized module is machine-independent: build it once
   // and share it across all 13 machines (the cache is what the parallel
   // runner uses too, so serial and parallel sweeps compile identically).
-  // The cache also memoizes the simulator fast path's predecoded programs.
   ModuleCache cache;
   for (const mach::Machine& machine : mach::all_machines()) {
     MachineResults r;
@@ -47,7 +46,7 @@ Matrix Matrix::run(support::Timeline* timeline, const sim::SimOptions& sim_optio
         try {
           r.by_workload[w.name] =
               compile_and_run_prebuilt(cache.get(w, timeline, nullptr, metrics), w, machine, {},
-                                       timeline, sim_options, &cache, metrics, superblocks);
+                                       timeline, sim_options, metrics, superblocks);
         } catch (const std::exception& e) {
           RunOutcome failed;
           failed.machine = machine.name;
@@ -59,7 +58,7 @@ Matrix Matrix::run(support::Timeline* timeline, const sim::SimOptions& sim_optio
       } else {
         r.by_workload[w.name] =
             compile_and_run_prebuilt(cache.get(w, timeline, nullptr, metrics), w, machine, {},
-                                     timeline, sim_options, &cache, metrics, superblocks);
+                                     timeline, sim_options, metrics, superblocks);
       }
     }
     m.machines_.push_back(std::move(r));
@@ -345,7 +344,7 @@ std::string render_ablation_tta_freedoms() {
       out += format("%-10s", v.name);
       for (const workloads::Workload& w : workloads::all_workloads()) {
         const RunOutcome r =
-            compile_and_run_prebuilt(cache.get(w), w, machine, v.opt, nullptr, {}, &cache);
+            compile_and_run_prebuilt(cache.get(w), w, machine, v.opt);
         if (std::string(v.name) == "all-on") {
           baseline[w.name] = r.cycles;
           out += format(" %9llu", static_cast<unsigned long long>(r.cycles));

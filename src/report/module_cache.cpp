@@ -30,45 +30,4 @@ const ir::Module& ModuleCache::get(const workloads::Workload& workload,
   return entry->module;
 }
 
-template <typename Predecoded, typename Program>
-std::shared_ptr<const Predecoded> ModuleCache::predecoded_impl(const Program& program,
-                                                               const mach::Machine& machine,
-                                                               support::Timeline* timeline) {
-  const std::uint64_t key =
-      sim::fingerprint(machine) ^ (sim::fingerprint(program) * 0x9e3779b97f4a7c15ull);
-  {
-    std::lock_guard<std::mutex> lock(predecoded_mutex_);
-    auto it = predecoded_.find(key);
-    if (it != predecoded_.end()) {
-      if (timeline != nullptr) timeline->bump("predecode_hits");
-      return std::static_pointer_cast<const Predecoded>(it->second);
-    }
-  }
-  // Predecode outside the lock: a rare duplicate race costs one redundant
-  // predecode; the first stored copy wins and is what everyone shares.
-  auto built = std::make_shared<const Predecoded>(sim::predecode(program, machine));
-  std::lock_guard<std::mutex> lock(predecoded_mutex_);
-  auto [it, inserted] = predecoded_.emplace(key, built);
-  if (timeline != nullptr) timeline->bump(inserted ? "predecodes_built" : "predecode_hits");
-  return std::static_pointer_cast<const Predecoded>(it->second);
-}
-
-std::shared_ptr<const sim::PredecodedTta> ModuleCache::predecoded(const tta::TtaProgram& program,
-                                                                  const mach::Machine& machine,
-                                                                  support::Timeline* timeline) {
-  return predecoded_impl<sim::PredecodedTta>(program, machine, timeline);
-}
-
-std::shared_ptr<const sim::PredecodedVliw> ModuleCache::predecoded(const vliw::VliwProgram& program,
-                                                                   const mach::Machine& machine,
-                                                                   support::Timeline* timeline) {
-  return predecoded_impl<sim::PredecodedVliw>(program, machine, timeline);
-}
-
-std::shared_ptr<const sim::PredecodedScalar> ModuleCache::predecoded(
-    const scalar::ScalarProgram& program, const mach::Machine& machine,
-    support::Timeline* timeline) {
-  return predecoded_impl<sim::PredecodedScalar>(program, machine, timeline);
-}
-
 }  // namespace ttsc::report

@@ -1,15 +1,9 @@
-// Thread-safe memoization shared across an experiment sweep.
+// Thread-safe memoization of optimized modules across an experiment sweep.
 //
-// ModuleCache caches two kinds of work that repeat across grid cells:
-//
-//  * optimized modules — each workload's frontend + optimizer run happens
-//    exactly once no matter how many threads or machines request it
-//    (verified by the timeline's "modules_built" counter);
-//  * predecoded programs — the simulator fast path's flat program form
-//    (src/sim/predecode.hpp), keyed by (machine, program) structural
-//    fingerprints so two machine variants or two schedules of the same
-//    workload cannot alias. Predecoded programs are immutable and returned
-//    as shared_ptr, so concurrent simulations share one copy.
+// Each workload's frontend + optimizer run happens exactly once no matter
+// how many threads or machines request it (verified by the timeline's
+// "modules_built" counter). Everything downstream of the optimizer is
+// machine-specific and is built per cell (see report::compile_backend).
 #pragma once
 
 #include <map>
@@ -17,7 +11,7 @@
 #include <mutex>
 #include <string>
 
-#include "sim/predecode.hpp"
+#include "ir/module.hpp"
 #include "support/timeline.hpp"
 #include "workloads/workload.hpp"
 
@@ -40,19 +34,6 @@ class ModuleCache {
                         support::StageSeconds* build_times = nullptr,
                         obs::Registry* metrics = nullptr);
 
-  /// Predecoded form of `program` on `machine`, memoized by structural
-  /// fingerprint. When given, `timeline` counts "predecodes_built" /
-  /// "predecode_hits".
-  std::shared_ptr<const sim::PredecodedTta> predecoded(const tta::TtaProgram& program,
-                                                       const mach::Machine& machine,
-                                                       support::Timeline* timeline = nullptr);
-  std::shared_ptr<const sim::PredecodedVliw> predecoded(const vliw::VliwProgram& program,
-                                                        const mach::Machine& machine,
-                                                        support::Timeline* timeline = nullptr);
-  std::shared_ptr<const sim::PredecodedScalar> predecoded(const scalar::ScalarProgram& program,
-                                                          const mach::Machine& machine,
-                                                          support::Timeline* timeline = nullptr);
-
  private:
   // Hand-rolled once-per-entry instead of std::call_once: libstdc++'s
   // call_once can leave waiters hung when the callable throws (PR 66146),
@@ -64,17 +45,8 @@ class ModuleCache {
     support::StageSeconds build_times;
   };
 
-  template <typename Predecoded, typename Program>
-  std::shared_ptr<const Predecoded> predecoded_impl(const Program& program,
-                                                    const mach::Machine& machine,
-                                                    support::Timeline* timeline);
-
   std::mutex mutex_;                                       // guards the map only
   std::map<std::string, std::unique_ptr<Entry>> entries_;  // keyed by workload name
-  std::mutex predecoded_mutex_;
-  // Type-erased: the fingerprint key encodes the program kind, so a key
-  // always maps back to the Predecoded type it was stored as.
-  std::map<std::uint64_t, std::shared_ptr<const void>> predecoded_;
 };
 
 }  // namespace ttsc::report

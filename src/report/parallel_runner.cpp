@@ -31,8 +31,8 @@ Matrix ParallelRunner::run_grid(const std::vector<mach::Machine>& machines,
       sim::SimOptions sim = options_.sim;
       sim.observer = nullptr;
       RunOutcome out = compile_and_run_prebuilt(optimized, w, machine, tta_options,
-                                                options_.timeline, sim, &cache_,
-                                                options_.registry, options_.superblocks);
+                                                options_.timeline, sim, options_.registry,
+                                                options_.superblocks);
       out.stage_seconds.frontend = build_times.frontend;
       out.stage_seconds.opt = build_times.opt;
       outcomes[i] = std::move(out);

@@ -10,15 +10,6 @@ namespace ttsc::report {
 
 namespace {
 
-const char* model_name(mach::Model model) {
-  switch (model) {
-    case mach::Model::Tta: return "tta";
-    case mach::Model::Vliw: return "vliw";
-    case mach::Model::Scalar: return "scalar";
-  }
-  return "?";
-}
-
 std::uint64_t cause_of(const prof::CellProfile& p, prof::Cause c) {
   return p.cause_cycles[static_cast<std::size_t>(c)];
 }
@@ -208,7 +199,7 @@ std::string render_profile_report(const Matrix& matrix) {
     w.key("name");
     w.value(r.machine.name);
     w.key("model");
-    w.value(model_name(r.machine.model));
+    w.value(mach::model_name(r.machine.model));
     w.key("cells");
     w.begin_object();
     for (const std::string& name : matrix.workload_names()) {

@@ -10,15 +10,6 @@ namespace ttsc::report {
 
 namespace {
 
-const char* model_name(mach::Model model) {
-  switch (model) {
-    case mach::Model::Tta: return "tta";
-    case mach::Model::Vliw: return "vliw";
-    case mach::Model::Scalar: return "scalar";
-  }
-  return "?";
-}
-
 void write_cell(obs::JsonWriter& w, const RunOutcome& out) {
   w.begin_object();
   // Failed keep-going cells carry only the error; successful cells keep the
@@ -80,7 +71,7 @@ void write_machine(obs::JsonWriter& w, const MachineResults& r,
   w.key("name");
   w.value(r.machine.name);
   w.key("model");
-  w.value(model_name(r.machine.model));
+  w.value(mach::model_name(r.machine.model));
   w.key("area");
   w.begin_object();
   w.key("slices");

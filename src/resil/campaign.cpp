@@ -6,25 +6,17 @@
 #include <fstream>
 #include <optional>
 
-#include "codegen/legalize.hpp"
-#include "codegen/lower.hpp"
 #include "fpga/model.hpp"
 #include "mach/configs.hpp"
 #include "obs/json.hpp"
-#include "opt/passes.hpp"
-#include "opt/superblock.hpp"
-#include "sim/collectors.hpp"
 #include "report/driver.hpp"
 #include "resil/inject.hpp"
-#include "scalar/scalar.hpp"
-#include "sim/lockstep.hpp"
-#include "sim/predecode.hpp"
+#include "sim/collectors.hpp"
+#include "sim/engine.hpp"
 #include "sim/protect.hpp"
 #include "support/assert.hpp"
 #include "support/strings.hpp"
 #include "support/thread_pool.hpp"
-#include "tta/tta.hpp"
-#include "vliw/vliw.hpp"
 
 namespace ttsc::resil {
 
@@ -37,180 +29,72 @@ const workloads::Workload& workload_by_name(const std::string& name) {
   throw Error("resil: unknown workload " + name);
 }
 
-/// Fault-free reference outcome of one cell, cached once and diffed against
-/// every injection.
-struct Golden {
-  std::uint64_t cycles = 0;
-  std::uint32_t ret = 0;
-  std::uint64_t out_checksum = 0;
-  std::vector<std::uint32_t> rf;
-  std::vector<std::uint8_t> guards;  // TTA only
-};
-
-/// Everything one cell's injections share: the scheduled program, its
-/// predecoded form (reused by every state-fault run; instruction faults
-/// re-predecode their mutated program) and the golden outcome.
+/// Everything one cell's injections share: the engine over the scheduled
+/// program (every state-fault run reuses its predecoded form; instruction
+/// faults get an engine over their mutated copy), the fault-free golden run
+/// and the memory images around it.
 struct PreparedCell {
-  mach::Machine machine;
   const workloads::Workload* workload = nullptr;
+  /// The backend-prepared module: memory layout and output globals.
   ir::Module module;
-
-  std::optional<tta::TtaProgram> tta_prog;
-  std::optional<vliw::VliwProgram> vliw_prog;
-  std::optional<scalar::ScalarProgram> scalar_prog;
-  std::shared_ptr<const sim::PredecodedTta> tta_pre;
-  std::shared_ptr<const sim::PredecodedVliw> vliw_pre;
-  std::shared_ptr<const sim::PredecodedScalar> scalar_pre;
-
-  Golden golden;
-  /// Typed golden ExecResults (one engaged, per model): the lockstep
-  /// reference that lets a batch stop once every lane converged/evicted.
-  std::optional<scalar::ExecResult> scalar_golden;
-  std::optional<vliw::ExecResult> vliw_golden;
-  std::optional<tta::ExecResult> tta_golden;
+  sim::Engine engine;
+  /// Golden run: the reference every injection is diffed against, and the
+  /// lockstep reference that lets a batch stop once every lane settled.
+  sim::ExecResult golden;
+  std::uint64_t golden_checksum = 0;
   /// Pristine loaded image, copied for every injection / lockstep leader.
-  std::optional<ir::Memory> initial_mem;
-  std::optional<ir::Memory> golden_mem;
+  ir::Memory initial_mem;
+  ir::Memory golden_mem;
   std::uint64_t imem_bits = 0;
+
+  const mach::Machine& machine() const { return engine.machine(); }
 };
 
-/// Phase-1 profiling run for a superblock cell: ordinary schedule on a
-/// scratch copy of the prepared (select-expanded) module, fast path, with a
-/// sim::ProfileCollector attached. Returns the profile — whose block ids
-/// refer to `prepared`'s current blocks — and the baseline cycle count.
-std::pair<opt::ProfileData, std::uint64_t> profile_cell(const mach::Machine& machine,
-                                                        const ir::Module& prepared) {
-  ir::Module m = prepared;
-  if (machine.model == mach::Model::Scalar) {
-    codegen::legalize_scalar_operands(m.function(workloads::entry_point()));
-  }
-  const codegen::LowerResult lowered = codegen::lower(m, workloads::entry_point(), machine);
-  ir::Memory mem = report::make_loaded_memory(m);
-  sim::ProfileCollector collector;
+/// The backend compile of `optimized` for `machine` plus its fault-free
+/// golden run (with `observer` attached, when given).
+PreparedCell compile_golden(const ir::Module& optimized, const workloads::Workload& w,
+                            const mach::Machine& machine, const opt::ProfileData* profile,
+                            sim::ExecObserver* observer) {
+  report::Backend backend = report::compile_backend(optimized, w, machine, {}, nullptr, profile,
+                                                    {.superblocks = true});
+  ir::Memory initial = report::make_loaded_memory(backend.module);
+  ir::Memory mem = initial;
   sim::SimOptions opts;
-  opts.observer = &collector;
-  std::uint64_t cycles = 0;
-  sim::ExecStatus status = sim::ExecStatus::Ok;
-  switch (machine.model) {
-    case mach::Model::Scalar: {
-      const auto r = scalar::ScalarSim(scalar::emit_scalar(lowered.func), machine, mem, opts).run();
-      cycles = r.cycles;
-      status = r.status;
-      break;
-    }
-    case mach::Model::Vliw: {
-      const auto r =
-          vliw::VliwSim(vliw::schedule_vliw(lowered.func, machine), machine, mem, opts).run();
-      cycles = r.cycles;
-      status = r.status;
-      break;
-    }
-    case mach::Model::Tta: {
-      const auto r = tta::TtaSim(tta::schedule_tta(lowered.func, machine), machine, mem, opts).run();
-      cycles = r.cycles;
-      status = r.status;
-      break;
-    }
+  opts.observer = observer;
+  sim::ExecResult golden = backend.engine.run(mem, opts);
+  if (golden.status != sim::ExecStatus::Ok) {
+    throw Error(format("golden run did not complete: %s", sim::exec_status_name(golden.status)));
   }
-  if (status != sim::ExecStatus::Ok) {
-    throw Error(format("profiling run did not complete: %s", sim::exec_status_name(status)));
-  }
-  return {opt::ProfileData::from_collector(collector), cycles};
+  const std::uint64_t checksum = report::workload_output_checksum(backend.module, w, mem);
+  const std::uint64_t bits = backend.engine.visit([](const auto& p) { return imem_bits(p); });
+  return PreparedCell{.workload = &w,
+                      .module = std::move(backend.module),
+                      .engine = std::move(backend.engine),
+                      .golden = std::move(golden),
+                      .golden_checksum = checksum,
+                      .initial_mem = std::move(initial),
+                      .golden_mem = std::move(mem),
+                      .imem_bits = bits};
 }
 
+/// The cell as the driver compiles it. With `superblocks`, the two-phase
+/// compile of report::compile_and_run_prebuilt: the ordinary schedule's
+/// golden run doubles as the profiling run, and the trace schedule formed
+/// along it replaces the ordinary one only when it is no slower.
 PreparedCell prepare_cell(const std::string& machine_name, const workloads::Workload& w,
                           bool superblocks = false) {
-  PreparedCell cell;
-  cell.machine = mach::machine_by_name(machine_name);
-  cell.workload = &w;
-  // Same pipeline as report::compile_and_run_prebuilt, minus the report
-  // plumbing: the campaign needs the program form itself for instruction
-  // faults, which the driver does not expose.
-  cell.module = report::build_optimized(w);
-  ir::Function& entry = cell.module.function(workloads::entry_point());
-  if (cell.machine.model == mach::Model::Tta && cell.machine.has_guards()) {
-    opt::if_convert_selects(entry);
-  } else {
-    codegen::expand_selects(entry);
-  }
-  // Two-phase superblock compile: profile an ordinarily scheduled copy,
-  // then form traces here so the scheduled-under-injection program is the
-  // one the --superblocks harnesses ship.
-  opt::SuperblockPlan sb_plan;
-  std::uint64_t baseline_cycles = 0;
-  if (superblocks) {
-    const auto [profile, base] = profile_cell(cell.machine, cell.module);
-    baseline_cycles = base;
-    sb_plan = opt::form_superblocks(entry, profile, {.superblocks = true});
-  }
-  const opt::SuperblockPlan* sched_plan = sb_plan.formed > 0 ? &sb_plan : nullptr;
-  if (cell.machine.model == mach::Model::Scalar) {
-    codegen::legalize_scalar_operands(entry);
-  }
-  const codegen::LowerResult lowered =
-      codegen::lower(cell.module, workloads::entry_point(), cell.machine);
-
-  cell.initial_mem.emplace(report::make_loaded_memory(cell.module));
-  ir::Memory mem = *cell.initial_mem;
-  switch (cell.machine.model) {
-    case mach::Model::Scalar: {
-      cell.scalar_prog = scalar::emit_scalar(lowered.func);
-      cell.scalar_pre = std::make_shared<const sim::PredecodedScalar>(
-          sim::predecode(*cell.scalar_prog, cell.machine));
-      cell.imem_bits = imem_bits(*cell.scalar_prog);
-      scalar::ScalarSim sim(*cell.scalar_prog, cell.machine, mem);
-      sim.use_predecoded(cell.scalar_pre);
-      const scalar::ExecResult r = sim.run();
-      if (r.status != sim::ExecStatus::Ok) {
-        throw Error(format("golden run did not complete: %s", sim::exec_status_name(r.status)));
-      }
-      cell.golden = {r.cycles, r.ret, 0, r.rf_state, {}};
-      cell.scalar_golden = r;
-      break;
-    }
-    case mach::Model::Vliw: {
-      cell.vliw_prog = vliw::schedule_vliw(lowered.func, cell.machine, nullptr, sched_plan);
-      cell.vliw_pre = std::make_shared<const sim::PredecodedVliw>(
-          sim::predecode(*cell.vliw_prog, cell.machine));
-      cell.imem_bits = imem_bits(*cell.vliw_prog);
-      vliw::VliwSim sim(*cell.vliw_prog, cell.machine, mem);
-      sim.use_predecoded(cell.vliw_pre);
-      const vliw::ExecResult r = sim.run();
-      if (r.status != sim::ExecStatus::Ok) {
-        throw Error(format("golden run did not complete: %s", sim::exec_status_name(r.status)));
-      }
-      cell.golden = {r.cycles, r.ret, 0, r.rf_state, {}};
-      cell.vliw_golden = r;
-      break;
-    }
-    case mach::Model::Tta: {
-      cell.tta_prog = tta::schedule_tta(lowered.func, cell.machine, {}, nullptr, sched_plan);
-      cell.tta_pre = std::make_shared<const sim::PredecodedTta>(
-          sim::predecode(*cell.tta_prog, cell.machine));
-      cell.imem_bits = imem_bits(*cell.tta_prog);
-      tta::TtaSim sim(*cell.tta_prog, cell.machine, mem);
-      sim.use_predecoded(cell.tta_pre);
-      const tta::ExecResult r = sim.run();
-      if (r.status != sim::ExecStatus::Ok) {
-        throw Error(format("golden run did not complete: %s", sim::exec_status_name(r.status)));
-      }
-      cell.golden = {r.cycles, r.ret, 0, r.rf_state, r.guard_state};
-      cell.tta_golden = r;
-      break;
-    }
-  }
-  cell.golden.out_checksum = report::workload_output_checksum(cell.module, w, mem);
-  cell.golden_mem.emplace(std::move(mem));
-  if (superblocks && cell.golden.cycles > baseline_cycles) {
-    // The trace schedule lost on this cell: fall back to the ordinary
-    // schedule, mirroring the two-phase driver's per-cell guarantee.
-    return prepare_cell(machine_name, w, /*superblocks=*/false);
-  }
-  return cell;
+  const mach::Machine machine = mach::machine_by_name(machine_name);
+  const ir::Module optimized = report::build_optimized(w);
+  sim::ProfileCollector collector;
+  PreparedCell cell =
+      compile_golden(optimized, w, machine, nullptr, superblocks ? &collector : nullptr);
+  if (!superblocks) return cell;
+  const opt::ProfileData profile = opt::ProfileData::from_collector(collector);
+  PreparedCell traced = compile_golden(optimized, w, machine, &profile, nullptr);
+  return traced.golden.cycles <= cell.golden.cycles ? std::move(traced) : std::move(cell);
 }
 
-template <typename Result>
-Outcome classify(const PreparedCell& cell, const Result& r, const ir::Memory& mem,
+Outcome classify(const PreparedCell& cell, const sim::ExecResult& r, const ir::Memory& mem,
                  bool& latent) {
   switch (r.status) {
     case sim::ExecStatus::Trapped: return Outcome::Trap;
@@ -219,67 +103,45 @@ Outcome classify(const PreparedCell& cell, const Result& r, const ir::Memory& me
   }
   const std::uint64_t checksum =
       report::workload_output_checksum(cell.module, *cell.workload, mem);
-  if (r.ret != cell.golden.ret || checksum != cell.golden.out_checksum) return Outcome::Sdc;
-  latent = r.rf_state != cell.golden.rf || !(mem == *cell.golden_mem);
-  if constexpr (requires { r.guard_state; }) {
-    latent = latent || r.guard_state != cell.golden.guards;
-  }
+  if (r.ret != cell.golden.ret || checksum != cell.golden_checksum) return Outcome::Sdc;
+  latent = r.rf_state != cell.golden.rf_state || r.guard_state != cell.golden.guard_state ||
+           !(mem == cell.golden_mem);
   return Outcome::Masked;
 }
 
-/// Apply an imem fault to the program form: one flipped encoding bit, or an
-/// adjacent pair for double-bit upsets (FaultSpec::imem_width).
-template <typename Program>
-Program mutate_imem(const Program& program, const FaultSpec& spec) {
-  Program mutated = flip_bit(program, spec.imem_bit);
-  if (spec.imem_width >= 2) mutated = flip_bit(mutated, spec.imem_bit + 1);
-  return mutated;
+/// An engine over the cell's program with `spec`'s imem fault applied: one
+/// flipped encoding bit, or an adjacent pair for double-bit upsets
+/// (FaultSpec::imem_width).
+sim::Engine mutated_engine(const PreparedCell& cell, const FaultSpec& spec) {
+  return cell.engine.visit([&](const auto& program) {
+    auto mutated = flip_bit(program, spec.imem_bit);
+    if (spec.imem_width >= 2) mutated = flip_bit(mutated, spec.imem_bit + 1);
+    return cell.engine.with_program(std::move(mutated));
+  });
+}
+
+/// Hardened run options carrying `spec`'s state fault in `fs` (imem faults
+/// change the program instead).
+sim::SimOptions injection_options(const FaultSpec& spec, sim::FaultSet& fs) {
+  sim::SimOptions opts;
+  opts.harden = true;
+  if (spec.target != TargetKind::Imem) {
+    fs.faults.push_back(spec.state);
+    opts.faults = &fs;
+  }
+  return opts;
 }
 
 Outcome run_injection(const PreparedCell& cell, const FaultSpec& spec, std::uint64_t budget,
                       bool& latent) {
   latent = false;
-  ir::Memory mem = *cell.initial_mem;
-  sim::SimOptions opts;
-  opts.harden = true;
+  ir::Memory mem = cell.initial_mem;
   sim::FaultSet fs;
-  if (spec.target != TargetKind::Imem) {
-    fs.faults.push_back(spec.state);
-    opts.faults = &fs;
-  }
-  switch (cell.machine.model) {
-    case mach::Model::Scalar: {
-      if (spec.target == TargetKind::Imem) {
-        const scalar::ScalarProgram mutated = mutate_imem(*cell.scalar_prog, spec);
-        scalar::ScalarSim sim(mutated, cell.machine, mem, opts);
-        return classify(cell, sim.run(budget), mem, latent);
-      }
-      scalar::ScalarSim sim(*cell.scalar_prog, cell.machine, mem, opts);
-      sim.use_predecoded(cell.scalar_pre);
-      return classify(cell, sim.run(budget), mem, latent);
-    }
-    case mach::Model::Vliw: {
-      if (spec.target == TargetKind::Imem) {
-        const vliw::VliwProgram mutated = mutate_imem(*cell.vliw_prog, spec);
-        vliw::VliwSim sim(mutated, cell.machine, mem, opts);
-        return classify(cell, sim.run(budget), mem, latent);
-      }
-      vliw::VliwSim sim(*cell.vliw_prog, cell.machine, mem, opts);
-      sim.use_predecoded(cell.vliw_pre);
-      return classify(cell, sim.run(budget), mem, latent);
-    }
-    case mach::Model::Tta: {
-      if (spec.target == TargetKind::Imem) {
-        const tta::TtaProgram mutated = mutate_imem(*cell.tta_prog, spec);
-        tta::TtaSim sim(mutated, cell.machine, mem, opts);
-        return classify(cell, sim.run(budget), mem, latent);
-      }
-      tta::TtaSim sim(*cell.tta_prog, cell.machine, mem, opts);
-      sim.use_predecoded(cell.tta_pre);
-      return classify(cell, sim.run(budget), mem, latent);
-    }
-  }
-  TTSC_UNREACHABLE("resil: unhandled machine model");
+  const sim::SimOptions opts = injection_options(spec, fs);
+  const sim::ExecResult r = spec.target == TargetKind::Imem
+                                ? mutated_engine(cell, spec).run(mem, opts, budget)
+                                : cell.engine.run(mem, opts, budget);
+  return classify(cell, r, mem, latent);
 }
 
 /// Decide what the imem code does with the corrupted codeword(s) and poison
@@ -360,15 +222,10 @@ Outcome run_protected_injection(const PreparedCell& cell, const FaultSpec& spec,
                                 bool& latent, ProtectStats& stats) {
   latent = false;
   sim::ProtectState prot(cfg);
-  ir::Memory mem = *cell.initial_mem;
-  sim::SimOptions opts;
-  opts.harden = true;
-  opts.protect = &prot;
+  ir::Memory mem = cell.initial_mem;
   sim::FaultSet fs;
-  if (spec.target != TargetKind::Imem) {
-    fs.faults.push_back(spec.state);
-    opts.faults = &fs;
-  }
+  sim::SimOptions opts = injection_options(spec, fs);
+  opts.protect = &prot;
 
   // Imem faults: locate the corrupted codeword(s) and let the declared code
   // decide — escape (run the mutated program), correctable or detectable
@@ -377,79 +234,30 @@ Outcome run_protected_injection(const PreparedCell& cell, const FaultSpec& spec,
   // stays masked exactly like the unprotected model).
   bool imem_escape = false;
   if (spec.target == TargetKind::Imem) {
-    std::uint32_t pc0 = 0;
-    std::uint32_t pc1 = 0;
-    switch (cell.machine.model) {
-      case mach::Model::Scalar:
-        pc0 = imem_instr_of_bit(*cell.scalar_prog, spec.imem_bit);
-        pc1 = spec.imem_width >= 2 ? imem_instr_of_bit(*cell.scalar_prog, spec.imem_bit + 1)
-                                   : pc0;
-        break;
-      case mach::Model::Vliw:
-        pc0 = imem_instr_of_bit(*cell.vliw_prog, spec.imem_bit);
-        pc1 = spec.imem_width >= 2 ? imem_instr_of_bit(*cell.vliw_prog, spec.imem_bit + 1)
-                                   : pc0;
-        break;
-      case mach::Model::Tta:
-        pc0 = imem_instr_of_bit(*cell.tta_prog, spec.imem_bit);
-        pc1 = spec.imem_width >= 2 ? imem_instr_of_bit(*cell.tta_prog, spec.imem_bit + 1)
-                                   : pc0;
-        break;
-    }
+    const auto [pc0, pc1] = cell.engine.visit([&](const auto& program) {
+      const std::uint32_t first = imem_instr_of_bit(program, spec.imem_bit);
+      return std::pair{first, spec.imem_width >= 2
+                                  ? imem_instr_of_bit(program, spec.imem_bit + 1)
+                                  : first};
+    });
     imem_escape = poison_imem(cfg.imem, spec.imem_width, pc0, pc1, prot);
   }
+  const sim::ExecResult r = imem_escape ? mutated_engine(cell, spec).run(mem, opts, budget)
+                                        : cell.engine.run(mem, opts, budget);
 
-  auto finish = [&](const auto& r) -> Outcome {
-    stats.rf_corrected += prot.rf_corrected;
-    stats.rf_detected += prot.rf_detected;
-    stats.fu_detected += prot.fu_detected;
-    stats.guard_corrected += prot.guard_corrected;
-    stats.imem_corrected += prot.imem_corrected;
-    stats.imem_detected += prot.imem_detected;
-    if (r.status == sim::ExecStatus::Trapped &&
-        r.trap.reason == sim::TrapReason::ProtectionDetected) {
-      return resolve_detection(spec, cfg, r.trap.cycle, stats);
-    }
-    const Outcome o = classify(cell, r, mem, latent);
-    if (o == Outcome::Masked && !latent && prot.corrections() > 0) {
-      return Outcome::Corrected;
-    }
-    return o;
-  };
-
-  switch (cell.machine.model) {
-    case mach::Model::Scalar: {
-      if (spec.target == TargetKind::Imem && imem_escape) {
-        const scalar::ScalarProgram mutated = mutate_imem(*cell.scalar_prog, spec);
-        scalar::ScalarSim sim(mutated, cell.machine, mem, opts);
-        return finish(sim.run(budget));
-      }
-      scalar::ScalarSim sim(*cell.scalar_prog, cell.machine, mem, opts);
-      sim.use_predecoded(cell.scalar_pre);
-      return finish(sim.run(budget));
-    }
-    case mach::Model::Vliw: {
-      if (spec.target == TargetKind::Imem && imem_escape) {
-        const vliw::VliwProgram mutated = mutate_imem(*cell.vliw_prog, spec);
-        vliw::VliwSim sim(mutated, cell.machine, mem, opts);
-        return finish(sim.run(budget));
-      }
-      vliw::VliwSim sim(*cell.vliw_prog, cell.machine, mem, opts);
-      sim.use_predecoded(cell.vliw_pre);
-      return finish(sim.run(budget));
-    }
-    case mach::Model::Tta: {
-      if (spec.target == TargetKind::Imem && imem_escape) {
-        const tta::TtaProgram mutated = mutate_imem(*cell.tta_prog, spec);
-        tta::TtaSim sim(mutated, cell.machine, mem, opts);
-        return finish(sim.run(budget));
-      }
-      tta::TtaSim sim(*cell.tta_prog, cell.machine, mem, opts);
-      sim.use_predecoded(cell.tta_pre);
-      return finish(sim.run(budget));
-    }
+  stats.rf_corrected += prot.rf_corrected;
+  stats.rf_detected += prot.rf_detected;
+  stats.fu_detected += prot.fu_detected;
+  stats.guard_corrected += prot.guard_corrected;
+  stats.imem_corrected += prot.imem_corrected;
+  stats.imem_detected += prot.imem_detected;
+  if (r.status == sim::ExecStatus::Trapped &&
+      r.trap.reason == sim::TrapReason::ProtectionDetected) {
+    return resolve_detection(spec, cfg, r.trap.cycle, stats);
   }
-  TTSC_UNREACHABLE("resil: unhandled machine model");
+  const Outcome o = classify(cell, r, mem, latent);
+  if (o == Outcome::Masked && !latent && prot.corrections() > 0) return Outcome::Corrected;
+  return o;
 }
 
 /// One forensic replay pair: the fault-free and the faulted run, both
@@ -475,80 +283,19 @@ DivergenceRecord run_forensic_replay(const PreparedCell& cell, const FaultSpec& 
   // two full program runs.
   const std::uint64_t replay_budget =
       std::min(budget, window.start_cycle + window_cycles + 1);
-  const auto note_cutoff = [](const auto& r, CommitRecorder& rec) {
-    if (r.status == sim::ExecStatus::TimedOut) rec.mark_truncated();
+  const auto replay = [&](const sim::Engine& engine, sim::SimOptions opts, CommitRecorder& rec) {
+    ir::Memory mem = cell.initial_mem;
+    opts.observer = &rec;
+    if (engine.run(mem, opts, replay_budget).status == sim::ExecStatus::TimedOut) {
+      rec.mark_truncated();
+    }
   };
-
   sim::SimOptions golden_opts;
   golden_opts.harden = true;
-  golden_opts.observer = &golden_rec;
-  sim::SimOptions faulty_opts;
-  faulty_opts.harden = true;
-  faulty_opts.observer = &faulty_rec;
+  replay(cell.engine, golden_opts, golden_rec);
   sim::FaultSet fs;
-  if (spec.target != TargetKind::Imem) {
-    fs.faults.push_back(spec.state);
-    faulty_opts.faults = &fs;
-  }
-  switch (cell.machine.model) {
-    case mach::Model::Scalar: {
-      {
-        ir::Memory mem = *cell.initial_mem;
-        scalar::ScalarSim sim(*cell.scalar_prog, cell.machine, mem, golden_opts);
-        sim.use_predecoded(cell.scalar_pre);
-        note_cutoff(sim.run(replay_budget), golden_rec);
-      }
-      ir::Memory mem = *cell.initial_mem;
-      if (spec.target == TargetKind::Imem) {
-        const scalar::ScalarProgram mutated = mutate_imem(*cell.scalar_prog, spec);
-        note_cutoff(scalar::ScalarSim(mutated, cell.machine, mem, faulty_opts).run(replay_budget),
-                    faulty_rec);
-      } else {
-        scalar::ScalarSim sim(*cell.scalar_prog, cell.machine, mem, faulty_opts);
-        sim.use_predecoded(cell.scalar_pre);
-        note_cutoff(sim.run(replay_budget), faulty_rec);
-      }
-      break;
-    }
-    case mach::Model::Vliw: {
-      {
-        ir::Memory mem = *cell.initial_mem;
-        vliw::VliwSim sim(*cell.vliw_prog, cell.machine, mem, golden_opts);
-        sim.use_predecoded(cell.vliw_pre);
-        note_cutoff(sim.run(replay_budget), golden_rec);
-      }
-      ir::Memory mem = *cell.initial_mem;
-      if (spec.target == TargetKind::Imem) {
-        const vliw::VliwProgram mutated = mutate_imem(*cell.vliw_prog, spec);
-        note_cutoff(vliw::VliwSim(mutated, cell.machine, mem, faulty_opts).run(replay_budget),
-                    faulty_rec);
-      } else {
-        vliw::VliwSim sim(*cell.vliw_prog, cell.machine, mem, faulty_opts);
-        sim.use_predecoded(cell.vliw_pre);
-        note_cutoff(sim.run(replay_budget), faulty_rec);
-      }
-      break;
-    }
-    case mach::Model::Tta: {
-      {
-        ir::Memory mem = *cell.initial_mem;
-        tta::TtaSim sim(*cell.tta_prog, cell.machine, mem, golden_opts);
-        sim.use_predecoded(cell.tta_pre);
-        note_cutoff(sim.run(replay_budget), golden_rec);
-      }
-      ir::Memory mem = *cell.initial_mem;
-      if (spec.target == TargetKind::Imem) {
-        const tta::TtaProgram mutated = mutate_imem(*cell.tta_prog, spec);
-        note_cutoff(tta::TtaSim(mutated, cell.machine, mem, faulty_opts).run(replay_budget),
-                    faulty_rec);
-      } else {
-        tta::TtaSim sim(*cell.tta_prog, cell.machine, mem, faulty_opts);
-        sim.use_predecoded(cell.tta_pre);
-        note_cutoff(sim.run(replay_budget), faulty_rec);
-      }
-      break;
-    }
-  }
+  replay(spec.target == TargetKind::Imem ? mutated_engine(cell, spec) : cell.engine,
+         injection_options(spec, fs), faulty_rec);
   return first_divergence(golden_rec, faulty_rec);
 }
 
@@ -572,10 +319,9 @@ std::uint64_t delta_output_checksum(const PreparedCell& cell, const ir::Memory& 
 /// classify() for a lockstep lane. Equivalent to running the scalar path's
 /// classify on the lane's materialized result/memory, but without paying
 /// for a full memory image per lane: `leader_mem` is the fault-free final
-/// image (== *cell.golden_mem), so "lane memory differs from golden" is
+/// image (== cell.golden_mem), so "lane memory differs from golden" is
 /// exactly "delta non-empty".
-template <typename Result>
-Outcome classify_lane(const PreparedCell& cell, const sim::LaneOutcome<Result>& lo,
+Outcome classify_lane(const PreparedCell& cell, const sim::LaneOutcome& lo,
                       const ir::Memory& leader_mem, bool& latent) {
   latent = false;
   if (lo.evicted) return classify(cell, lo.result, *lo.mem, latent);
@@ -586,13 +332,11 @@ Outcome classify_lane(const PreparedCell& cell, const sim::LaneOutcome<Result>& 
     case sim::ExecStatus::Ok: break;
   }
   const std::uint64_t checksum = delta_output_checksum(cell, leader_mem, lo.delta);
-  if (lo.result.ret != cell.golden.ret || checksum != cell.golden.out_checksum) {
+  if (lo.result.ret != cell.golden.ret || checksum != cell.golden_checksum) {
     return Outcome::Sdc;
   }
-  latent = lo.result.rf_state != cell.golden.rf || !lo.delta.empty();
-  if constexpr (requires { lo.result.guard_state; }) {
-    latent = latent || lo.result.guard_state != cell.golden.guards;
-  }
+  latent = lo.result.rf_state != cell.golden.rf_state ||
+           lo.result.guard_state != cell.golden.guard_state || !lo.delta.empty();
   return Outcome::Masked;
 }
 
@@ -652,37 +396,16 @@ BatchStats run_lane_group(const PreparedCell& cell, const std::vector<FaultSpec>
     TTSC_ASSERT(spec.target != TargetKind::Imem, "imem faults are never batchable");
     lane_faults[k].faults.push_back(spec.state);
   }
-  BatchStats stats;
-  auto classify_all = [&](const auto& br) {
-    stats.lanes = count;
-    stats.divergences = br.divergences;
-    stats.evictions = br.evictions;
-    for (std::size_t k = 0; k < count; ++k) {
-      const std::size_t i = idxs[begin + k];
-      Slot s;
-      s.target = specs[i].target;
-      s.outcome = classify_lane(cell, br.lanes[k], br.leader_mem, s.latent);
-      slots[i] = s;
-    }
-  };
-  switch (cell.machine.model) {
-    case mach::Model::Scalar:
-      classify_all(sim::run_scalar_batch(*cell.scalar_prog, cell.machine, cell.scalar_pre,
-                                         *cell.initial_mem, lane_faults, budget,
-                                         &*cell.scalar_golden, &*cell.golden_mem));
-      break;
-    case mach::Model::Vliw:
-      classify_all(sim::run_vliw_batch(*cell.vliw_prog, cell.machine, cell.vliw_pre,
-                                       *cell.initial_mem, lane_faults, budget,
-                                       &*cell.vliw_golden, &*cell.golden_mem));
-      break;
-    case mach::Model::Tta:
-      classify_all(sim::run_tta_batch(*cell.tta_prog, cell.machine, cell.tta_pre,
-                                      *cell.initial_mem, lane_faults, budget,
-                                      &*cell.tta_golden, &*cell.golden_mem));
-      break;
+  const sim::BatchResult br =
+      cell.engine.run_batch(cell.initial_mem, lane_faults, budget, &cell.golden, &cell.golden_mem);
+  for (std::size_t k = 0; k < count; ++k) {
+    const std::size_t i = idxs[begin + k];
+    Slot s;
+    s.target = specs[i].target;
+    s.outcome = classify_lane(cell, br.lanes[k], br.leader_mem, s.latent);
+    slots[i] = s;
   }
-  return stats;
+  return BatchStats{count, br.divergences, br.evictions};
 }
 
 void export_cell_metrics(obs::Registry* registry, const CellReport& cr) {
@@ -825,13 +548,13 @@ CampaignReport run_campaign(const CampaignOptions& options) {
         const PreparedCell cell = prepare_cell(machine_name, *w, options.superblocks);
         cr.golden_cycles = cell.golden.cycles;
         cr.imem_bits = cell.imem_bits;
-        mach::Protection prot_cfg = cell.machine.protect;
+        mach::Protection prot_cfg = cell.machine().protect;
         if (options.retry_budget_override > 0) prot_cfg.retry_budget = options.retry_budget_override;
         if (options.checkpoint_override > 0) {
           prot_cfg.checkpoint_interval = static_cast<std::uint32_t>(options.checkpoint_override);
         }
         cr.protected_machine = prot_cfg.any();
-        const FaultPlan plan(cell.machine, cell.machine.model == mach::Model::Tta,
+        const FaultPlan plan(cell.machine(), cell.machine().model == mach::Model::Tta,
                              cell.imem_bits, cell.golden.cycles, options.double_bit_permille);
         const std::uint64_t cell_seed =
             mix_seed(options.seed, hash_name(machine_name + "/" + w->name));
@@ -1052,240 +775,6 @@ CampaignReport run_campaign(const CampaignOptions& options) {
     }
   }
   return report;
-}
-
-bool BenchReport::all_ok() const {
-  for (const BenchCell& c : cells) {
-    if (!c.ok) return false;
-  }
-  return true;
-}
-
-BenchReport run_batch_benchmark(const CampaignOptions& options) {
-  if (options.injections_per_cell <= 0) {
-    throw Error("resil: injections_per_cell must be positive");
-  }
-  if (options.batch_lanes < 1 || options.batch_lanes > sim::kMaxLanes) {
-    throw Error(format("resil: batch_lanes must be in 1..%d", sim::kMaxLanes));
-  }
-  std::vector<const workloads::Workload*> cell_workloads;
-  for (const std::string& name : options.workloads) {
-    cell_workloads.push_back(&workload_by_name(name));
-  }
-  for (const std::string& name : options.machines) (void)mach::machine_by_name(name);
-
-  BenchReport report;
-  report.seed = options.seed;
-  report.injections_per_cell = static_cast<std::uint64_t>(options.injections_per_cell);
-  report.batch_lanes = options.batch_lanes;
-
-  for (const std::string& machine_name : options.machines) {
-    for (const workloads::Workload* w : cell_workloads) {
-      BenchCell bc;
-      bc.machine = machine_name;
-      bc.workload = w->name;
-      try {
-        const PreparedCell cell = prepare_cell(machine_name, *w, options.superblocks);
-        const std::uint64_t budget = timeout_budget(cell.golden.cycles);
-        bc.protected_machine = cell.machine.protect.any();
-        // State faults only: imem faults take the identical per-injection
-        // path in both modes and would only dilute the measurement.
-        const FaultPlan plan(cell.machine, cell.machine.model == mach::Model::Tta,
-                             /*imem_bits=*/0, cell.golden.cycles, options.double_bit_permille);
-        const std::uint64_t cell_seed =
-            mix_seed(options.seed, hash_name(machine_name + "/" + w->name));
-        const std::size_t n = static_cast<std::size_t>(options.injections_per_cell);
-        std::vector<FaultSpec> specs(n);
-        std::vector<std::size_t> idxs(n);
-        for (std::size_t i = 0; i < n; ++i) {
-          specs[i] = plan.sample(mix_seed(cell_seed, i));
-          idxs[i] = i;
-        }
-        bc.injections = n;
-        // Same fault-cycle grouping the campaign uses (see run_campaign).
-        std::stable_sort(idxs.begin(), idxs.end(), [&](std::size_t a, std::size_t b) {
-          return specs[a].state.cycle < specs[b].state.cycle;
-        });
-
-        // Wall clock on a shared machine is noisy; run each path three
-        // times and keep its fastest pass — the minimum is the
-        // least-interference estimate of the real cost. The scalar and
-        // batched passes of a rep run back to back so a slow ambient phase
-        // (another tenant, frequency throttling) inflates both paths of the
-        // same rep instead of skewing the ratio.
-        constexpr int kReps = 5;
-        std::vector<Slot> scalar_slots(n);
-        std::vector<Slot> batch_slots(n);
-        const std::size_t lanes = static_cast<std::size_t>(options.batch_lanes);
-        for (int rep = 0; rep < kReps; ++rep) {
-          auto t0 = std::chrono::steady_clock::now();
-          for (std::size_t i = 0; i < n; ++i) {
-            Slot s;
-            s.target = specs[i].target;
-            s.outcome = run_injection(cell, specs[i], budget, s.latent);
-            scalar_slots[i] = s;
-          }
-          const double scalar_sec =
-              std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-          if (rep == 0 || scalar_sec < bc.scalar_seconds) bc.scalar_seconds = scalar_sec;
-
-          std::uint64_t divergences = 0, evictions = 0;
-          t0 = std::chrono::steady_clock::now();
-          for (std::size_t begin = 0; begin < n; begin += lanes) {
-            const BatchStats gs = run_lane_group(cell, specs, idxs, begin,
-                                                 std::min(lanes, n - begin), budget, batch_slots);
-            divergences += gs.divergences;
-            evictions += gs.evictions;
-          }
-          const double batched_sec =
-              std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-          if (rep == 0 || batched_sec < bc.batched_seconds) bc.batched_seconds = batched_sec;
-          bc.divergences = divergences;
-          bc.evictions = evictions;
-
-          if (bc.protected_machine) {
-            // Protection overhead: the same state faults through the
-            // per-injection protected path (the one protected campaigns
-            // run — protected cells never batch). Same min-of-reps policy.
-            t0 = std::chrono::steady_clock::now();
-            for (std::size_t i = 0; i < n; ++i) {
-              bool latent = false;
-              ProtectStats ps;
-              (void)run_protected_injection(cell, specs[i], budget, cell.machine.protect, latent,
-                                            ps);
-            }
-            const double protected_sec =
-                std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-            if (rep == 0 || protected_sec < bc.protected_seconds) {
-              bc.protected_seconds = protected_sec;
-            }
-          }
-        }
-        // Cheap differential guard (the full equivalence is locked by the
-        // lockstep/campaign test suites): both paths must classify every
-        // injection identically.
-        for (std::size_t i = 0; i < n; ++i) {
-          if (scalar_slots[i].outcome != batch_slots[i].outcome ||
-              scalar_slots[i].latent != batch_slots[i].latent) {
-            throw Error(format("bench: batched path diverges from scalar at injection %zu", i));
-          }
-        }
-        if (options.forensics) {
-          // Forensics overhead pass: the same budgeted replay loop the
-          // campaign runs, timed once. The acceptance bar is
-          // forensics_seconds / batched_seconds < 5%.
-          const int fbudget = options.effective_forensics_budget();
-          std::uint64_t analyzed = 0;
-          const auto f0 = std::chrono::steady_clock::now();
-          for (std::size_t i = 0; i < n && analyzed < static_cast<std::uint64_t>(fbudget); ++i) {
-            const Slot& s = batch_slots[i];
-            if (s.outcome != Outcome::Sdc && !(s.outcome == Outcome::Masked && s.latent)) {
-              continue;
-            }
-            (void)run_forensic_replay(cell, specs[i], budget, options.forensics_window);
-            ++analyzed;
-          }
-          bc.forensics_seconds =
-              std::chrono::duration<double>(std::chrono::steady_clock::now() - f0).count();
-          bc.forensics_analyzed = analyzed;
-        }
-      } catch (const std::exception& e) {
-        bc.ok = false;
-        bc.error = e.what();
-      }
-      report.cells.push_back(std::move(bc));
-    }
-  }
-  return report;
-}
-
-std::string render_resil_bench_json(const BenchReport& report) {
-  obs::JsonWriter w;
-  w.begin_object();
-  w.key("schema");
-  w.value("ttsc-resil-bench");
-  w.key("version");
-  w.value(std::uint64_t{1});
-  w.key("seed");
-  w.value(report.seed);
-  w.key("injections_per_cell");
-  w.value(report.injections_per_cell);
-  w.key("batch_lanes");
-  w.value(report.batch_lanes);
-  std::uint64_t total_inj = 0;
-  double total_scalar = 0.0, total_batched = 0.0;
-  w.key("cells");
-  w.begin_array();
-  for (const BenchCell& c : report.cells) {
-    w.begin_object();
-    w.key("machine");
-    w.value(c.machine);
-    w.key("workload");
-    w.value(c.workload);
-    if (!c.ok) {
-      w.key("error");
-      w.value(c.error);
-      w.end_object();
-      continue;
-    }
-    total_inj += c.injections;
-    total_scalar += c.scalar_seconds;
-    total_batched += c.batched_seconds;
-    w.key("injections");
-    w.value(c.injections);
-    w.key("scalar_seconds");
-    w.value(c.scalar_seconds);
-    w.key("batched_seconds");
-    w.value(c.batched_seconds);
-    const double inj = static_cast<double>(c.injections);
-    w.key("scalar_inj_per_sec");
-    w.value(c.scalar_seconds > 0.0 ? inj / c.scalar_seconds : 0.0);
-    w.key("batched_inj_per_sec");
-    w.value(c.batched_seconds > 0.0 ? inj / c.batched_seconds : 0.0);
-    w.key("speedup");
-    w.value(c.batched_seconds > 0.0 ? c.scalar_seconds / c.batched_seconds : 0.0);
-    w.key("divergences");
-    w.value(c.divergences);
-    w.key("evictions");
-    w.value(c.evictions);
-    if (c.forensics_analyzed > 0 || c.forensics_seconds > 0.0) {
-      w.key("forensics_analyzed");
-      w.value(c.forensics_analyzed);
-      w.key("forensics_seconds");
-      w.value(c.forensics_seconds);
-      w.key("forensics_overhead");
-      w.value(c.batched_seconds > 0.0 ? c.forensics_seconds / c.batched_seconds : 0.0);
-    }
-    if (c.protected_machine) {
-      w.key("protected_seconds");
-      w.value(c.protected_seconds);
-      w.key("protect_overhead");
-      w.value(c.scalar_seconds > 0.0 ? c.protected_seconds / c.scalar_seconds - 1.0 : 0.0);
-    }
-    w.end_object();
-  }
-  w.end_array();
-  w.key("total");
-  w.begin_object();
-  w.key("injections");
-  w.value(total_inj);
-  w.key("scalar_seconds");
-  w.value(total_scalar);
-  w.key("batched_seconds");
-  w.value(total_batched);
-  w.key("speedup");
-  w.value(total_batched > 0.0 ? total_scalar / total_batched : 0.0);
-  w.end_object();
-  w.end_object();
-  return w.take() + "\n";
-}
-
-void write_resil_bench(const std::string& path, const BenchReport& report) {
-  const std::string text = render_resil_bench_json(report);
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out || !(out << text) || (out.close(), !out)) {
-    throw Error("cannot write resilience benchmark: " + path);
-  }
 }
 
 std::string render_resilience(const CampaignReport& report) {

@@ -274,54 +274,6 @@ struct CampaignReport {
 /// entries instead.
 CampaignReport run_campaign(const CampaignOptions& options);
 
-/// One cell of the batched-vs-scalar throughput benchmark: the same
-/// pre-sampled state faults (imem excluded — both modes run those through
-/// the identical per-injection path) executed once through the scalar path
-/// and once through lockstep batches, timed serially, classifications
-/// cross-checked injection-for-injection.
-struct BenchCell {
-  std::string machine;
-  std::string workload;
-  bool ok = true;
-  std::string error;
-  std::uint64_t injections = 0;
-  double scalar_seconds = 0.0;
-  double batched_seconds = 0.0;
-  std::uint64_t divergences = 0;
-  std::uint64_t evictions = 0;
-  /// Forensics overhead pass (CampaignOptions::forensics): wall time of the
-  /// budgeted replay pass and the injections it analyzed. The acceptance
-  /// bar is forensics_seconds / batched_seconds < 5%.
-  double forensics_seconds = 0.0;
-  std::uint64_t forensics_analyzed = 0;
-  /// Protection overhead pass (machines with mach::Protection declared):
-  /// wall time of the same injections through the per-injection protected
-  /// path (checks + analytic rollback resolution). Zero / absent from the
-  /// JSON for unprotected machines.
-  bool protected_machine = false;
-  double protected_seconds = 0.0;
-};
-
-struct BenchReport {
-  std::uint64_t seed = 0;
-  std::uint64_t injections_per_cell = 0;
-  int batch_lanes = 0;
-  std::vector<BenchCell> cells;
-
-  bool all_ok() const;
-};
-
-/// Run the throughput benchmark over the options' cell set (threads are
-/// not used: both paths run serially so the speedup is per-core). Throws
-/// ttsc::Error for configuration mistakes, like run_campaign.
-BenchReport run_batch_benchmark(const CampaignOptions& options);
-
-/// Machine-readable benchmark, schema "ttsc-resil-bench" v1 (the CI
-/// artifact BENCH_resil.json). Timings are wall clock — an inspectable
-/// trend artifact, not a golden-diffed report.
-std::string render_resil_bench_json(const BenchReport& report);
-void write_resil_bench(const std::string& path, const BenchReport& report);
-
 /// AVF-style text table (the paper-artifact stdout of table_resilience).
 std::string render_resilience(const CampaignReport& report);
 

@@ -116,8 +116,18 @@ ExecResult ScalarSim::run(std::uint64_t max_cycles) {
                 : run_fast<false, false, false>(max_cycles);
 }
 
+ExecResult ScalarSim::resume(ScalarState state, std::uint64_t max_cycles) {
+  TTSC_ASSERT(options_.fast_path && options_.observer == nullptr && options_.profile == nullptr,
+              "ScalarSim::resume runs the unobserved fast path");
+  if (predecoded_ == nullptr) {
+    predecoded_ =
+        std::make_shared<const sim::PredecodedScalar>(sim::predecode(program_, machine_));
+  }
+  return run_fast<false, true, false>(max_cycles, &state);
+}
+
 template <bool kObserve, bool kHarden, bool kProfile>
-ExecResult ScalarSim::run_fast(std::uint64_t max_cycles) {
+ExecResult ScalarSim::run_fast(std::uint64_t max_cycles, ScalarState* from) {
   using sim::ScalarPInstr;
   const sim::PredecodedScalar& pre = *predecoded_;
   sim::ExecObserver* const obs = options_.observer;
@@ -127,12 +137,19 @@ ExecResult ScalarSim::run_fast(std::uint64_t max_cycles) {
     prof->frontend_fill = static_cast<std::uint64_t>(timing.pipeline_stages - 1);
   }
 
-  std::vector<std::uint32_t> regs(pre.rf_slots, 0u);
-  std::vector<std::uint64_t> ready(pre.rf_slots, 0ull);
+  ScalarState fresh;
+  if (from == nullptr) {
+    fresh.regs.assign(pre.rf_slots, 0u);
+    fresh.ready.assign(pre.rf_slots, 0ull);
+    fresh.cycle = static_cast<std::uint64_t>(timing.pipeline_stages - 1);  // fill
+    from = &fresh;
+  }
+  std::vector<std::uint32_t> regs = std::move(from->regs);
+  std::vector<std::uint64_t> ready = std::move(from->ready);
 
   ExecResult result;
-  std::uint64_t cycle = static_cast<std::uint64_t>(timing.pipeline_stages - 1);  // fill
-  std::uint32_t pc = 0;
+  std::uint64_t cycle = from->cycle;
+  std::uint32_t pc = from->pc;
 
   auto set_trap = [&](sim::TrapReason reason, std::uint32_t detail) {
     result.status = sim::ExecStatus::Trapped;
@@ -276,7 +293,6 @@ ExecResult ScalarSim::run_fast(std::uint64_t max_cycles) {
       result.rf_state = regs;
       return result;
     }
-    ++result.instrs;
     if constexpr (kHarden) {
       // `a` is the address of every memory operation.
       if (ir::is_memory(in.op) && !sim::mem_in_bounds(in.op, a, mem_.size())) {
@@ -564,7 +580,6 @@ ExecResult ScalarSim::run_reference(std::uint64_t max_cycles) {
       capture_state(result);
       return result;
     }
-    ++result.instrs;
     // `a` is the address of every memory operation; fail closed on an
     // out-of-range access (always: this is not a hot path).
     if (ir::is_memory(in.op) && !sim::mem_in_bounds(in.op, a, mem_.size())) {

@@ -52,23 +52,16 @@ int dependent_use_stall(const mach::ScalarTiming& timing, ir::Opcode op);
 /// immediately following block are elided (fallthrough).
 ScalarProgram emit_scalar(const codegen::MFunction& func);
 
-struct ExecResult {
-  /// Ok = the program returned; TimedOut = the cycle budget was exhausted
-  /// and `cycles` holds the cycles actually executed; Trapped = the
-  /// simulator failed closed on an illegal state and `trap` says why.
-  sim::ExecStatus status = sim::ExecStatus::Ok;
-  /// Valid when status == Trapped (default-initialized otherwise).
-  sim::TrapInfo trap{};
-  std::uint64_t cycles = 0;
-  std::uint64_t instrs = 0;
-  std::uint32_t ret = 0;
-  /// Architectural register state at halt (register files concatenated in
-  /// machine order), for cycle-exact differential testing.
-  std::vector<std::uint32_t> rf_state;
+using ExecResult = sim::ExecResult;
 
-  bool timed_out() const { return status == sim::ExecStatus::TimedOut; }
-  bool trapped() const { return status == sim::ExecStatus::Trapped; }
-  bool operator==(const ExecResult&) const = default;
+/// The state the fast loop carries from one instruction to the next (memory
+/// aside): flat register slots as sim::PredecodedScalar numbers them, the
+/// cycle each slot becomes readable, the next issue cycle and the pc.
+struct ScalarState {
+  std::vector<std::uint32_t> regs;
+  std::vector<std::uint64_t> ready;
+  std::uint64_t cycle = 0;
+  std::uint32_t pc = 0;
 };
 
 /// Cycle-approximate in-order pipeline simulation: functional execution plus
@@ -84,15 +77,22 @@ class ScalarSim {
             sim::SimOptions options = {});
   ~ScalarSim();
 
-  /// Reuse an externally predecoded program (e.g. from report::ModuleCache)
-  /// instead of predecoding on first run.
+  /// Reuse an externally predecoded program (e.g. from sim::Engine) instead
+  /// of predecoding on first run.
   void use_predecoded(std::shared_ptr<const sim::PredecodedScalar> predecoded);
 
   ExecResult run(std::uint64_t max_cycles = 2'000'000'000ull);
 
+  /// Continue a hardened, unobserved fast-path run from `state`, a
+  /// top-of-loop state of the same program whose memory is this
+  /// simulator's image and whose faults still to apply are
+  /// SimOptions::faults. Equals the run that reached `state`, carried on
+  /// (the lockstep engine resumes evicted lanes with it).
+  ExecResult resume(ScalarState state, std::uint64_t max_cycles);
+
  private:
   template <bool kObserve, bool kHarden, bool kProfile>
-  ExecResult run_fast(std::uint64_t max_cycles);
+  ExecResult run_fast(std::uint64_t max_cycles, ScalarState* from = nullptr);
   ExecResult run_reference(std::uint64_t max_cycles);
 
   const ScalarProgram& program_;

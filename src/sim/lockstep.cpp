@@ -376,149 +376,43 @@ void store_diverged(LaneDiffs& d, int l, const ir::Memory& mem, int nbytes,
   }
 }
 
-// ---- Scalar tail resume ------------------------------------------------
+// ---- Result assembly ---------------------------------------------------
 
-/// Everything a diverged scalar lane needs to continue standalone from the
-/// leader cycle it was evicted at: its full register/scoreboard view, its
-/// materialized memory image, and its remaining fault cursor. Captured at
-/// the eviction site as a *top-of-loop* state — the divergent instruction
-/// itself has not executed yet, so the tail interpreter re-issues it with
-/// the lane's own operands (taking the lane's branch direction, shift
-/// duration or trap naturally). `instrs` is adjusted at sites past the
-/// leader's `++result.instrs`.
-struct ScalarTailState {
-  std::vector<std::uint32_t> regs;
-  std::vector<std::uint64_t> ready;
-  ir::Memory mem;  // no default ctor: the struct is always aggregate-built
-  std::uint64_t cycle;
-  std::uint32_t pc;
-  std::uint64_t instrs;
-  const StateFault* fcur;
-  const StateFault* fend;
-};
+/// An evicted lane's from-scratch hardened single run on `Sim`'s fast path.
+template <typename Sim, typename Program, typename Predecoded>
+void rerun_lane(const Program& program, const mach::Machine& machine,
+                const std::shared_ptr<const Predecoded>& pre, const ir::Memory& initial_mem,
+                const FaultSet& faults, std::uint64_t max_cycles, LaneOutcome& lo) {
+  ir::Memory m = initial_mem;
+  SimOptions o;
+  o.harden = true;
+  o.faults = &faults;
+  Sim s(program, machine, m, o);
+  s.use_predecoded(pre);
+  lo.result = s.run(max_cycles);
+  lo.mem.emplace(std::move(m));
+}
 
-/// Continue a lane from a captured top-of-loop state. Byte-for-byte mirror
-/// of ScalarSim::run_fast<false, true> (scalar/scalar.cpp) from an arbitrary
-/// iteration boundary; the lockstep invariant (lane state == standalone
-/// state until the divergence cycle) makes the tail's results identical to a
-/// from-scratch hardened run — the differential corpus locks this.
-scalar::ExecResult run_scalar_tail(const PredecodedScalar& pre, const mach::Machine& machine,
-                                   ScalarTailState& st, std::uint64_t max_cycles) {
-  const mach::ScalarTiming& timing = machine.scalar;
-  std::vector<std::uint32_t>& regs = st.regs;
-  std::vector<std::uint64_t>& ready = st.ready;
-  ir::Memory& mem = st.mem;
-  std::uint64_t cycle = st.cycle;
-  std::uint32_t pc = st.pc;
-
-  scalar::ExecResult result;
-  result.instrs = st.instrs;
-
-  auto set_trap = [&](TrapReason reason, std::uint32_t detail) {
-    result.status = ExecStatus::Trapped;
-    result.trap = TrapInfo{reason, cycle, -1, detail};
-    result.cycles = cycle;
-    result.rf_state = regs;
-  };
-
-  auto apply_fault = [&](const StateFault& f) {
-    if (f.kind != FaultKind::RfBit) return;
-    if (f.unit < 0 || static_cast<std::size_t>(f.unit) >= machine.rfs.size()) return;
-    if (f.index < 0 || f.index >= machine.rfs[static_cast<std::size_t>(f.unit)].size) return;
-    regs[pre.rf_base[static_cast<std::size_t>(f.unit)] + static_cast<std::uint32_t>(f.index)] ^=
-        fault_mask(f);
-  };
-
-  while (true) {
-    while (st.fcur != st.fend && st.fcur->cycle <= cycle) {
-      apply_fault(*st.fcur);
-      ++st.fcur;
-    }
-    if (pc >= pre.instrs.size()) {
-      set_trap(TrapReason::PcOutOfRange, pc);
-      return result;
-    }
-    const ScalarPInstr& in = pre.instrs[pc];
-    if (in.trap != 0) {
-      set_trap(static_cast<TrapReason>(in.trap - 1), in.trap_detail);
-      return result;
-    }
-
-    std::uint64_t issue = cycle;
-    std::uint32_t a = in.a_val;
-    std::uint32_t b = in.b_val;
-    if (!in.a_imm) {
-      issue = std::max(issue, ready[in.a_slot]);
-      a = regs[in.a_slot];
-    }
-    if (!in.b_imm) {
-      issue = std::max(issue, ready[in.b_slot]);
-      b = regs[in.b_slot];
-    }
-    if (in.var_shift) {
-      issue += static_cast<std::uint64_t>(timing.variable_shift_setup) +
-               static_cast<std::uint64_t>(timing.variable_shift_per_bit) * (b & 31);
-    } else {
-      issue += in.extra_words;
-    }
-    if (issue + 1 > max_cycles) {
-      result.status = ExecStatus::TimedOut;
-      result.cycles = cycle;
-      result.rf_state = regs;
-      return result;
-    }
-    ++result.instrs;
-    if (ir::is_memory(in.op) && !mem_in_bounds(in.op, a, mem.size())) {
-      set_trap(TrapReason::MemoryOutOfRange, a);
-      return result;
-    }
-
-    std::uint32_t value = 0;
-    switch (in.op) {
-      case Opcode::Stw: mem.store32(a, b); break;
-      case Opcode::Sth: mem.store16(a, static_cast<std::uint16_t>(b)); break;
-      case Opcode::Stq: mem.store8(a, static_cast<std::uint8_t>(b)); break;
-      case Opcode::Jump: {
-        cycle = issue + 1 + static_cast<std::uint64_t>(timing.branch_penalty);
-        pc = in.target_pc;
-        result.cycles = cycle;
-        continue;
-      }
-      case Opcode::Bnz: {
-        const bool taken = a != 0;
-        cycle = issue + 1 + (taken ? static_cast<std::uint64_t>(timing.branch_penalty) : 0ull);
-        pc = taken ? in.target_pc : pc + 1;
-        result.cycles = cycle;
-        continue;
-      }
-      case Opcode::Ret: {
-        result.cycles = issue + 1;
-        result.ret = a;
-        result.rf_state = regs;
-        return result;
-      }
-      default: value = lane_compute(in.op, a, b, mem, nullptr); break;
-    }
-
-    cycle = issue + 1;
-    if (in.dst_slot >= 0) {
-      const std::size_t slot = static_cast<std::size_t>(in.dst_slot);
-      regs[slot] = value;
-      ready[slot] =
-          issue + 1 + static_cast<std::uint64_t>(in.stall) + (timing.forwarding ? 0 : 1);
-    }
-    ++pc;
+/// Apply lane `l`'s dirty RF slots — and its return value, when the halt
+/// read it from dirty slot `ret_id` (-1: immediate or none) — to `r`, a copy
+/// of the leader's result.
+void overlay_rf(const LaneDiffs& d, int l, std::uint32_t rf_slots, std::int64_t ret_id,
+                ExecResult& r) {
+  const std::size_t base = static_cast<std::size_t>(l) * d.n_ids;
+  for (std::uint32_t id = 0; id < rf_slots; ++id) {
+    if (d.dirty(l, id)) r.rf_state[id] = d.value[base + id];
+  }
+  if (ret_id >= 0 && d.dirty(l, static_cast<std::size_t>(ret_id))) {
+    r.ret = d.value[base + static_cast<std::size_t>(ret_id)];
   }
 }
 
-// ---- Result assembly ---------------------------------------------------
-
-/// Build the BatchResult: per lane, either a scalar-fast-path rerun
-/// (evicted) or the leader result with the lane's overlays applied.
-template <typename ResultT, typename OverlayFn, typename RerunFn>
-BatchResult<ResultT> assemble_batch(BatchCore& core, ResultT leader_result, ir::Memory leader_mem,
-                                    OverlayFn&& overlay, RerunFn&& rerun) {
-  BatchResult<ResultT> out;
+/// Build the BatchResult: per lane, either the evicted lane's own run
+/// (`rerun`) or the leader result with the lane's overlays applied.
+template <typename OverlayFn, typename RerunFn>
+BatchResult assemble_batch(BatchCore& core, ExecResult leader_result, ir::Memory leader_mem,
+                           OverlayFn&& overlay, RerunFn&& rerun) {
+  BatchResult out;
   out.leader = std::move(leader_result);
   out.leader_mem = std::move(leader_mem);
   out.divergences = core.divergences;
@@ -526,7 +420,7 @@ BatchResult<ResultT> assemble_batch(BatchCore& core, ResultT leader_result, ir::
   out.lanes.resize(static_cast<std::size_t>(core.n_lanes));
   for (int l = 0; l < core.n_lanes; ++l) {
     const auto sl = static_cast<std::size_t>(l);
-    LaneOutcome<ResultT>& lo = out.lanes[sl];
+    LaneOutcome& lo = out.lanes[sl];
     if (core.evicted_mask.test(l)) {
       lo.evicted = true;
       lo.diverge_cycle = core.diverge_cycle[sl];
@@ -551,13 +445,11 @@ BatchResult<ResultT> assemble_batch(BatchCore& core, ResultT leader_result, ir::
 // variable-shift loop whose duration depends on the masked shift amount —
 // a lane whose masked amount differs is a proven timing divergence.
 
-ScalarBatchResult run_scalar_batch(const scalar::ScalarProgram& program,
-                                   const mach::Machine& machine,
-                                   std::shared_ptr<const PredecodedScalar> pre_ptr,
-                                   const ir::Memory& initial_mem,
-                                   std::span<const FaultSet> lane_faults,
-                                   std::uint64_t max_cycles, const scalar::ExecResult* reference,
-                                   const ir::Memory* reference_mem) {
+BatchResult run_scalar_batch(const scalar::ScalarProgram& program, const mach::Machine& machine,
+                             std::shared_ptr<const PredecodedScalar> pre_ptr,
+                             const ir::Memory& initial_mem,
+                             std::span<const FaultSet> lane_faults, std::uint64_t max_cycles,
+                             const ExecResult* reference, const ir::Memory* reference_mem) {
   TTSC_ASSERT(pre_ptr != nullptr, "run_scalar_batch needs a predecoded program");
   TTSC_ASSERT((reference == nullptr) == (reference_mem == nullptr),
               "reference result and memory must be passed together");
@@ -572,56 +464,54 @@ ScalarBatchResult run_scalar_batch(const scalar::ScalarProgram& program,
   std::vector<std::uint32_t> regs(pre.rf_slots, 0u);
   std::vector<std::uint64_t> ready(pre.rf_slots, 0ull);
 
-  scalar::ExecResult result;
+  ExecResult result;
   std::uint64_t cycle = static_cast<std::uint64_t>(timing.pipeline_stages - 1);  // fill
   std::uint32_t pc = 0;
 
-  // Tail-resume captures, one per evicted lane. Until its divergence cycle a
-  // lane's state is the leader's plus its diffs — byte-identical to a
-  // standalone hardened run — so the rerun continues from the capture
-  // instead of re-simulating the shared prefix from cycle 0.
-  std::vector<std::pair<int, ScalarTailState>> tails;
-  auto capture_tail = [&](int l, std::uint64_t instrs_done) {
+  // Resume points, one per evicted lane, captured before the divergent
+  // instruction issues. Until then a lane's state is the leader's plus its
+  // diffs — byte-identical to a standalone hardened run — so the lane
+  // resumes on ScalarSim's own fast loop from there instead of
+  // re-simulating the shared prefix from cycle 0.
+  struct Resume {
+    int lane;
+    scalar::ScalarState state;
+    ir::Memory mem;
+    FaultSet faults;  // the lane's faults still to apply
+  };
+  std::vector<Resume> resumes;
+  auto capture = [&](int l) {
     const auto sl = static_cast<std::size_t>(l);
-    ScalarTailState st{regs,  ready,       materialize(mem, d.delta[sl]), cycle,
-                       pc,    instrs_done, core.fcur[sl],                 core.fend[sl]};
-    const std::size_t base = sl * d.n_ids;
+    Resume r{l, {regs, ready, cycle, pc}, materialize(mem, d.delta[sl]),
+             FaultSet{std::vector<StateFault>(core.fcur[sl], core.fend[sl])}};
     for (std::uint32_t id = 0; id < pre.rf_slots; ++id) {
-      if (d.dirty(l, id)) st.regs[id] = d.value[base + id];
+      if (d.dirty(l, id)) r.state.regs[id] = d.value[sl * d.n_ids + id];
     }
-    tails.emplace_back(l, std::move(st));
+    resumes.push_back(std::move(r));
   };
 
-  auto rerun = [&](int lane, LaneOutcome<scalar::ExecResult>& lo) {
-    for (auto& [l, st] : tails) {
-      if (l == lane) {
-        lo.result = run_scalar_tail(pre, machine, st, max_cycles);
-        lo.mem.emplace(std::move(st.mem));
+  auto rerun = [&](int lane, LaneOutcome& lo) {
+    for (Resume& r : resumes) {
+      if (r.lane == lane) {
+        SimOptions o;
+        o.harden = true;
+        o.faults = &r.faults;
+        scalar::ScalarSim s(program, machine, r.mem, o);
+        s.use_predecoded(pre_ptr);
+        lo.result = s.resume(std::move(r.state), max_cycles);
+        lo.mem.emplace(std::move(r.mem));
         return;
       }
     }
     // No capture (defensive fallback): full from-scratch hardened rerun.
-    ir::Memory m = initial_mem;
-    SimOptions o;
-    o.harden = true;
-    o.faults = &lane_faults[static_cast<std::size_t>(lane)];
-    scalar::ScalarSim s(program, machine, m, o);
-    s.use_predecoded(pre_ptr);
-    lo.result = s.run(max_cycles);
-    lo.mem.emplace(std::move(m));
+    rerun_lane<scalar::ScalarSim>(program, machine, pre_ptr, initial_mem,
+                                  lane_faults[static_cast<std::size_t>(lane)], max_cycles, lo);
   };
 
   // Halt: `ret_id` is the flat RF slot the return value was read from
   // (-1 when immediate or when the halt carries no return value).
-  auto finish = [&](scalar::ExecResult leader, ir::Memory leader_mem, std::int32_t ret_id) {
-    auto overlay = [&](int l, scalar::ExecResult& r) {
-      for (std::uint32_t id = 0; id < pre.rf_slots; ++id) {
-        if (d.dirty(l, id)) r.rf_state[id] = d.value[static_cast<std::size_t>(l) * d.n_ids + id];
-      }
-      if (ret_id >= 0 && d.dirty(l, static_cast<std::size_t>(ret_id))) {
-        r.ret = d.value[static_cast<std::size_t>(l) * d.n_ids + static_cast<std::size_t>(ret_id)];
-      }
-    };
+  auto finish = [&](ExecResult leader, ir::Memory leader_mem, std::int64_t ret_id) {
+    auto overlay = [&](int l, ExecResult& r) { overlay_rf(d, l, pre.rf_slots, ret_id, r); };
     return assemble_batch(core, std::move(leader), std::move(leader_mem), overlay, rerun);
   };
 
@@ -684,7 +574,7 @@ ScalarBatchResult run_scalar_batch(const scalar::ScalarProgram& program,
         for_lanes(d.mask[in.b_slot] & core.live, [&](int l) {
           if ((d.get(l, in.b_slot, b) & 31) != (b & 31)) {
             divergent |= LaneMask::bit(l);
-            capture_tail(l, result.instrs);  // pre-increment: instr not issued yet
+            capture(l);
           }
         });
         core.evict_lanes(divergent, cycle, /*proven=*/true);
@@ -700,7 +590,6 @@ ScalarBatchResult run_scalar_batch(const scalar::ScalarProgram& program,
       result.rf_state = regs;
       return finish(std::move(result), std::move(mem), -1);
     }
-    ++result.instrs;
     if (ir::is_memory(in.op)) {
       const bool leader_ok = mem_in_bounds(in.op, a, mem.size());
       if (lanes_dirty && !in.a_imm) {
@@ -713,15 +602,14 @@ ScalarBatchResult run_scalar_batch(const scalar::ScalarProgram& program,
           for_lanes(d.mask[in.a_slot] & core.live, [&](int l) {
             if (!mem_in_bounds(in.op, d.get(l, in.a_slot, a), mem.size())) {
               oob |= LaneMask::bit(l);
-              capture_tail(l, result.instrs - 1);  // tail re-counts this instr
+              capture(l);
             }
           });
           core.evict_lanes(oob, cycle, /*proven=*/true);
         } else if (!leader_ok) {
           // The leader traps here; any dirty-address lane's TrapInfo detail
           // would differ — proven.
-          for_lanes(d.mask[in.a_slot] & core.live,
-                    [&](int l) { capture_tail(l, result.instrs - 1); });
+          for_lanes(d.mask[in.a_slot] & core.live, [&](int l) { capture(l); });
           core.evict_lanes(d.mask[in.a_slot] & core.live, cycle, /*proven=*/true);
         } else {
           // Dirty store addresses stay exact too: store_diverged rewrites
@@ -733,7 +621,7 @@ ScalarBatchResult run_scalar_batch(const scalar::ScalarProgram& program,
             const std::uint32_t la = d.get(l, in.a_slot, a);
             if (!mem_in_bounds(in.op, la, mem.size())) {
               oob |= LaneMask::bit(l);
-              capture_tail(l, result.instrs - 1);  // tail re-counts this instr
+              capture(l);
               return;
             }
             const std::uint32_t lb = in.b_imm ? b : d.get(l, in.b_slot, b);
@@ -797,7 +685,7 @@ ScalarBatchResult run_scalar_batch(const scalar::ScalarProgram& program,
           for_lanes(d.mask[in.a_slot] & core.live, [&](int l) {
             if ((d.get(l, in.a_slot, a) != 0) != taken) {
               divergent |= LaneMask::bit(l);
-              capture_tail(l, result.instrs - 1);  // tail re-counts this instr
+              capture(l);
             }
           });
           core.evict_lanes(divergent, cycle, /*proven=*/true);
@@ -860,12 +748,11 @@ ScalarBatchResult run_scalar_batch(const scalar::ScalarProgram& program,
 // reuse. Control flow (transfer_in/pc) and the ring cursor are shared;
 // a lane whose Bnz decision differs from the leader's is evicted.
 
-VliwBatchResult run_vliw_batch(const vliw::VliwProgram& program, const mach::Machine& machine,
-                               std::shared_ptr<const PredecodedVliw> pre_ptr,
-                               const ir::Memory& initial_mem,
-                               std::span<const FaultSet> lane_faults, std::uint64_t max_cycles,
-                               const vliw::ExecResult* reference,
-                               const ir::Memory* reference_mem) {
+BatchResult run_vliw_batch(const vliw::VliwProgram& program, const mach::Machine& machine,
+                           std::shared_ptr<const PredecodedVliw> pre_ptr,
+                           const ir::Memory& initial_mem,
+                           std::span<const FaultSet> lane_faults, std::uint64_t max_cycles,
+                           const ExecResult* reference, const ir::Memory* reference_mem) {
   TTSC_ASSERT(pre_ptr != nullptr, "run_vliw_batch needs a predecoded program");
   TTSC_ASSERT((reference == nullptr) == (reference_mem == nullptr),
               "reference result and memory must be passed together");
@@ -888,7 +775,7 @@ VliwBatchResult run_vliw_batch(const vliw::VliwProgram& program, const mach::Mac
   std::vector<Write> wb(ring * row_cap);
   std::vector<std::uint32_t> wb_count(ring, 0u);
 
-  vliw::ExecResult result;
+  ExecResult result;
   std::uint64_t cycle = 0;
   std::size_t pc = 0;
   int transfer_in = -1;
@@ -896,30 +783,25 @@ VliwBatchResult run_vliw_batch(const vliw::VliwProgram& program, const mach::Mac
 
   // Trap synthesis (see the TTA engine): a lane whose memory address is
   // provably out of bounds traps at exactly this cycle with state the
-  // lockstep already holds, so its eviction needs no rerun. `result` carries
-  // the shared running counters (ops) accrued to this point.
+  // lockstep already holds, so its eviction needs no rerun.
   struct SynthTrap {
     int lane;
-    vliw::ExecResult res;
+    ExecResult res;
     ir::Memory mem;
   };
   std::vector<SynthTrap> synths;
   auto synth_trap = [&](int l, int unit, std::uint32_t lane_addr) {
-    vliw::ExecResult r = result;
+    ExecResult r;
     r.status = ExecStatus::Trapped;
     r.trap = TrapInfo{TrapReason::MemoryOutOfRange, cycle, unit, lane_addr};
     r.cycles = cycle;
     r.rf_state = regs;
-    for (std::uint32_t id = 0; id < pre.rf_slots; ++id) {
-      if (d.dirty(l, id)) {
-        r.rf_state[id] = d.value[static_cast<std::size_t>(l) * d.n_ids + id];
-      }
-    }
+    overlay_rf(d, l, pre.rf_slots, -1, r);
     synths.push_back(
         SynthTrap{l, std::move(r), materialize(mem, d.delta[static_cast<std::size_t>(l)])});
   };
 
-  auto rerun = [&](int lane, LaneOutcome<vliw::ExecResult>& lo) {
+  auto rerun = [&](int lane, LaneOutcome& lo) {
     for (SynthTrap& st : synths) {
       if (st.lane == lane) {
         lo.result = std::move(st.res);
@@ -927,25 +809,12 @@ VliwBatchResult run_vliw_batch(const vliw::VliwProgram& program, const mach::Mac
         return;
       }
     }
-    ir::Memory m = initial_mem;
-    SimOptions o;
-    o.harden = true;
-    o.faults = &lane_faults[static_cast<std::size_t>(lane)];
-    vliw::VliwSim s(program, machine, m, o);
-    s.use_predecoded(pre_ptr);
-    lo.result = s.run(max_cycles);
-    lo.mem.emplace(std::move(m));
+    rerun_lane<vliw::VliwSim>(program, machine, pre_ptr, initial_mem,
+                              lane_faults[static_cast<std::size_t>(lane)], max_cycles, lo);
   };
 
-  auto finish = [&](vliw::ExecResult leader, ir::Memory leader_mem, std::int32_t ret_id) {
-    auto overlay = [&](int l, vliw::ExecResult& r) {
-      for (std::uint32_t id = 0; id < pre.rf_slots; ++id) {
-        if (d.dirty(l, id)) r.rf_state[id] = d.value[static_cast<std::size_t>(l) * d.n_ids + id];
-      }
-      if (ret_id >= 0 && d.dirty(l, static_cast<std::size_t>(ret_id))) {
-        r.ret = d.value[static_cast<std::size_t>(l) * d.n_ids + static_cast<std::size_t>(ret_id)];
-      }
-    };
+  auto finish = [&](ExecResult leader, ir::Memory leader_mem, std::int64_t ret_id) {
+    auto overlay = [&](int l, ExecResult& r) { overlay_rf(d, l, pre.rf_slots, ret_id, r); };
     return assemble_batch(core, std::move(leader), std::move(leader_mem), overlay, rerun);
   };
 
@@ -1006,7 +875,6 @@ VliwBatchResult run_vliw_batch(const vliw::VliwProgram& program, const mach::Mac
           set_trap(static_cast<TrapReason>(op.trap - 1), op.fu, op.trap_detail);
           return finish(std::move(result), std::move(mem), -1);
         }
-        ++result.ops;
 
         std::uint32_t a = op.a_val;
         std::uint32_t b = op.b_val;
@@ -1181,11 +1049,11 @@ VliwBatchResult run_vliw_batch(const vliw::VliwProgram& program, const mach::Mac
 // proven divergence; a dirty trigger value on a memory operation (the
 // address) is a conservative eviction.
 
-TtaBatchResult run_tta_batch(const tta::TtaProgram& program, const mach::Machine& machine,
-                             std::shared_ptr<const PredecodedTta> pre_ptr,
-                             const ir::Memory& initial_mem,
-                             std::span<const FaultSet> lane_faults, std::uint64_t max_cycles,
-                             const tta::ExecResult* reference, const ir::Memory* reference_mem) {
+BatchResult run_tta_batch(const tta::TtaProgram& program, const mach::Machine& machine,
+                          std::shared_ptr<const PredecodedTta> pre_ptr,
+                          const ir::Memory& initial_mem,
+                          std::span<const FaultSet> lane_faults, std::uint64_t max_cycles,
+                          const ExecResult* reference, const ir::Memory* reference_mem) {
   TTSC_ASSERT(pre_ptr != nullptr, "run_tta_batch needs a predecoded program");
   TTSC_ASSERT((reference == nullptr) == (reference_mem == nullptr),
               "reference result and memory must be passed together");
@@ -1247,60 +1115,50 @@ TtaBatchResult run_tta_batch(const tta::TtaProgram& program, const mach::Machine
   };
   std::vector<Fire> fires(max_instr_moves + 1);
 
-  tta::ExecResult result;
-  result.bus_moves.assign(machine.buses.size(), 0);
+  ExecResult result;
   std::uint64_t cycle = 0;
   std::size_t pc = 0;
   int transfer_in = -1;
   std::size_t transfer_target = 0;
-  std::vector<std::uint64_t> instr_exec(num_instrs, 0ull);
 
-  auto capture_state_into = [&](tta::ExecResult& r) {
-    r.rf_state = rf;
-    r.guard_state = guard_regs;
-    for (std::size_t i = 0; i < num_instrs; ++i) {
-      const std::uint64_t n = instr_exec[i];
-      if (n == 0) continue;
-      r.moves += n * (pre.instr_begin[i + 1] - pre.instr_begin[i]);
-      for (std::uint32_t m = pre.instr_begin[i]; m < pre.instr_begin[i + 1]; ++m) {
-        const auto bus = pre.moves[m].bus;
-        if (bus >= 0) r.bus_moves[static_cast<std::size_t>(bus)] += n;
-      }
-    }
+  auto capture_state = [&] {
+    result.rf_state = rf;
+    result.guard_state = guard_regs;
   };
-  auto capture_state = [&] { capture_state_into(result); };
-
-  // Trap synthesis: a lane evicted because its memory address is provably
-  // out of bounds traps at exactly this cycle, before any further state
-  // change — its standalone hardened run's result is fully determined by
-  // the shared counters plus the lane's state view, so the rerun is skipped.
-  struct SynthTrap {
-    int lane;
-    tta::ExecResult res;
-    ir::Memory mem;
-  };
-  std::vector<SynthTrap> synths;
-  auto synth_trap = [&](int l, int fu, std::uint32_t lane_addr) {
-    tta::ExecResult r;
-    r.bus_moves.assign(machine.buses.size(), 0);
-    r.status = ExecStatus::Trapped;
-    r.trap = TrapInfo{TrapReason::MemoryOutOfRange, cycle, fu, lane_addr};
-    r.cycles = cycle;
-    capture_state_into(r);
+  // A lane's RF, guard and return-value diffs over a copy of leader state.
+  auto overlay = [&](int l, ExecResult& r, std::int64_t ret_id) {
+    overlay_rf(d, l, pre.rf_slots, ret_id, r);
     const std::size_t base = static_cast<std::size_t>(l) * d.n_ids;
-    for (std::uint32_t id = 0; id < pre.rf_slots; ++id) {
-      if (d.dirty(l, id)) r.rf_state[id] = d.value[base + id];
-    }
     for (std::size_t g = 0; g < guard_regs_n; ++g) {
       if (d.dirty(l, gbase + g)) {
         r.guard_state[g] = static_cast<std::uint8_t>(d.value[base + gbase + g]);
       }
     }
+  };
+
+  // Trap synthesis: a lane evicted because its memory address is provably
+  // out of bounds traps at exactly this cycle, before any further state
+  // change — its standalone hardened run's result is fully determined by
+  // the lane's state view, so the rerun is skipped.
+  struct SynthTrap {
+    int lane;
+    ExecResult res;
+    ir::Memory mem;
+  };
+  std::vector<SynthTrap> synths;
+  auto synth_trap = [&](int l, int fu, std::uint32_t lane_addr) {
+    ExecResult r;
+    r.status = ExecStatus::Trapped;
+    r.trap = TrapInfo{TrapReason::MemoryOutOfRange, cycle, fu, lane_addr};
+    r.cycles = cycle;
+    r.rf_state = rf;
+    r.guard_state = guard_regs;
+    overlay(l, r, -1);
     synths.push_back(
         SynthTrap{l, std::move(r), materialize(mem, d.delta[static_cast<std::size_t>(l)])});
   };
 
-  auto rerun = [&](int lane, LaneOutcome<tta::ExecResult>& lo) {
+  auto rerun = [&](int lane, LaneOutcome& lo) {
     for (SynthTrap& st : synths) {
       if (st.lane == lane) {
         lo.result = std::move(st.res);
@@ -1308,32 +1166,13 @@ TtaBatchResult run_tta_batch(const tta::TtaProgram& program, const mach::Machine
         return;
       }
     }
-    ir::Memory m = initial_mem;
-    SimOptions o;
-    o.harden = true;
-    o.faults = &lane_faults[static_cast<std::size_t>(lane)];
-    tta::TtaSim s(program, machine, m, o);
-    s.use_predecoded(pre_ptr);
-    lo.result = s.run(max_cycles);
-    lo.mem.emplace(std::move(m));
+    rerun_lane<tta::TtaSim>(program, machine, pre_ptr, initial_mem,
+                            lane_faults[static_cast<std::size_t>(lane)], max_cycles, lo);
   };
 
-  auto finish = [&](tta::ExecResult leader, ir::Memory leader_mem, std::int64_t ret_id) {
-    auto overlay = [&](int l, tta::ExecResult& r) {
-      const std::size_t base = static_cast<std::size_t>(l) * d.n_ids;
-      for (std::uint32_t id = 0; id < pre.rf_slots; ++id) {
-        if (d.dirty(l, id)) r.rf_state[id] = d.value[base + id];
-      }
-      for (std::size_t g = 0; g < guard_regs_n; ++g) {
-        if (d.dirty(l, gbase + g)) {
-          r.guard_state[g] = static_cast<std::uint8_t>(d.value[base + gbase + g]);
-        }
-      }
-      if (ret_id >= 0 && d.dirty(l, static_cast<std::size_t>(ret_id))) {
-        r.ret = d.value[base + static_cast<std::size_t>(ret_id)];
-      }
-    };
-    return assemble_batch(core, std::move(leader), std::move(leader_mem), overlay, rerun);
+  auto finish = [&](ExecResult leader, ir::Memory leader_mem, std::int64_t ret_id) {
+    auto overlay_lane = [&](int l, ExecResult& r) { overlay(l, r, ret_id); };
+    return assemble_batch(core, std::move(leader), std::move(leader_mem), overlay_lane, rerun);
   };
 
   auto set_trap = [&](TrapReason reason, int unit, std::uint32_t detail) {
@@ -1462,7 +1301,6 @@ TtaBatchResult run_tta_batch(const tta::TtaProgram& program, const mach::Machine
     if (pc < num_instrs) {
       const std::uint32_t begin = pre.instr_begin[pc];
       const std::uint32_t end = pre.instr_begin[pc + 1];
-      ++instr_exec[pc];
       std::size_t nfires = 0;
       // 3+4a. Sample sources and write non-trigger destinations.
       for (std::uint32_t m = begin; m < end; ++m) {

@@ -21,13 +21,16 @@
 // Lanes stay in lockstep only while that sparse representation is exact.
 // The moment a lane's *behaviour* could differ from the leader's — a Bnz or
 // guard-squash decision flips, a variable-shift amount (and so the timing)
-// changes, or a memory operation's address operand is dirty — the lane is
-// marked diverged and **evicted**: its result comes from a full rerun on the
-// existing hardened scalar fast path (harden=true, same predecoded program,
-// fresh copy of the initial memory, same cycle budget), so sim/harden.hpp
-// rules and TrapInfo semantics are reused byte-for-byte rather than
-// duplicated. Eviction is the universal correctness escape hatch: lockstep
-// only ever handles the cases it can represent exactly.
+// changes, or a memory address goes out of bounds on one side only — the
+// lane is marked diverged and **evicted**: its result comes from the
+// existing hardened single-run fast path (harden=true, same predecoded
+// program, same cycle budget), so sim/harden.hpp rules and TrapInfo
+// semantics are reused byte-for-byte rather than duplicated. A scalar lane
+// resumes there from the state lockstep captured at the eviction
+// (ScalarSim::resume); VLIW and TTA lanes rerun from cycle 0 unless the
+// eviction is a trap lockstep can state exactly. Eviction is the universal
+// correctness escape hatch: lockstep only ever handles the cases it can
+// represent exactly.
 //
 // Conversely a lane whose diffs all cancel (the flip was masked) converges:
 // once its dirty set, memory delta and fault queue are empty it can never
@@ -168,7 +171,8 @@ std::uint64_t checksum_with_delta(const ir::Memory& leader, const MemDelta& delt
                                   std::uint32_t addr, std::uint32_t len);
 
 /// One lane's outcome. Exactly one of three shapes:
-///  * evicted   — `result` and `mem` come from a scalar-fast-path rerun;
+///  * evicted   — `result` and `mem` come from the lane's own hardened
+///                fast-path run (resumed or rerun, see the engines);
 ///                `diverge_cycle` is the leader cycle the divergence was
 ///                detected at; `delta` is empty and `mem` is engaged.
 ///  * converged — the fault was fully masked: `result` is the leader's
@@ -176,9 +180,8 @@ std::uint64_t checksum_with_delta(const ir::Memory& leader, const MemDelta& delt
 ///  * in-diff   — the lane halted with the leader but carries live state
 ///                diffs: `result` is the leader's with RF/guard/ret overlays
 ///                applied and `delta` holds the memory divergence.
-template <typename ExecResultT>
 struct LaneOutcome {
-  ExecResultT result;
+  ExecResult result;
   bool evicted = false;
   bool converged = false;
   std::uint64_t diverge_cycle = 0;
@@ -186,13 +189,12 @@ struct LaneOutcome {
   std::optional<ir::Memory> mem;  // engaged iff evicted
 };
 
-template <typename ExecResultT>
 struct BatchResult {
   /// Fault-free reference outcome (the leader's run, or `reference` when the
   /// batch settled early). leader_mem is always the fault-free final image.
-  ExecResultT leader;
+  ExecResult leader;
   ir::Memory leader_mem{0};
-  std::vector<LaneOutcome<ExecResultT>> lanes;
+  std::vector<LaneOutcome> lanes;
   /// Lanes whose control flow / timing provably diverged from the leader.
   std::uint64_t divergences = 0;
   /// Lanes evicted to the scalar path (divergences plus conservative
@@ -200,9 +202,9 @@ struct BatchResult {
   std::uint64_t evictions = 0;
 };
 
-using ScalarBatchResult = BatchResult<scalar::ExecResult>;
-using VliwBatchResult = BatchResult<vliw::ExecResult>;
-using TtaBatchResult = BatchResult<tta::ExecResult>;
+using ScalarBatchResult = BatchResult;
+using VliwBatchResult = BatchResult;
+using TtaBatchResult = BatchResult;
 
 /// Run up to kMaxLanes faulty instances in lockstep against one fault-free
 /// leader. `initial_mem` is the pristine loaded image (copied for the leader
@@ -210,27 +212,24 @@ using TtaBatchResult = BatchResult<tta::ExecResult>;
 /// always on, matching the campaign's per-injection runs. When `reference`
 /// and `reference_mem` (the known fault-free result and final memory) are
 /// given, the batch may stop as soon as every lane converged or was evicted.
-ScalarBatchResult run_scalar_batch(const scalar::ScalarProgram& program,
-                                   const mach::Machine& machine,
-                                   std::shared_ptr<const PredecodedScalar> pre,
-                                   const ir::Memory& initial_mem,
-                                   std::span<const FaultSet> lane_faults,
-                                   std::uint64_t max_cycles,
-                                   const scalar::ExecResult* reference = nullptr,
-                                   const ir::Memory* reference_mem = nullptr);
-
-VliwBatchResult run_vliw_batch(const vliw::VliwProgram& program, const mach::Machine& machine,
-                               std::shared_ptr<const PredecodedVliw> pre,
-                               const ir::Memory& initial_mem,
-                               std::span<const FaultSet> lane_faults, std::uint64_t max_cycles,
-                               const vliw::ExecResult* reference = nullptr,
-                               const ir::Memory* reference_mem = nullptr);
-
-TtaBatchResult run_tta_batch(const tta::TtaProgram& program, const mach::Machine& machine,
-                             std::shared_ptr<const PredecodedTta> pre,
+BatchResult run_scalar_batch(const scalar::ScalarProgram& program, const mach::Machine& machine,
+                             std::shared_ptr<const PredecodedScalar> pre,
                              const ir::Memory& initial_mem,
                              std::span<const FaultSet> lane_faults, std::uint64_t max_cycles,
-                             const tta::ExecResult* reference = nullptr,
+                             const ExecResult* reference = nullptr,
                              const ir::Memory* reference_mem = nullptr);
+
+BatchResult run_vliw_batch(const vliw::VliwProgram& program, const mach::Machine& machine,
+                           std::shared_ptr<const PredecodedVliw> pre,
+                           const ir::Memory& initial_mem,
+                           std::span<const FaultSet> lane_faults, std::uint64_t max_cycles,
+                           const ExecResult* reference = nullptr,
+                           const ir::Memory* reference_mem = nullptr);
+
+BatchResult run_tta_batch(const tta::TtaProgram& program, const mach::Machine& machine,
+                          std::shared_ptr<const PredecodedTta> pre, const ir::Memory& initial_mem,
+                          std::span<const FaultSet> lane_faults, std::uint64_t max_cycles,
+                          const ExecResult* reference = nullptr,
+                          const ir::Memory* reference_mem = nullptr);
 
 }  // namespace ttsc::sim

@@ -157,6 +157,27 @@ struct TrapInfo {
   bool operator==(const TrapInfo&) const = default;
 };
 
+/// What one simulation run of any of the three models returns.
+struct ExecResult {
+  /// Ok = the program returned; TimedOut = the cycle budget was exhausted
+  /// and `cycles` holds the cycles actually executed; Trapped = the
+  /// simulator failed closed on an illegal state and `trap` says why.
+  ExecStatus status = ExecStatus::Ok;
+  /// Valid when status == Trapped (default-initialized otherwise).
+  TrapInfo trap{};
+  std::uint64_t cycles = 0;
+  std::uint32_t ret = 0;
+  /// Architectural state at halt, for cycle-exact differential testing:
+  /// register files concatenated in machine order, and the guard registers
+  /// (TTA only; empty on the other models).
+  std::vector<std::uint32_t> rf_state;
+  std::vector<std::uint8_t> guard_state;
+
+  bool timed_out() const { return status == ExecStatus::TimedOut; }
+  bool trapped() const { return status == ExecStatus::Trapped; }
+  bool operator==(const ExecResult&) const = default;
+};
+
 struct FaultSet;      // sim/fault.hpp: mid-run single-bit state faults
 struct ProtectState;  // sim/protect.hpp: architectural protection semantics
 

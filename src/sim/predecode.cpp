@@ -30,16 +30,6 @@ int max_result_latency(const mach::Machine& machine) {
   return lat;
 }
 
-struct Fnv {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  void add(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 0x100000001b3ull;
-    }
-  }
-};
-
 }  // namespace
 
 // ---- TTA ---------------------------------------------------------------
@@ -277,110 +267,6 @@ PredecodedScalar predecode(const scalar::ScalarProgram& program, const mach::Mac
     out.instrs.push_back(p);
   }
   return out;
-}
-
-// ---- Fingerprints ------------------------------------------------------
-
-std::uint64_t fingerprint(const mach::Machine& machine) {
-  Fnv f;
-  f.add(static_cast<std::uint64_t>(machine.model));
-  f.add(static_cast<std::uint64_t>(machine.delay_slots));
-  f.add(static_cast<std::uint64_t>(machine.guard_regs));
-  f.add(machine.fus.size());
-  for (const mach::FunctionUnit& fu : machine.fus) {
-    f.add(fu.ops.size());
-    for (const mach::Operation& op : fu.ops) {
-      f.add(static_cast<std::uint64_t>(op.opcode));
-      f.add(static_cast<std::uint64_t>(op.latency));
-    }
-  }
-  f.add(machine.rfs.size());
-  for (const mach::RegisterFile& rf : machine.rfs) f.add(static_cast<std::uint64_t>(rf.size));
-  f.add(machine.buses.size());
-  const mach::ScalarTiming& t = machine.scalar;
-  f.add(static_cast<std::uint64_t>(t.pipeline_stages));
-  f.add(static_cast<std::uint64_t>(t.forwarding));
-  f.add(static_cast<std::uint64_t>(t.load_use_stall));
-  f.add(static_cast<std::uint64_t>(t.mul_stall));
-  f.add(static_cast<std::uint64_t>(t.shift_stall));
-  f.add(static_cast<std::uint64_t>(t.branch_penalty));
-  f.add(static_cast<std::uint64_t>(t.barrel_shifter));
-  f.add(static_cast<std::uint64_t>(t.max_unrolled_shift));
-  f.add(static_cast<std::uint64_t>(t.variable_shift_setup));
-  f.add(static_cast<std::uint64_t>(t.variable_shift_per_bit));
-  return f.h;
-}
-
-std::uint64_t fingerprint(const tta::TtaProgram& program) {
-  Fnv f;
-  f.add(0x54);  // 'T': salt the program kind
-  f.add(program.instrs.size());
-  for (const tta::TtaInstruction& instr : program.instrs) {
-    f.add(instr.moves.size());
-    for (const tta::Move& mv : instr.moves) {
-      f.add(static_cast<std::uint64_t>(mv.bus));
-      f.add(static_cast<std::uint64_t>(mv.src.kind));
-      f.add(static_cast<std::uint64_t>(mv.src.unit));
-      f.add(static_cast<std::uint64_t>(mv.src.reg_index));
-      f.add(static_cast<std::uint64_t>(static_cast<std::uint32_t>(mv.src.imm)));
-      f.add(static_cast<std::uint64_t>(mv.dst.kind));
-      f.add(static_cast<std::uint64_t>(mv.dst.unit));
-      f.add(static_cast<std::uint64_t>(mv.dst.reg_index));
-      f.add(static_cast<std::uint64_t>(mv.dst.opcode));
-      f.add(mv.target);
-      f.add(static_cast<std::uint64_t>(mv.is_control));
-      f.add(static_cast<std::uint64_t>(mv.guard));
-      f.add(static_cast<std::uint64_t>(mv.guard_negate));
-    }
-  }
-  for (std::uint32_t e : program.block_entry) f.add(e);
-  return f.h;
-}
-
-namespace {
-
-void add_minstr(Fnv& f, const codegen::MInstr& in) {
-  f.add(static_cast<std::uint64_t>(in.op));
-  f.add(static_cast<std::uint64_t>(in.dst.rf));
-  f.add(static_cast<std::uint64_t>(in.dst.index));
-  f.add(in.srcs.size());
-  for (const codegen::MOperand& s : in.srcs) {
-    f.add(static_cast<std::uint64_t>(s.kind));
-    f.add(static_cast<std::uint64_t>(s.reg.rf));
-    f.add(static_cast<std::uint64_t>(s.reg.index));
-    f.add(static_cast<std::uint64_t>(static_cast<std::uint32_t>(s.imm)));
-  }
-  for (std::uint32_t t : in.targets) f.add(t);
-}
-
-}  // namespace
-
-std::uint64_t fingerprint(const vliw::VliwProgram& program) {
-  Fnv f;
-  f.add(0x56);  // 'V'
-  f.add(program.bundles.size());
-  for (const vliw::Bundle& bundle : program.bundles) {
-    f.add(bundle.slots.size());
-    for (const auto& slot : bundle.slots) {
-      f.add(static_cast<std::uint64_t>(slot.has_value()));
-      if (slot.has_value()) {
-        f.add(static_cast<std::uint64_t>(slot->fu));
-        add_minstr(f, slot->instr);
-      }
-    }
-  }
-  for (std::uint32_t e : program.block_entry) f.add(e);
-  return f.h;
-}
-
-std::uint64_t fingerprint(const scalar::ScalarProgram& program) {
-  Fnv f;
-  f.add(0x53);  // 'S'
-  f.add(program.instrs.size());
-  for (const codegen::MInstr& in : program.instrs) add_minstr(f, in);
-  for (std::uint32_t e : program.block_entry) f.add(e);
-  f.add(program.spill_base);
-  return f.h;
 }
 
 }  // namespace ttsc::sim

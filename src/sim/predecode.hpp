@@ -17,8 +17,9 @@
 //    run loop can replace priority queues with circular buffers.
 //
 // A predecoded program is self-contained (no pointers into the source
-// program) and immutable, so report::ModuleCache can memoize it across a
-// sweep, keyed by machine/program fingerprints.
+// program) and immutable: sim::Engine builds it once per scheduled program
+// and shares it, read-only, with every run and lockstep batch over that
+// program.
 #pragma once
 
 #include <cstdint>
@@ -130,16 +131,5 @@ struct PredecodedScalar {
 };
 
 PredecodedScalar predecode(const scalar::ScalarProgram& program, const mach::Machine& machine);
-
-// ---- Cache keys --------------------------------------------------------
-
-/// Structural fingerprints (FNV-1a over the semantically relevant fields)
-/// used by report::ModuleCache to memoize predecoded programs. Machine and
-/// program fingerprints are combined, so two same-named machine variants or
-/// two schedules of the same workload cannot alias.
-std::uint64_t fingerprint(const mach::Machine& machine);
-std::uint64_t fingerprint(const tta::TtaProgram& program);
-std::uint64_t fingerprint(const vliw::VliwProgram& program);
-std::uint64_t fingerprint(const scalar::ScalarProgram& program);
 
 }  // namespace ttsc::sim

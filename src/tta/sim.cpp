@@ -165,18 +165,12 @@ ExecResult TtaSim::run_fast(std::uint64_t max_cycles) {
   std::vector<Fire> fires(max_instr_moves + 1);
 
   ExecResult result;
-  result.bus_moves.assign(machine_.buses.size(), 0);
   std::uint64_t cycle = 0;
   std::size_t pc = 0;
   int transfer_in = -1;
   std::size_t transfer_target = 0;
   [[maybe_unused]] std::uint32_t last_arch = 0;
 
-  // Transport occupancy (result.moves / bus_moves) counts every move of an
-  // executed instruction, squashed ones included — a static per-instruction
-  // property, so the hot loop only counts instruction executions and the
-  // occupancy totals are folded in at halt.
-  std::vector<std::uint64_t> instr_exec(num_instrs, 0ull);
   auto capture_state = [&] {
     if constexpr (kProfile) {
       // Writes still pending at halt never commit (the observer's
@@ -194,15 +188,6 @@ ExecResult TtaSim::run_fast(std::uint64_t max_cycles) {
     }
     result.rf_state = rf;
     result.guard_state = guard_regs;
-    for (std::size_t i = 0; i < num_instrs; ++i) {
-      const std::uint64_t n = instr_exec[i];
-      if (n == 0) continue;
-      result.moves += n * (pre.instr_begin[i + 1] - pre.instr_begin[i]);
-      for (std::uint32_t m = pre.instr_begin[i]; m < pre.instr_begin[i + 1]; ++m) {
-        const auto bus = pre.moves[m].bus;
-        if (bus >= 0) result.bus_moves[static_cast<std::size_t>(bus)] += n;
-      }
-    }
   };
 
   auto set_trap = [&](sim::TrapReason reason, int unit, std::uint32_t detail) {
@@ -335,7 +320,6 @@ ExecResult TtaSim::run_fast(std::uint64_t max_cycles) {
       }
       const std::uint32_t begin = pre.instr_begin[pc];
       const std::uint32_t end = pre.instr_begin[pc + 1];
-      ++instr_exec[pc];
       std::size_t nfires = 0;
       // 3+4a. Sample sources and write non-trigger destinations (RF and
       // guard writes are deferred a cycle; sources never read a state this
@@ -543,7 +527,6 @@ ExecResult TtaSim::run_reference(std::uint64_t max_cycles) {
   std::priority_queue<RfWritePending, std::vector<RfWritePending>, std::greater<>> rf_pending;
 
   ExecResult result;
-  result.bus_moves.assign(machine_.buses.size(), 0);
   // Guard registers: current values plus next-cycle updates.
   std::vector<bool> guard_regs(static_cast<std::size_t>(machine_.guard_regs), false);
   std::vector<std::pair<int, bool>> guard_pending;  // applied at next cycle
@@ -694,12 +677,6 @@ ExecResult TtaSim::run_reference(std::uint64_t max_cycles) {
       }
       if (prof != nullptr && transfer_in < 0) last_arch = static_cast<std::uint32_t>(pc);
       const TtaInstruction& instr = program_.instrs[pc];
-      result.moves += instr.moves.size();
-      for (const Move& mv : instr.moves) {
-        if (mv.bus >= 0 && static_cast<std::size_t>(mv.bus) < result.bus_moves.size()) {
-          ++result.bus_moves[static_cast<std::size_t>(mv.bus)];
-        }
-      }
 
       // 3+4a. Sample sources and write non-trigger destinations move by
       // move, exactly like the fast loop (sources never read a state this
@@ -712,8 +689,8 @@ ExecResult TtaSim::run_reference(std::uint64_t max_cycles) {
       for (std::size_t mi = 0; mi < instr.moves.size(); ++mi) {
         const Move& mv = instr.moves[mi];
         const int bus =
-            (mv.bus >= 0 && static_cast<std::size_t>(mv.bus) < result.bus_moves.size()) ? mv.bus
-                                                                                        : -1;
+            (mv.bus >= 0 && static_cast<std::size_t>(mv.bus) < machine_.buses.size()) ? mv.bus
+                                                                                      : -1;
         const sim::DecodeCheck chk =
             sim::check_tta_move(mv, machine_, program_.block_entry.size());
         if (!chk.ok() && chk.guard_trap) {

@@ -151,28 +151,7 @@ int bus_slot_bits(const mach::Machine& machine, int bus);
 
 std::uint64_t image_bits(const TtaProgram& program, const mach::Machine& machine);
 
-struct ExecResult {
-  /// Ok = the program returned; TimedOut = the cycle budget was exhausted
-  /// and `cycles` holds the cycles actually executed; Trapped = the
-  /// simulator failed closed on an illegal state and `trap` says why.
-  sim::ExecStatus status = sim::ExecStatus::Ok;
-  /// Valid when status == Trapped (default-initialized otherwise).
-  sim::TrapInfo trap{};
-  std::uint64_t cycles = 0;
-  std::uint64_t moves = 0;
-  std::uint32_t ret = 0;
-  /// Dynamic transport counts per bus (how often each bus actually moved
-  /// data) — the utilization signal IC exploration heuristics feed on.
-  std::vector<std::uint64_t> bus_moves;
-  /// Architectural state at halt, for cycle-exact differential testing:
-  /// register files concatenated in machine order, and the guard registers.
-  std::vector<std::uint32_t> rf_state;
-  std::vector<std::uint8_t> guard_state;
-
-  bool timed_out() const { return status == sim::ExecStatus::TimedOut; }
-  bool trapped() const { return status == sim::ExecStatus::Trapped; }
-  bool operator==(const ExecResult&) const = default;
-};
+using ExecResult = sim::ExecResult;
 
 /// Cycle-accurate transport simulator with semi-virtual time latching FU
 /// pipelines (Fig. 3): operand ports are registers, triggers launch
@@ -190,8 +169,8 @@ class TtaSim {
          sim::SimOptions options = {});
   ~TtaSim();
 
-  /// Reuse an externally predecoded program (e.g. from report::ModuleCache)
-  /// instead of predecoding on first run.
+  /// Reuse an externally predecoded program (e.g. from sim::Engine) instead
+  /// of predecoding on first run.
   void use_predecoded(std::shared_ptr<const sim::PredecodedTta> predecoded);
 
   ExecResult run(std::uint64_t max_cycles = 2'000'000'000ull);

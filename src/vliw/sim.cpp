@@ -238,7 +238,6 @@ ExecResult VliwSim::run_fast(std::uint64_t max_cycles) {
           set_trap(static_cast<sim::TrapReason>(op.trap - 1), op.fu, op.trap_detail);
           return result;
         }
-        ++result.ops;
 
         std::uint32_t a = op.a_val;
         std::uint32_t b = op.b_val;
@@ -529,7 +528,6 @@ ExecResult VliwSim::run_reference(std::uint64_t max_cycles) {
           set_trap(chk.reason(), slot->fu, chk.detail);
           return result;
         }
-        ++result.ops;
 
         // Storage codes check (and SEC-DED scrubs) each register operand at
         // the read, in operand order — same detection order as the fast

@@ -101,24 +101,7 @@ int instruction_bits(const mach::Machine& machine);
 /// no NOP compression, matching the paper's encoding).
 std::uint64_t image_bits(const VliwProgram& program, const mach::Machine& machine);
 
-struct ExecResult {
-  /// Ok = the program returned; TimedOut = the cycle budget was exhausted
-  /// and `cycles` holds the cycles actually executed; Trapped = the
-  /// simulator failed closed on an illegal state and `trap` says why.
-  sim::ExecStatus status = sim::ExecStatus::Ok;
-  /// Valid when status == Trapped (default-initialized otherwise).
-  sim::TrapInfo trap{};
-  std::uint64_t cycles = 0;
-  std::uint64_t ops = 0;   // non-nop operations executed
-  std::uint32_t ret = 0;
-  /// Architectural register state at halt (register files concatenated in
-  /// machine order), for cycle-exact differential testing.
-  std::vector<std::uint32_t> rf_state;
-
-  bool timed_out() const { return status == sim::ExecStatus::TimedOut; }
-  bool trapped() const { return status == sim::ExecStatus::Trapped; }
-  bool operator==(const ExecResult&) const = default;
-};
+using ExecResult = sim::ExecResult;
 
 /// Human-readable listing of a scheduled bundle program.
 std::string disassemble(const VliwProgram& program, const mach::Machine& machine);
@@ -137,8 +120,8 @@ class VliwSim {
           sim::SimOptions options = {});
   ~VliwSim();
 
-  /// Reuse an externally predecoded program (e.g. from report::ModuleCache)
-  /// instead of predecoding on first run.
+  /// Reuse an externally predecoded program (e.g. from sim::Engine) instead
+  /// of predecoding on first run.
   void use_predecoded(std::shared_ptr<const sim::PredecodedVliw> predecoded);
 
   ExecResult run(std::uint64_t max_cycles = 2'000'000'000ull);

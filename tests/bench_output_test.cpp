@@ -1,6 +1,7 @@
 // Stream hygiene and export contracts of the paper-artifact harnesses,
 // exercised end to end on the real table2_program_size binary (path baked
-// in by CMake as TTSC_TABLE2_BIN):
+// in by CMake as TTSC_TABLE2_BIN; flag validation also drives
+// table4_cycles and table_resilience):
 //
 //  * stdout carries ONLY the rendered artifact — `table2 > table.txt` is
 //    pipe-clean no matter which diagnostic flags are set;
@@ -10,6 +11,8 @@
 //  * --trace-out writes a parseable Chrome trace; --report-json writes a
 //    parseable versioned run report.
 #include <gtest/gtest.h>
+
+#include <sys/wait.h>
 
 #include <array>
 #include <cstdio>
@@ -115,6 +118,25 @@ TEST(BenchOutput, ReportJsonIsValidVersionedReport) {
 TEST(BenchOutput, UnknownFlagFailsWithUsage) {
   const RunResult r = run(bin() + " --no-such-flag");
   EXPECT_NE(r.status, 0);
+
+  // Numeric values fail closed the same way: a value that is not a whole
+  // number prints usage and exits 2 before anything runs, instead of
+  // silently running as 0 or as the default.
+  const std::string table4 = TTSC_TABLE4_BIN;
+  const std::string resil = TTSC_RESIL_BIN;
+  const std::string err_path = tmp("bad_value_stderr.txt");
+  for (const std::string& cmd :
+       {table4 + " --threads abc", table4 + " --threads=4x", "TTSC_THREADS=abc " + table4,
+        bin() + " --threads ''", resil + " --seed abc", resil + " --seed 7715x",
+        resil + " --seed 010",
+        resil + " --injections 1e3", resil + " --cell-timeout soon", resil + " --threads -",
+        "TTSC_THREADS=abc " + resil}) {
+    const RunResult bad = run(cmd, err_path);
+    ASSERT_TRUE(WIFEXITED(bad.status)) << cmd;
+    EXPECT_EQ(WEXITSTATUS(bad.status), 2) << cmd;
+    EXPECT_TRUE(bad.out.empty()) << cmd;
+    EXPECT_NE(slurp(err_path).find("usage:"), std::string::npos) << cmd;
+  }
 }
 
 }  // namespace

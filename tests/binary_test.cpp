@@ -7,6 +7,7 @@
 #include "fpga/imem.hpp"
 #include "mach/configs.hpp"
 #include "report/driver.hpp"
+#include "sim/collectors.hpp"
 #include "tta/binary.hpp"
 #include "tta/compress.hpp"
 #include "tta/verify.hpp"
@@ -28,10 +29,17 @@ Compiled compile(const workloads::Workload& w, const char* machine_name) {
   return out;
 }
 
-ExecResult simulate(const Compiled& c, const TtaProgram& prog) {
+struct Simulated {
+  ExecResult result;
+  sim::UtilizationReport utilization;  // transports per bus, triggers per FU
+};
+
+Simulated simulate(const Compiled& c, const TtaProgram& prog) {
   ir::Memory mem = report::make_loaded_memory(c.module);
-  TtaSim sim(prog, c.machine, mem);
-  return sim.run();
+  sim::UtilizationCollector collector(c.machine);
+  TtaSim sim(prog, c.machine, mem, {.observer = &collector});
+  const ExecResult result = sim.run();
+  return {result, collector.report()};
 }
 
 class RoundTrip : public ::testing::TestWithParam<std::tuple<int, const char*>> {};
@@ -55,12 +63,19 @@ TEST_P(RoundTrip, DecodeOfEncodeIsSemanticallyIdentical) {
   ASSERT_EQ(decoded.instrs.size(), c.program.instrs.size());
   verify_program(decoded, c.machine);
 
-  // Cycle-exact same behaviour.
-  const ExecResult a = simulate(c, c.program);
-  const ExecResult b = simulate(c, decoded);
-  EXPECT_EQ(a.ret, b.ret);
-  EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.moves, b.moves);
+  // Cycle-exact same behaviour, transport for transport: a decoder that
+  // dropped or added a move with no architectural effect would still
+  // change the per-bus move counts.
+  const Simulated a = simulate(c, c.program);
+  const Simulated b = simulate(c, decoded);
+  EXPECT_EQ(a.result.ret, b.result.ret);
+  EXPECT_EQ(a.result.cycles, b.result.cycles);
+  EXPECT_TRUE(a.result == b.result);  // halt-time RF and guard state too
+  EXPECT_GT(a.utilization.moves, 0u);
+  EXPECT_EQ(a.utilization.moves, b.utilization.moves);
+  EXPECT_EQ(a.utilization.guard_squashes, b.utilization.guard_squashes);
+  EXPECT_EQ(a.utilization.bus_busy, b.utilization.bus_busy);
+  EXPECT_EQ(a.utilization.fu_triggers, b.utilization.fu_triggers);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -21,6 +21,7 @@
 #include "resil/campaign.hpp"
 #include "resil/fault_plan.hpp"
 #include "scalar/scalar.hpp"
+#include "sim/engine.hpp"
 #include "sim/fault.hpp"
 #include "sim/lockstep.hpp"
 #include "sim/predecode.hpp"
@@ -45,8 +46,7 @@ using tta::MoveSrc;
 // `leader_mem` is the batch's fault-free final image; an in-diff lane's
 // memory is leader_mem + delta, an evicted lane carries its own image.
 
-template <typename Result>
-std::string check_lane(const sim::LaneOutcome<Result>& lo, const Result& ref,
+std::string check_lane(const sim::LaneOutcome& lo, const sim::ExecResult& ref,
                        const ir::Memory& ref_mem, const ir::Memory& leader_mem,
                        const char* what) {
   std::string err;
@@ -112,9 +112,9 @@ std::string check_cell_impl(const resil_util::GeneratedCell& cell, const Result&
   // With the golden reference (the campaign configuration: the batch may
   // stop early once every lane settled) and without it — the lanes must not
   // be able to tell the difference.
-  const sim::BatchResult<Result> with_ref = run_batch(lane_faults, &golden, &cell.golden_mem);
-  const sim::BatchResult<Result> no_ref = run_batch(lane_faults, nullptr, nullptr);
-  for (const sim::BatchResult<Result>* br : {&with_ref, &no_ref}) {
+  const sim::BatchResult with_ref = run_batch(lane_faults, &golden, &cell.golden_mem);
+  const sim::BatchResult no_ref = run_batch(lane_faults, nullptr, nullptr);
+  for (const sim::BatchResult* br : {&with_ref, &no_ref}) {
     const char* mode = br == &with_ref ? "with-ref" : "no-ref";
     if (!(br->leader == golden)) {
       err += format("%s %s: leader result differs from golden\n", tag.c_str(), mode);
@@ -287,7 +287,7 @@ TEST(LockstepTiming, BnzFlipEvictsAtTriggerCycle) {
   EXPECT_EQ(br.leader.ret, 7u);
   EXPECT_EQ(br.leader.cycles, 4u);  // ret at pc 3 -> cycles = 3 + 1
   ASSERT_EQ(br.lanes.size(), 1u);
-  const sim::LaneOutcome<tta::ExecResult>& lo = br.lanes[0];
+  const sim::LaneOutcome& lo = br.lanes[0];
   EXPECT_TRUE(lo.evicted);
   EXPECT_EQ(lo.diverge_cycle, 0u);
   EXPECT_EQ(br.divergences, 1u);
@@ -335,7 +335,7 @@ TEST(LockstepTiming, LiveFlipStaysInLockstepWithOverlay) {
 
   EXPECT_EQ(br.leader.ret, 77u);
   ASSERT_EQ(br.lanes.size(), 1u);
-  const sim::LaneOutcome<tta::ExecResult>& lo = br.lanes[0];
+  const sim::LaneOutcome& lo = br.lanes[0];
   EXPECT_FALSE(lo.evicted);
   EXPECT_FALSE(lo.converged);
   EXPECT_EQ(br.divergences, 0u);
@@ -465,7 +465,7 @@ TEST(LockstepTiming, ScalarBnzFlipEvictsAtBranchCycle) {
 
   EXPECT_EQ(br.leader.ret, 7u);
   ASSERT_EQ(br.lanes.size(), 1u);
-  const sim::LaneOutcome<scalar::ExecResult>& lo = br.lanes[0];
+  const sim::LaneOutcome& lo = br.lanes[0];
   EXPECT_TRUE(lo.evicted);
   // The two MovIs issue at cycles 2 and 3, the Bnz at cycle 4 (single
   // issue, no stalls on immediate moves); the decision flip is detected
@@ -477,6 +477,146 @@ TEST(LockstepTiming, ScalarBnzFlipEvictsAtBranchCycle) {
   const scalar::ExecResult ref =
       resil_util::run_scalar(p, machine, /*fast_path=*/true, &faults[0], &ref_mem);
   EXPECT_EQ(check_lane(lo, ref, ref_mem, br.leader_mem, "scalar-bnz-flip"), "");
+}
+
+// The memory-address evictions of the scalar engine. Each evicted lane
+// resumes on ScalarSim's fast loop from the state captured at its eviction
+// cycle; check_lane holds it to a hardened run of the same fault from
+// scratch. Every program below issues its memory operation at cycle 4 (two
+// single-cycle instructions after the 2-cycle pipeline fill on mblaze-3),
+// and the address register r1 is flipped at the top of that cycle.
+
+struct ScalarBatchHarness {
+  sim::Engine engine;
+  ir::Memory initial{1 << 16};
+
+  explicit ScalarBatchHarness(scalar::ScalarProgram p)
+      : engine(mach::machine_by_name("mblaze-3"), std::move(p)) {}
+
+  sim::BatchResult run(std::span<const sim::FaultSet> lane_faults) const {
+    return engine.run_batch(initial, lane_faults, kHandBudget);
+  }
+  /// check_lane of every lane against its own hardened run from cycle 0.
+  std::string check(const sim::BatchResult& br, std::span<const sim::FaultSet> lane_faults,
+                    const char* what) const {
+    std::string err;
+    for (std::size_t l = 0; l < br.lanes.size(); ++l) {
+      ir::Memory ref_mem = initial;
+      const sim::ExecResult ref =
+          engine.run(ref_mem, {.harden = true, .faults = &lane_faults[l]}, kHandBudget);
+      err += check_lane(br.lanes[l], ref, ref_mem, br.leader_mem,
+                        format("%s lane %zu", what, l).c_str());
+    }
+    return err;
+  }
+};
+
+std::vector<sim::FaultSet> r1_flips_at_cycle4(std::initializer_list<std::uint8_t> bits) {
+  std::vector<sim::FaultSet> faults;
+  for (const std::uint8_t bit : bits) faults.push_back(sim::FaultSet{{rf_flip(4, 1, bit)}});
+  return faults;
+}
+
+TEST(LockstepTiming, ScalarDirtyLoadAddressOutOfBoundsResumes) {
+  using codegen::MOperand;
+  using resil_util::kNoDst;
+  using resil_util::minstr;
+  // MovI r1 <- 0x100 ; MovI r2 <- 5 ; Ldw r3 <- [r1] ; Ret r3. Flipping
+  // bit 16 of r1 moves the lane's load to 0x10100, past the 64 KiB image:
+  // the lane traps where the leader loads.
+  scalar::ScalarProgram p;
+  p.block_entry = {0};
+  p.instrs.push_back(minstr(ir::Opcode::MovI, {0, 1}, {MOperand::immediate(0x100)}));
+  p.instrs.push_back(minstr(ir::Opcode::MovI, {0, 2}, {MOperand::immediate(5)}));
+  p.instrs.push_back(minstr(ir::Opcode::Ldw, {0, 3}, {mach::PhysReg{0, 1}}));
+  p.instrs.push_back(minstr(ir::Opcode::Ret, kNoDst, {mach::PhysReg{0, 3}}));
+  ScalarBatchHarness h(std::move(p));
+  h.initial.store32(0x100, 0xabcd);
+
+  const std::vector<sim::FaultSet> faults = r1_flips_at_cycle4({16});
+  const sim::BatchResult br = h.run(faults);
+
+  EXPECT_EQ(br.leader.ret, 0xabcdu);
+  ASSERT_EQ(br.lanes.size(), 1u);
+  const sim::LaneOutcome& lo = br.lanes[0];
+  EXPECT_TRUE(lo.evicted);
+  EXPECT_EQ(lo.diverge_cycle, 4u);
+  EXPECT_EQ(br.divergences, 1u);
+  EXPECT_TRUE(lo.result.trapped());
+  EXPECT_EQ(lo.result.trap.reason, sim::TrapReason::MemoryOutOfRange);
+  EXPECT_EQ(lo.result.trap.detail, 0x10100u);
+  EXPECT_EQ(lo.result.trap.cycle, 4u);
+  EXPECT_EQ(h.check(br, faults, "scalar-load-oob"), "");
+}
+
+TEST(LockstepTiming, ScalarDirtyStoreAddressOutOfBoundsResumes) {
+  using codegen::MOperand;
+  using resil_util::kNoDst;
+  using resil_util::minstr;
+  // MovI r1 <- 0x100 ; MovI r2 <- 42 ; Stw [r1] <- r2 ; Ret 7. Lane 0 flips
+  // bit 16 (the store leaves the image: evicted, traps); lane 1 flips bit 2
+  // (the store lands at 0x104 instead: exact in lockstep as a memory delta).
+  scalar::ScalarProgram p;
+  p.block_entry = {0};
+  p.instrs.push_back(minstr(ir::Opcode::MovI, {0, 1}, {MOperand::immediate(0x100)}));
+  p.instrs.push_back(minstr(ir::Opcode::MovI, {0, 2}, {MOperand::immediate(42)}));
+  p.instrs.push_back(
+      minstr(ir::Opcode::Stw, kNoDst, {mach::PhysReg{0, 1}, mach::PhysReg{0, 2}}));
+  p.instrs.push_back(minstr(ir::Opcode::Ret, kNoDst, {MOperand::immediate(7)}));
+  const ScalarBatchHarness h(std::move(p));
+
+  const std::vector<sim::FaultSet> faults = r1_flips_at_cycle4({16, 2});
+  const sim::BatchResult br = h.run(faults);
+
+  EXPECT_EQ(br.leader.ret, 7u);
+  EXPECT_EQ(br.leader_mem.load32(0x100), 42u);
+  ASSERT_EQ(br.lanes.size(), 2u);
+  EXPECT_TRUE(br.lanes[0].evicted);
+  EXPECT_EQ(br.lanes[0].diverge_cycle, 4u);
+  EXPECT_EQ(br.lanes[0].result.trap.reason, sim::TrapReason::MemoryOutOfRange);
+  EXPECT_EQ(br.lanes[0].result.trap.detail, 0x10100u);
+  EXPECT_FALSE(br.lanes[1].evicted);
+  EXPECT_FALSE(br.lanes[1].delta.empty());
+  EXPECT_EQ(br.divergences, 1u);
+  EXPECT_EQ(br.evictions, 1u);
+  EXPECT_EQ(h.check(br, faults, "scalar-store-oob"), "");
+}
+
+TEST(LockstepTiming, ScalarLeaderOutOfBoundsEvictsDirtyAddressLanes) {
+  using codegen::MOperand;
+  using resil_util::kNoDst;
+  using resil_util::minstr;
+  // MovI r1 <- 0x7fff ; Add r1 <- r1 + r1 ; Ldw r3 <- [r1] ; Ret r3. The
+  // leader's word load at 0xfffe runs past the 64 KiB image and traps. Lane
+  // 0 flips bit 1 (0xfffc: in bounds) and must resume past the leader's
+  // trap to return the word there; lane 1 flips bit 0 (0xffff) and traps
+  // with its own address.
+  scalar::ScalarProgram p;
+  p.block_entry = {0};
+  p.instrs.push_back(minstr(ir::Opcode::MovI, {0, 1}, {MOperand::immediate(0x7fff)}));
+  p.instrs.push_back(
+      minstr(ir::Opcode::Add, {0, 1}, {mach::PhysReg{0, 1}, mach::PhysReg{0, 1}}));
+  p.instrs.push_back(minstr(ir::Opcode::Ldw, {0, 3}, {mach::PhysReg{0, 1}}));
+  p.instrs.push_back(minstr(ir::Opcode::Ret, kNoDst, {mach::PhysReg{0, 3}}));
+  ScalarBatchHarness h(std::move(p));
+  h.initial.store32(0xfffc, 0x5eed);
+
+  const std::vector<sim::FaultSet> faults = r1_flips_at_cycle4({1, 0});
+  const sim::BatchResult br = h.run(faults);
+
+  EXPECT_TRUE(br.leader.trapped());
+  EXPECT_EQ(br.leader.trap.reason, sim::TrapReason::MemoryOutOfRange);
+  EXPECT_EQ(br.leader.trap.detail, 0xfffeu);
+  ASSERT_EQ(br.lanes.size(), 2u);
+  for (const sim::LaneOutcome& lo : br.lanes) {
+    EXPECT_TRUE(lo.evicted);
+    EXPECT_EQ(lo.diverge_cycle, 4u);
+  }
+  EXPECT_EQ(br.lanes[0].result.status, sim::ExecStatus::Ok);
+  EXPECT_EQ(br.lanes[0].result.ret, 0x5eedu);
+  EXPECT_EQ(br.lanes[1].result.trap.detail, 0xffffu);
+  EXPECT_EQ(br.divergences, 2u);
+  EXPECT_EQ(h.check(br, faults, "scalar-leader-oob"), "");
 }
 
 }  // namespace

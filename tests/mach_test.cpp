@@ -25,6 +25,13 @@ struct RfSpec {
   int write_ports;
 };
 
+// gtest prints the parameter into the test name; its default byte dump would
+// include the `machine` pointer, which ASLR moves on every run.
+void PrintTo(const RfSpec& s, std::ostream* os) {
+  *os << s.machine << " rfs=" << s.rfs << " size=" << s.size << " ports=" << s.read_ports << "r"
+      << s.write_ports << "w";
+}
+
 class RfGeometry : public ::testing::TestWithParam<RfSpec> {};
 
 /// Register file geometry exactly as Section IV specifies.

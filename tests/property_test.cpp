@@ -241,8 +241,8 @@ TEST(DifferentialFleet, SeededCorpusMatchesInterpreterOnAllModels) {
 /// Cycle-exact differential suite for the predecoded simulator fast path:
 /// every generated program, on every machine configuration the paper
 /// evaluates (all 13) plus the guarded-TTA variants, must produce an
-/// ExecResult — cycles, timeout status, return value, dynamic counts and
-/// the halt-time register-file/guard state — and a memory image
+/// ExecResult — cycles, timeout status, return value and the halt-time
+/// register-file/guard state — and a memory image
 /// bit-identical between the fast path and the reference interpreter loop
 /// (SimOptions{.fast_path = false}). Any divergence in tie-break handling,
 /// write-back timing or squash semantics shows up here as a field-level

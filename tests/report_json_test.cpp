@@ -148,9 +148,9 @@ TEST(RunReport, SchedulerCountersMatchFreedomAblation) {
   std::uint64_t total_bypassed = 0;
   for (const workloads::Workload& w : workloads::all_workloads()) {
     const report::RunOutcome on =
-        report::compile_and_run_prebuilt(cache.get(w), w, machine, all_on, nullptr, {}, &cache);
-    const report::RunOutcome off = report::compile_and_run_prebuilt(cache.get(w), w, machine,
-                                                                    no_bypass, nullptr, {}, &cache);
+        report::compile_and_run_prebuilt(cache.get(w), w, machine, all_on);
+    const report::RunOutcome off =
+        report::compile_and_run_prebuilt(cache.get(w), w, machine, no_bypass);
     // Counter plumbing: RunOutcome.metrics mirrors the scheduler stats.
     EXPECT_EQ(on.metrics.at("tta.schedule.bypassed_operands"), on.bypassed_operands) << w.name;
     EXPECT_EQ(off.metrics.at("tta.schedule.bypassed_operands"), 0u) << w.name;

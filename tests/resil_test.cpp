@@ -591,7 +591,9 @@ TEST(Campaign, ForensicsSmokeCellsMatchGolden) {
       EXPECT_TRUE(rec.outcome == resil::Outcome::Sdc ||
                   (rec.outcome == resil::Outcome::Masked && rec.latent));
       // A found divergence can never precede the fault.
-      if (rec.divergence.found) EXPECT_GE(rec.divergence.cycle, rec.fault_cycle);
+      if (rec.divergence.found) {
+        EXPECT_GE(rec.divergence.cycle, rec.fault_cycle);
+      }
     }
   }
 

@@ -8,6 +8,7 @@
 #include "ir/builder.hpp"
 #include "mach/configs.hpp"
 #include "report/driver.hpp"
+#include "sim/collectors.hpp"
 #include "tta/tta.hpp"
 #include "tta/verify.hpp"
 
@@ -228,7 +229,10 @@ TEST(Sim, MatchesGoldenOnStructuredProgram) {
 
 TEST(Sim, CountsMoves) {
   Built built = build([](ir::Function&, IRBuilder& b) { b.ret(b.add(1, 2)); });
-  EXPECT_GT(run(built).moves, 0u);
+  ir::Memory mem = report::make_loaded_memory(built.module);
+  sim::UtilizationCollector collector(built.machine);
+  TtaSim(built.program, built.machine, mem, {.observer = &collector}).run();
+  EXPECT_GT(collector.report().moves, 0u);
 }
 
 TEST(Sim, CycleLimitReportsTimeout) {

@@ -43,6 +43,10 @@ struct Pin {
   std::uint32_t ret;
 };
 
+// gtest prints the parameter into the test name; its default byte dump would
+// include the `name` pointer, which ASLR moves on every run.
+void PrintTo(const Pin& p, std::ostream* os) { *os << p.name << " ret=" << p.ret; }
+
 class GoldenPins : public ::testing::TestWithParam<Pin> {};
 
 TEST_P(GoldenPins, ReturnValueStable) {
