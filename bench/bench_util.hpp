@@ -7,8 +7,6 @@
 //                      prints usage and exits 2, like an unknown flag)
 //   --serial           run the serial reference driver instead of the engine
 //   --stats            print the per-stage timing/counter section
-//   --reference        simulate on the reference interpreter loops instead
-//                      of the predecoded fast path (differential baseline)
 //   --utilization      collect per-FU/bus utilization and opcode histograms
 //                      during simulation and print the merged report
 //   --metrics          print the sweep's merged compiler/scheduler metrics
@@ -42,8 +40,7 @@
 //   --vcd-out=FILE     re-run the first cell (first machine x first
 //                      workload) with the flight recorder attached and
 //                      write the retained window as a deterministic VCD
-//                      waveform (report/vcd.hpp; open in GTKWave). Honors
-//                      --reference: both paths produce byte-identical VCD
+//                      waveform (report/vcd.hpp; open in GTKWave)
 //   --flight-dump=FILE replay one cell with the flight recorder attached
 //                      and write the last-N-cycles forensic dump
 //                      ("ttsc-flight-dump" v1 JSON). Under --keep-going
@@ -84,7 +81,6 @@
 #include "obs/trace.hpp"
 #include "report/vcd.hpp"
 #include "opt/superblock.hpp"
-#include "report/module_cache.hpp"
 #include "report/parallel_runner.hpp"
 #include "report/profile_report.hpp"
 #include "report/run_report.hpp"
@@ -98,7 +94,6 @@ struct Options {
   int threads = 0;  // <= 0: hardware concurrency
   bool serial = false;
   bool stats = false;
-  bool reference = false;    // --reference: fast_path = false
   bool utilization = false;  // --utilization
   bool metrics = false;      // --metrics
   bool trace = false;        // --trace
@@ -155,7 +150,7 @@ T parse_number(const std::string& text, Fail&& fail) {
 
 [[noreturn]] inline void usage(const char* prog) {
   std::fprintf(stderr,
-               "usage: %s [--threads N] [--serial] [--stats] [--reference] "
+               "usage: %s [--threads N] [--serial] [--stats] "
                "[--utilization] [--metrics] [--trace] [--keep-going] "
                "[--superblocks] [--trace-out=FILE] [--report-json=FILE] "
                "[--profile-json=FILE] [--profile-folded=FILE] "
@@ -174,8 +169,6 @@ inline Options parse_args(int argc, char** argv) {
       opts.serial = true;
     } else if (std::strcmp(argv[i], "--stats") == 0) {
       opts.stats = true;
-    } else if (std::strcmp(argv[i], "--reference") == 0) {
-      opts.reference = true;
     } else if (std::strcmp(argv[i], "--utilization") == 0) {
       opts.utilization = true;
     } else if (std::strcmp(argv[i], "--metrics") == 0) {
@@ -209,7 +202,6 @@ inline Options parse_args(int argc, char** argv) {
 
 inline sim::SimOptions sim_options_of(const Options& opts) {
   sim::SimOptions sim;
-  sim.fast_path = !opts.reference;
   sim.collect_utilization = opts.utilization;
   sim.collect_profile = opts.wants_profile();
   return sim;
@@ -303,12 +295,8 @@ inline void print_trace(const Options& opts) {
   if (!opts.trace) return;
   const mach::Machine machine = mach::all_machines().front();
   const workloads::Workload& workload = workloads::all_workloads().front();
-  report::ModuleCache cache;
   sim::TraceObserver trace;
-  sim::SimOptions sim = sim_options_of(opts);
-  sim.observer = &trace;
-  sim.collect_utilization = false;
-  report::compile_and_run_prebuilt(cache.get(workload), workload, machine, {}, nullptr, sim);
+  report::replay_with_observer(workload, machine, &trace);
   std::fprintf(stderr, "\ntrace (%s on %s):\n%s", workload.name.c_str(), machine.name.c_str(),
                trace.text().c_str());
 }
@@ -331,8 +319,7 @@ inline void write_flight_exports(const Options& opts, const report::Matrix& matr
                                     const workloads::Workload& workload, const char* path,
                                     bool want_vcd) {
     obs::FlightRecorder recorder(machine);
-    const sim::ExecResult r =
-        report::replay_with_observer(workload, machine, &recorder, !opts.reference);
+    const sim::ExecResult r = report::replay_with_observer(workload, machine, &recorder);
     std::string text;
     if (want_vcd) {
       text = report::render_vcd(recorder);
@@ -341,7 +328,6 @@ inline void write_flight_exports(const Options& opts, const report::Matrix& matr
       info.machine = machine.name;
       info.workload = workload.name;
       info.engine = mach::model_name(machine.model);
-      info.path = opts.reference ? "reference" : "fast";
       info.status = sim::exec_status_name(r.status);
       if (r.status == sim::ExecStatus::Trapped) {
         info.trap_reason = sim::trap_reason_name(r.trap.reason);

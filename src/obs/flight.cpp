@@ -161,8 +161,6 @@ std::string render_flight_dump(const FlightRecorder& recorder, const FlightDumpI
   w.value(info.workload);
   w.key("engine");
   w.value(info.engine);
-  w.key("path");
-  w.value(info.path);
   w.key("status");
   w.value(info.status);
   if (!info.trap_reason.empty()) {

@@ -144,7 +144,6 @@ struct FlightDumpInfo {
   std::string machine;
   std::string workload;
   std::string engine;       // "scalar" | "vliw" | "tta"
-  std::string path;         // "fast" | "reference"
   std::string status;       // sim::exec_status_name
   std::string trap_reason;  // empty unless status == "trap"
   std::uint64_t trap_cycle = 0;

@@ -452,15 +452,12 @@ RunOutcome compile_and_run(const Workload& workload, const mach::Machine& machin
 }
 
 sim::ExecResult replay_with_observer(const Workload& workload, const mach::Machine& machine,
-                                     sim::ExecObserver* observer, bool fast_path) {
+                                     sim::ExecObserver* observer) {
   // The standard pipeline, minus the report plumbing and the golden
   // cross-check: the replayed run's own status IS the result.
   const Backend backend = compile_backend(build_optimized(workload), workload, machine);
   ir::Memory mem = make_loaded_memory(backend.module);
-  sim::SimOptions opts;
-  opts.fast_path = fast_path;
-  opts.observer = observer;
-  return backend.engine.run(mem, opts);
+  return backend.engine.run(mem, {.observer = observer});
 }
 
 }  // namespace ttsc::report

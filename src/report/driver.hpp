@@ -154,8 +154,8 @@ Backend compile_backend(const ir::Module& optimized, const workloads::Workload& 
 /// sim_* observer counters when utilization is collected); the same stage
 /// times are always reported in the outcome's stage_seconds.
 ///
-/// `sim_options` selects the simulator path (fast/reference), an optional
-/// observer and utilization collection.
+/// `sim_options` selects an optional observer, utilization and profile
+/// collection.
 ///
 /// `metrics` (optional) receives the cell's scheduler/regalloc/sim counters
 /// with ONE merge at cell end (the obs::Registry shard contract) plus a
@@ -184,14 +184,12 @@ RunOutcome compile_and_run_prebuilt(const ir::Module& optimized,
                                     const opt::SuperblockOptions* superblocks = nullptr);
 
 /// Compile `workload` for `machine` through the standard pipeline and run
-/// it once on the chosen path with `observer` attached, returning the
-/// simulator's own verdict. Unlike compile_and_run, a Trapped or TimedOut
-/// run is a *result* here, not an error, and nothing is cross-checked
-/// against the reference interpreter — the flight-recorder exports
-/// (--vcd-out, --flight-dump) replay healthy and failing cells alike
-/// through this.
+/// it once with `observer` attached, returning the simulator's own
+/// verdict. Unlike compile_and_run, a Trapped or TimedOut run is a *result*
+/// here, not an error, and nothing is cross-checked against the reference
+/// interpreter — the harnesses' --trace, --vcd-out and --flight-dump replay
+/// healthy and failing cells alike through this.
 sim::ExecResult replay_with_observer(const workloads::Workload& workload,
-                                     const mach::Machine& machine, sim::ExecObserver* observer,
-                                     bool fast_path = true);
+                                     const mach::Machine& machine, sim::ExecObserver* observer);
 
 }  // namespace ttsc::report

@@ -30,8 +30,8 @@ class Matrix {
   /// configurations; each workload's module is built once and shared
   /// across machines). ParallelRunner produces the identical matrix using
   /// a thread pool — this serial path is the determinism reference.
-  /// `sim_options` selects the simulator path for every cell (e.g.
-  /// fast_path = false for the reference interpreters). `metrics`
+  /// `sim_options` applies to every cell (e.g. utilization or profile
+  /// collection). `metrics`
   /// (optional) receives every cell's compiler/scheduler/sim counters; the
   /// merged registry is byte-identical to a ParallelRunner sweep's at any
   /// thread count (all merge operations commute and each build/cell

@@ -267,10 +267,9 @@ Outcome run_protected_injection(const PreparedCell& cell, const FaultSpec& spec,
 /// their cycle, before that cycle's commits, so starting the window at the
 /// fault cycle loses nothing (see resil/forensics.hpp).
 DivergenceRecord run_forensic_replay(const PreparedCell& cell, const FaultSpec& spec,
-                                     std::uint64_t budget, std::uint64_t window_cycles) {
+                                     std::uint64_t budget) {
   ForensicsWindow window;
   window.start_cycle = spec.target == TargetKind::Imem ? 0 : spec.state.cycle;
-  window.window_cycles = window_cycles;
   CommitRecorder golden_rec(window);
   CommitRecorder faulty_rec(window);
 
@@ -282,7 +281,7 @@ DivergenceRecord run_forensic_replay(const PreparedCell& cell, const FaultSpec& 
   // forensic analysis a small fixed multiple of one injection instead of
   // two full program runs.
   const std::uint64_t replay_budget =
-      std::min(budget, window.start_cycle + window_cycles + 1);
+      std::min(budget, window.start_cycle + window.window_cycles + 1);
   const auto replay = [&](const sim::Engine& engine, sim::SimOptions opts, CommitRecorder& rec) {
     ir::Memory mem = cell.initial_mem;
     opts.observer = &rec;
@@ -753,8 +752,7 @@ CampaignReport run_campaign(const CampaignOptions& options) {
                 specs[i].target == TargetKind::Imem ? 0 : specs[i].state.cycle;
             attempt_twice(
                 [&] {
-                  rec.divergence =
-                      run_forensic_replay(cell, specs[i], budget, options.forensics_window);
+                  rec.divergence = run_forensic_replay(cell, specs[i], budget);
                 },
                 [&] { rec.divergence = DivergenceRecord{}; });
             cr.forensics.push_back(rec);

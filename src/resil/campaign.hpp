@@ -209,8 +209,6 @@ struct CampaignOptions {
   /// max(1, injections_per_cell / 64), which keeps the two hardened
   /// replays per analyzed injection within ~5% of campaign throughput.
   int forensics_budget = 0;
-  /// Commit-recording window in cycles past the fault cycle.
-  std::uint64_t forensics_window = 4096;
   /// Adjacent double-bit upset fraction in permille (FaultPlan): 0 keeps
   /// the historical all-single-bit plan bit-identical.
   int double_bit_permille = 0;

@@ -93,31 +93,17 @@ void ScalarSim::use_predecoded(std::shared_ptr<const sim::PredecodedScalar> pred
 }
 
 ExecResult ScalarSim::run(std::uint64_t max_cycles) {
-  if (!options_.fast_path) return run_reference(max_cycles);
   if (predecoded_ == nullptr) {
     predecoded_ =
         std::make_shared<const sim::PredecodedScalar>(sim::predecode(program_, machine_));
   }
-  const bool harden =
-      options_.harden || options_.faults != nullptr || options_.protect != nullptr;
-  if (options_.profile != nullptr) {
-    if (options_.observer != nullptr) {
-      return harden ? run_fast<true, true, true>(max_cycles)
-                    : run_fast<true, false, true>(max_cycles);
-    }
-    return harden ? run_fast<false, true, true>(max_cycles)
-                  : run_fast<false, false, true>(max_cycles);
-  }
-  if (options_.observer != nullptr) {
-    return harden ? run_fast<true, true, false>(max_cycles)
-                  : run_fast<true, false, false>(max_cycles);
-  }
-  return harden ? run_fast<false, true, false>(max_cycles)
-                : run_fast<false, false, false>(max_cycles);
+  return sim::run_fast_loop(options_, [&]<bool kObserve, bool kHarden, bool kProfile> {
+    return run_fast<kObserve, kHarden, kProfile>(max_cycles);
+  });
 }
 
 ExecResult ScalarSim::resume(ScalarState state, std::uint64_t max_cycles) {
-  TTSC_ASSERT(options_.fast_path && options_.observer == nullptr && options_.profile == nullptr,
+  TTSC_ASSERT(options_.observer == nullptr && options_.profile == nullptr,
               "ScalarSim::resume runs the unobserved fast path");
   if (predecoded_ == nullptr) {
     predecoded_ =

@@ -68,9 +68,9 @@ struct ScalarState {
 /// the hazard/penalty model of mach::ScalarTiming (forwarding, load-use /
 /// multiply / shift stalls, taken-branch penalty, IMM prefix cycles).
 ///
-/// The default fast path executes a predecoded instruction form
-/// (sim/predecode.hpp); SimOptions{.fast_path = false} selects the original
-/// interpretive reference loop, which produces bit-identical ExecResults.
+/// run() executes a predecoded instruction form (sim/predecode.hpp);
+/// run_reference() is the original interpretive loop, which produces
+/// bit-identical ExecResults.
 class ScalarSim {
  public:
   ScalarSim(const ScalarProgram& program, const mach::Machine& machine, ir::Memory& memory,
@@ -90,10 +90,12 @@ class ScalarSim {
   /// (the lockstep engine resumes evicted lanes with it).
   ExecResult resume(ScalarState state, std::uint64_t max_cycles);
 
+  /// The interpretive reference loop: the oracle the tests hold run() to.
+  ExecResult run_reference(std::uint64_t max_cycles = 2'000'000'000ull);
+
  private:
   template <bool kObserve, bool kHarden, bool kProfile>
   ExecResult run_fast(std::uint64_t max_cycles, ScalarState* from = nullptr);
-  ExecResult run_reference(std::uint64_t max_cycles);
 
   const ScalarProgram& program_;
   const mach::Machine& machine_;

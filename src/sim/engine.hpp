@@ -37,8 +37,8 @@ class Engine {
 
   const mach::Machine& machine() const { return *machine_; }
 
-  /// One run on `mem` with the model's simulator: the predecoded fast path,
-  /// or the reference loop when !options.fast_path.
+  /// One run on `mem` with the model's simulator over the predecoded
+  /// program.
   ExecResult run(ir::Memory& mem, const SimOptions& options = {},
                  std::uint64_t max_cycles = 2'000'000'000ull) const;
 

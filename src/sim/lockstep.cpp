@@ -26,10 +26,10 @@
 #include <array>
 #include <bit>
 
+#include "sim/compute.hpp"
 #include "sim/harden.hpp"
 #include "sim/observer.hpp"
 #include "support/assert.hpp"
-#include "support/bits.hpp"
 
 namespace ttsc::sim {
 
@@ -126,15 +126,17 @@ std::uint64_t checksum_with_delta(const ir::Memory& leader, const MemDelta& delt
 
 namespace {
 
+/// A set of lanes: bit l is lane l (kMaxLanes lanes fit one word).
+using LaneMask = std::uint64_t;
+
+constexpr LaneMask lane_bit(int lane) { return LaneMask{1} << lane; }
+
 /// Call fn(lane) for every set bit.
 template <typename Fn>
-void for_lanes(const LaneMask& m, Fn&& fn) {
-  for (int wi = 0; wi < LaneMask::kWords; ++wi) {
-    std::uint64_t word = m.w[static_cast<std::size_t>(wi)];
-    while (word != 0) {
-      fn(wi * 64 + std::countr_zero(word));
-      word &= word - 1;
-    }
+void for_lanes(LaneMask m, Fn&& fn) {
+  while (m != 0) {
+    fn(std::countr_zero(m));
+    m &= m - 1;
   }
 }
 
@@ -160,14 +162,14 @@ struct LaneDiffs {
     value.assign(ids * static_cast<std::size_t>(lanes), 0u);
   }
 
-  bool dirty(int lane, std::size_t id) const { return mask[id].test(lane); }
+  bool dirty(int lane, std::size_t id) const { return (mask[id] & lane_bit(lane)) != 0; }
 
   std::uint32_t get(int lane, std::size_t id, std::uint32_t leader_value) const {
     return dirty(lane, id) ? value[static_cast<std::size_t>(lane) * n_ids + id] : leader_value;
   }
 
   void update_diff(int lane) {
-    const LaneMask bit = LaneMask::bit(lane);
+    const LaneMask bit = lane_bit(lane);
     if (delta[static_cast<std::size_t>(lane)].empty()) {
       delta_mask &= ~bit;
     } else {
@@ -183,9 +185,9 @@ struct LaneDiffs {
   /// Set-or-erase: record the lane's value at `id` against the value the
   /// leader holds (or is about to write) there.
   void set(int lane, std::size_t id, std::uint32_t lane_value, std::uint32_t leader_value) {
-    const LaneMask bit = LaneMask::bit(lane);
+    const LaneMask bit = lane_bit(lane);
     if (lane_value == leader_value) {
-      if ((mask[id] & bit).any()) {
+      if ((mask[id] & bit) != 0) {
         mask[id] &= ~bit;
         --dirty_count[static_cast<std::size_t>(lane)];
         update_diff(lane);
@@ -218,32 +220,34 @@ struct LaneDiffs {
 
 // ---- Batch bookkeeping -------------------------------------------------
 
-/// Live/evicted masks plus the per-lane fault cursors. Fault application is
-/// pointer-gated exactly like the scalar loops: every head entry whose cycle
-/// has been reached applies, in FaultSet array order per lane.
+/// Live mask, per-lane fault cursors and one outcome slot per lane. Fault
+/// application is pointer-gated exactly like the scalar loops: every head
+/// entry whose cycle has been reached applies, in FaultSet array order per
+/// lane.
 struct BatchCore {
   LaneDiffs d;
   int n_lanes = 0;
   LaneMask live = 0;
-  LaneMask evicted_mask = 0;
   LaneMask fault_pending = 0;
   std::array<const StateFault*, kMaxLanes> fcur{};
   std::array<const StateFault*, kMaxLanes> fend{};
   std::uint64_t next_due = ~0ull;
-  std::array<std::uint64_t, kMaxLanes> diverge_cycle{};
-  std::uint64_t divergences = 0;
+  /// An evicted lane's slot holds its own outcome from the eviction on; the
+  /// others are filled from the leader's at halt (assemble_batch).
+  std::vector<LaneOutcome> lanes;
   std::uint64_t evictions = 0;
 
   void init(std::size_t n_ids, std::span<const FaultSet> lane_faults) {
     n_lanes = static_cast<int>(lane_faults.size());
     TTSC_ASSERT(n_lanes >= 1 && n_lanes <= kMaxLanes, "lockstep: 1..kMaxLanes lanes per batch");
     d.init(n_ids, n_lanes);
-    live = LaneMask::first_n(n_lanes);
+    lanes.resize(static_cast<std::size_t>(n_lanes));
+    live = n_lanes == kMaxLanes ? ~LaneMask{0} : lane_bit(n_lanes) - 1;
     for (int l = 0; l < n_lanes; ++l) {
       const auto sl = static_cast<std::size_t>(l);
       fcur[sl] = lane_faults[sl].faults.data();
       fend[sl] = fcur[sl] + lane_faults[sl].faults.size();
-      if (fcur[sl] != fend[sl]) fault_pending |= LaneMask::bit(l);
+      if (fcur[sl] != fend[sl]) fault_pending |= lane_bit(l);
     }
     recompute_next_due();
   }
@@ -266,26 +270,23 @@ struct BatchCore {
         fn(l, *fcur[sl]);
         ++fcur[sl];
       }
-      if (fcur[sl] == fend[sl]) fault_pending &= ~LaneMask::bit(l);
+      if (fcur[sl] == fend[sl]) fault_pending &= ~lane_bit(l);
     });
     recompute_next_due();
   }
 
-  /// Remove a lane from lockstep. `proven` marks a detected control-flow /
-  /// timing divergence; conservative evictions (e.g. a dirty memory-address
-  /// operand) count as evictions only.
-  void evict(int lane, std::uint64_t cycle, bool proven) {
-    const LaneMask bit = LaneMask::bit(lane);
-    live &= ~bit;
-    evicted_mask |= bit;
-    diverge_cycle[static_cast<std::size_t>(lane)] = cycle;
+  /// Remove a lane whose control flow, timing or trap provably diverged
+  /// from the leader's at `cycle`. The caller fills the returned slot's
+  /// result and memory with the lane's own outcome before the leader moves
+  /// on.
+  LaneOutcome& evict(int lane, std::uint64_t cycle) {
+    live &= ~lane_bit(lane);
     ++evictions;
-    if (proven) ++divergences;
     recompute_next_due();
-  }
-
-  void evict_lanes(LaneMask lanes, std::uint64_t cycle, bool proven) {
-    for_lanes(lanes, [&](int l) { evict(l, cycle, proven); });
+    LaneOutcome& lo = lanes[static_cast<std::size_t>(lane)];
+    lo.evicted = true;
+    lo.diverge_cycle = cycle;
+    return lo;
   }
 
   /// True when no live lane can ever diverge from the leader again: no
@@ -295,22 +296,23 @@ struct BatchCore {
 
 // ---- Lane-side operand evaluation --------------------------------------
 
-/// Loads patched through a lane's memory delta (nullptr = leader view).
-[[gnu::always_inline]] inline std::uint32_t load8d(const ir::Memory& mem, const MemDelta* delta, std::uint32_t addr) {
-  if (delta != nullptr) {
-    if (const std::uint8_t* p = delta->find(addr)) return *p;
+/// A lane's memory as sim::compute reads it: the leader image with the
+/// lane's delta patched in.
+struct LaneMemory {
+  const ir::Memory& leader;
+  const MemDelta& delta;
+
+  std::uint8_t load8(std::uint32_t addr) const {
+    const std::uint8_t* p = delta.find(addr);
+    return p != nullptr ? *p : leader.load8(addr);
   }
-  return mem.load8(addr);
-}
-
-[[gnu::always_inline]] inline std::uint32_t load16d(const ir::Memory& mem, const MemDelta* delta, std::uint32_t addr) {
-  return load8d(mem, delta, addr) | (load8d(mem, delta, addr + 1) << 8);
-}
-
-[[gnu::always_inline]] inline std::uint32_t load32d(const ir::Memory& mem, const MemDelta* delta, std::uint32_t addr) {
-  return load8d(mem, delta, addr) | (load8d(mem, delta, addr + 1) << 8) |
-         (load8d(mem, delta, addr + 2) << 16) | (load8d(mem, delta, addr + 3) << 24);
-}
+  std::uint16_t load16(std::uint32_t addr) const {
+    return static_cast<std::uint16_t>(load8(addr) | (load8(addr + 1) << 8));
+  }
+  std::uint32_t load32(std::uint32_t addr) const {
+    return load16(addr) | (static_cast<std::uint32_t>(load16(addr + 2)) << 16);
+  }
+};
 
 /// Exact dirty-address store: lane `l` stores `lane_val` at `lane_addr`
 /// while the leader is about to store `leader_val` at `leader_addr` (`mem`
@@ -322,11 +324,11 @@ struct BatchCore {
 void store_diverged(LaneDiffs& d, int l, const ir::Memory& mem, int nbytes,
                     std::uint32_t leader_addr, std::uint32_t leader_val,
                     std::uint32_t lane_addr, std::uint32_t lane_val) {
-  const MemDelta& delta = d.delta[static_cast<std::size_t>(l)];
+  const LaneMemory lane_mem{mem, d.delta[static_cast<std::size_t>(l)]};
   std::array<std::uint8_t, 4> lane_pre{};
   for (int i = 0; i < nbytes; ++i) {
-    lane_pre[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(
-        load8d(mem, &delta, leader_addr + static_cast<std::uint32_t>(i)));
+    lane_pre[static_cast<std::size_t>(i)] =
+        lane_mem.load8(leader_addr + static_cast<std::uint32_t>(i));
   }
   for (int i = 0; i < nbytes; ++i) {
     d.mem_set(l, leader_addr + static_cast<std::uint32_t>(i),
@@ -341,38 +343,6 @@ void store_diverged(LaneDiffs& d, int l, const ir::Memory& mem, int nbytes,
             ? static_cast<std::uint8_t>(leader_val >> (8 * off))
             : static_cast<std::uint8_t>(mem.load8(x));
     d.mem_set(l, x, static_cast<std::uint8_t>(lane_val >> (8 * i)), leader_post);
-  }
-}
-
-/// One value-producing step, shared verbatim by leader (delta = nullptr)
-/// and lanes. Expression-identical to the run_fast compute switches.
-[[gnu::always_inline]] inline std::uint32_t lane_compute(Opcode op, std::uint32_t a, std::uint32_t b, const ir::Memory& mem,
-                           const MemDelta* delta) {
-  switch (op) {
-    case Opcode::Add: return a + b;
-    case Opcode::Sub: return a - b;
-    case Opcode::Mul: return a * b;
-    case Opcode::And: return a & b;
-    case Opcode::Ior: return a | b;
-    case Opcode::Xor: return a ^ b;
-    case Opcode::Shl: return a << (b & 31);
-    case Opcode::Shru: return a >> (b & 31);
-    case Opcode::Shr:
-      return static_cast<std::uint32_t>(static_cast<std::int32_t>(a) >> (b & 31));
-    case Opcode::Eq: return a == b ? 1 : 0;
-    case Opcode::Gt: return static_cast<std::int32_t>(a) > static_cast<std::int32_t>(b) ? 1 : 0;
-    case Opcode::Gtu: return a > b ? 1 : 0;
-    case Opcode::Sxhw: return static_cast<std::uint32_t>(sign_extend(a, 16));
-    case Opcode::Sxqw: return static_cast<std::uint32_t>(sign_extend(a, 8));
-    case Opcode::MovI:
-    case Opcode::Copy: return a;
-    case Opcode::Ldw: return load32d(mem, delta, a);
-    case Opcode::Ldh:
-      return static_cast<std::uint32_t>(sign_extend(load16d(mem, delta, a), 16));
-    case Opcode::Ldhu: return load16d(mem, delta, a);
-    case Opcode::Ldq: return static_cast<std::uint32_t>(sign_extend(load8d(mem, delta, a), 8));
-    case Opcode::Ldqu: return load8d(mem, delta, a);
-    default: TTSC_UNREACHABLE("lane_compute: unsupported opcode");
   }
 }
 
@@ -407,26 +377,21 @@ void overlay_rf(const LaneDiffs& d, int l, std::uint32_t rf_slots, std::int64_t 
   }
 }
 
-/// Build the BatchResult: per lane, either the evicted lane's own run
-/// (`rerun`) or the leader result with the lane's overlays applied.
-template <typename OverlayFn, typename RerunFn>
+/// Build the BatchResult: evicted lanes keep the outcome their eviction
+/// stored; every other lane gets the leader result with its overlays.
+template <typename OverlayFn>
 BatchResult assemble_batch(BatchCore& core, ExecResult leader_result, ir::Memory leader_mem,
-                           OverlayFn&& overlay, RerunFn&& rerun) {
+                           OverlayFn&& overlay) {
   BatchResult out;
   out.leader = std::move(leader_result);
   out.leader_mem = std::move(leader_mem);
-  out.divergences = core.divergences;
+  out.divergences = core.evictions;
   out.evictions = core.evictions;
-  out.lanes.resize(static_cast<std::size_t>(core.n_lanes));
+  out.lanes = std::move(core.lanes);
   for (int l = 0; l < core.n_lanes; ++l) {
     const auto sl = static_cast<std::size_t>(l);
     LaneOutcome& lo = out.lanes[sl];
-    if (core.evicted_mask.test(l)) {
-      lo.evicted = true;
-      lo.diverge_cycle = core.diverge_cycle[sl];
-      rerun(l, lo);
-      continue;
-    }
+    if (lo.evicted) continue;
     lo.result = out.leader;
     overlay(l, lo.result);
     lo.delta = std::move(core.d.delta[sl]);
@@ -468,51 +433,32 @@ BatchResult run_scalar_batch(const scalar::ScalarProgram& program, const mach::M
   std::uint64_t cycle = static_cast<std::uint64_t>(timing.pipeline_stages - 1);  // fill
   std::uint32_t pc = 0;
 
-  // Resume points, one per evicted lane, captured before the divergent
-  // instruction issues. Until then a lane's state is the leader's plus its
-  // diffs — byte-identical to a standalone hardened run — so the lane
-  // resumes on ScalarSim's own fast loop from there instead of
-  // re-simulating the shared prefix from cycle 0.
-  struct Resume {
-    int lane;
-    scalar::ScalarState state;
-    ir::Memory mem;
-    FaultSet faults;  // the lane's faults still to apply
-  };
-  std::vector<Resume> resumes;
-  auto capture = [&](int l) {
+  // Every eviction happens before the divergent instruction issues. Until
+  // then a lane's state is the leader's plus its diffs — byte-identical to a
+  // standalone hardened run — so the lane resumes on ScalarSim's own fast
+  // loop from there instead of re-simulating the shared prefix from cycle 0.
+  auto evict = [&](int l) {
     const auto sl = static_cast<std::size_t>(l);
-    Resume r{l, {regs, ready, cycle, pc}, materialize(mem, d.delta[sl]),
-             FaultSet{std::vector<StateFault>(core.fcur[sl], core.fend[sl])}};
+    scalar::ScalarState state{regs, ready, cycle, pc};
     for (std::uint32_t id = 0; id < pre.rf_slots; ++id) {
-      if (d.dirty(l, id)) r.state.regs[id] = d.value[sl * d.n_ids + id];
+      if (d.dirty(l, id)) state.regs[id] = d.value[sl * d.n_ids + id];
     }
-    resumes.push_back(std::move(r));
-  };
-
-  auto rerun = [&](int lane, LaneOutcome& lo) {
-    for (Resume& r : resumes) {
-      if (r.lane == lane) {
-        SimOptions o;
-        o.harden = true;
-        o.faults = &r.faults;
-        scalar::ScalarSim s(program, machine, r.mem, o);
-        s.use_predecoded(pre_ptr);
-        lo.result = s.resume(std::move(r.state), max_cycles);
-        lo.mem.emplace(std::move(r.mem));
-        return;
-      }
-    }
-    // No capture (defensive fallback): full from-scratch hardened rerun.
-    rerun_lane<scalar::ScalarSim>(program, machine, pre_ptr, initial_mem,
-                                  lane_faults[static_cast<std::size_t>(lane)], max_cycles, lo);
+    const FaultSet rest{std::vector<StateFault>(core.fcur[sl], core.fend[sl])};
+    LaneOutcome& lo = core.evict(l, cycle);
+    lo.mem.emplace(materialize(mem, d.delta[sl]));
+    SimOptions o;
+    o.harden = true;
+    o.faults = &rest;
+    scalar::ScalarSim s(program, machine, *lo.mem, o);
+    s.use_predecoded(pre_ptr);
+    lo.result = s.resume(std::move(state), max_cycles);
   };
 
   // Halt: `ret_id` is the flat RF slot the return value was read from
   // (-1 when immediate or when the halt carries no return value).
   auto finish = [&](ExecResult leader, ir::Memory leader_mem, std::int64_t ret_id) {
     auto overlay = [&](int l, ExecResult& r) { overlay_rf(d, l, pre.rf_slots, ret_id, r); };
-    return assemble_batch(core, std::move(leader), std::move(leader_mem), overlay, rerun);
+    return assemble_batch(core, std::move(leader), std::move(leader_mem), overlay);
   };
 
   auto set_trap = [&](TrapReason reason, std::uint32_t detail) {
@@ -570,14 +516,9 @@ BatchResult run_scalar_batch(const scalar::ScalarProgram& program, const mach::M
       // amount differs runs a different number of cycles — proven timing
       // divergence (the result diff alone would be handled below).
       if (lanes_dirty && !in.b_imm) {
-        LaneMask divergent = 0;
         for_lanes(d.mask[in.b_slot] & core.live, [&](int l) {
-          if ((d.get(l, in.b_slot, b) & 31) != (b & 31)) {
-            divergent |= LaneMask::bit(l);
-            capture(l);
-          }
+          if ((d.get(l, in.b_slot, b) & 31) != (b & 31)) evict(l);
         });
-        core.evict_lanes(divergent, cycle, /*proven=*/true);
       }
       issue += static_cast<std::uint64_t>(timing.variable_shift_setup) +
                static_cast<std::uint64_t>(timing.variable_shift_per_bit) * (b & 31);
@@ -598,36 +539,27 @@ BatchResult run_scalar_batch(const scalar::ScalarProgram& program, const mach::M
           // below reads the lane's own address through its delta. Only a
           // lane failing the bounds check the leader passes behaves
           // differently (it traps) — proven divergence.
-          LaneMask oob = 0;
           for_lanes(d.mask[in.a_slot] & core.live, [&](int l) {
-            if (!mem_in_bounds(in.op, d.get(l, in.a_slot, a), mem.size())) {
-              oob |= LaneMask::bit(l);
-              capture(l);
-            }
+            if (!mem_in_bounds(in.op, d.get(l, in.a_slot, a), mem.size())) evict(l);
           });
-          core.evict_lanes(oob, cycle, /*proven=*/true);
         } else if (!leader_ok) {
           // The leader traps here; any dirty-address lane's TrapInfo detail
           // would differ — proven.
-          for_lanes(d.mask[in.a_slot] & core.live, [&](int l) { capture(l); });
-          core.evict_lanes(d.mask[in.a_slot] & core.live, cycle, /*proven=*/true);
+          for_lanes(d.mask[in.a_slot] & core.live, evict);
         } else {
           // Dirty store addresses stay exact too: store_diverged rewrites
           // the lane's delta over the leader's range and the lane's own.
           // Only a lane failing the bounds check traps — proven divergence.
           const int nbytes = mem_access_bytes(in.op);
-          LaneMask oob = 0;
           for_lanes(d.mask[in.a_slot] & core.live, [&](int l) {
             const std::uint32_t la = d.get(l, in.a_slot, a);
             if (!mem_in_bounds(in.op, la, mem.size())) {
-              oob |= LaneMask::bit(l);
-              capture(l);
+              evict(l);
               return;
             }
             const std::uint32_t lb = in.b_imm ? b : d.get(l, in.b_slot, b);
             store_diverged(d, l, mem, nbytes, a, b, la, lb);
           });
-          core.evict_lanes(oob, cycle, /*proven=*/true);
         }
       }
       if (!leader_ok) {
@@ -681,14 +613,9 @@ BatchResult run_scalar_batch(const scalar::ScalarProgram& program, const mach::M
       case Opcode::Bnz: {
         const bool taken = a != 0;
         if (lanes_dirty && !in.a_imm) {
-          LaneMask divergent = 0;
           for_lanes(d.mask[in.a_slot] & core.live, [&](int l) {
-            if ((d.get(l, in.a_slot, a) != 0) != taken) {
-              divergent |= LaneMask::bit(l);
-              capture(l);
-            }
+            if ((d.get(l, in.a_slot, a) != 0) != taken) evict(l);
           });
-          core.evict_lanes(divergent, cycle, /*proven=*/true);
         }
         cycle = issue + 1 + (taken ? static_cast<std::uint64_t>(timing.branch_penalty) : 0ull);
         pc = taken ? in.target_pc : pc + 1;
@@ -703,7 +630,7 @@ BatchResult run_scalar_batch(const scalar::ScalarProgram& program, const mach::M
                       in.a_imm ? -1 : static_cast<std::int32_t>(in.a_slot));
       }
       default: {
-        const std::uint32_t value = lane_compute(in.op, a, b, mem, nullptr);
+        const std::uint32_t value = compute(in.op, a, b, mem);
         if (in.dst_slot >= 0) {
           const std::size_t slot = static_cast<std::size_t>(in.dst_slot);
           if (lanes_dirty) {
@@ -714,15 +641,15 @@ BatchResult run_scalar_batch(const scalar::ScalarProgram& program, const mach::M
               for_lanes(d.delta_mask & core.live, [&](int l) {
                 if (d.delta[static_cast<std::size_t>(l)].overlaps(
                         a, static_cast<std::uint32_t>(mem_access_bytes(in.op)))) {
-                  affected |= LaneMask::bit(l);
+                  affected |= lane_bit(l);
                 }
               });
             }
             for_lanes(affected & core.live, [&](int l) {
               const std::uint32_t la = in.a_imm ? a : d.get(l, in.a_slot, a);
               const std::uint32_t lb = in.b_imm ? b : d.get(l, in.b_slot, b);
-              const std::uint32_t lv =
-                  lane_compute(in.op, la, lb, mem, &d.delta[static_cast<std::size_t>(l)]);
+              const std::uint32_t lv = compute(
+                  in.op, la, lb, LaneMemory{mem, d.delta[static_cast<std::size_t>(l)]});
               d.set(l, slot, lv, value);
             });
           }
@@ -784,38 +711,25 @@ BatchResult run_vliw_batch(const vliw::VliwProgram& program, const mach::Machine
   // Trap synthesis (see the TTA engine): a lane whose memory address is
   // provably out of bounds traps at exactly this cycle with state the
   // lockstep already holds, so its eviction needs no rerun.
-  struct SynthTrap {
-    int lane;
-    ExecResult res;
-    ir::Memory mem;
+  auto evict_trap = [&](int l, int unit, std::uint32_t lane_addr) {
+    LaneOutcome& lo = core.evict(l, cycle);
+    lo.result.status = ExecStatus::Trapped;
+    lo.result.trap = TrapInfo{TrapReason::MemoryOutOfRange, cycle, unit, lane_addr};
+    lo.result.cycles = cycle;
+    lo.result.rf_state = regs;
+    overlay_rf(d, l, pre.rf_slots, -1, lo.result);
+    lo.mem.emplace(materialize(mem, d.delta[static_cast<std::size_t>(l)]));
   };
-  std::vector<SynthTrap> synths;
-  auto synth_trap = [&](int l, int unit, std::uint32_t lane_addr) {
-    ExecResult r;
-    r.status = ExecStatus::Trapped;
-    r.trap = TrapInfo{TrapReason::MemoryOutOfRange, cycle, unit, lane_addr};
-    r.cycles = cycle;
-    r.rf_state = regs;
-    overlay_rf(d, l, pre.rf_slots, -1, r);
-    synths.push_back(
-        SynthTrap{l, std::move(r), materialize(mem, d.delta[static_cast<std::size_t>(l)])});
-  };
-
-  auto rerun = [&](int lane, LaneOutcome& lo) {
-    for (SynthTrap& st : synths) {
-      if (st.lane == lane) {
-        lo.result = std::move(st.res);
-        lo.mem.emplace(std::move(st.mem));
-        return;
-      }
-    }
+  // Any other divergence reruns the lane from cycle 0.
+  auto evict_rerun = [&](int l) {
     rerun_lane<vliw::VliwSim>(program, machine, pre_ptr, initial_mem,
-                              lane_faults[static_cast<std::size_t>(lane)], max_cycles, lo);
+                              lane_faults[static_cast<std::size_t>(l)], max_cycles,
+                              core.evict(l, cycle));
   };
 
   auto finish = [&](ExecResult leader, ir::Memory leader_mem, std::int64_t ret_id) {
     auto overlay = [&](int l, ExecResult& r) { overlay_rf(d, l, pre.rf_slots, ret_id, r); };
-    return assemble_batch(core, std::move(leader), std::move(leader_mem), overlay, rerun);
+    return assemble_batch(core, std::move(leader), std::move(leader_mem), overlay);
   };
 
   auto set_trap = [&](TrapReason reason, int unit, std::uint32_t detail) {
@@ -885,36 +799,31 @@ BatchResult run_vliw_batch(const vliw::VliwProgram& program, const mach::Machine
           if (lanes_dirty && !op.a_imm) {
             if (ir::is_load(op.op) && leader_ok) {
               // Dirty load addresses stay exact (see the scalar engine).
-              LaneMask oob = 0;
               for_lanes(d.mask[op.a_slot] & core.live, [&](int l) {
                 const std::uint32_t la = d.get(l, op.a_slot, a);
-                if (!mem_in_bounds(op.op, la, mem.size())) {
-                  oob |= LaneMask::bit(l);
-                  synth_trap(l, op.fu, la);
-                }
+                if (!mem_in_bounds(op.op, la, mem.size())) evict_trap(l, op.fu, la);
               });
-              core.evict_lanes(oob, cycle, /*proven=*/true);
             } else if (!leader_ok) {
               for_lanes(d.mask[op.a_slot] & core.live, [&](int l) {
                 const std::uint32_t la = d.get(l, op.a_slot, a);
-                if (!mem_in_bounds(op.op, la, mem.size())) synth_trap(l, op.fu, la);
+                if (!mem_in_bounds(op.op, la, mem.size())) {
+                  evict_trap(l, op.fu, la);
+                } else {
+                  evict_rerun(l);
+                }
               });
-              core.evict_lanes(d.mask[op.a_slot] & core.live, cycle, /*proven=*/true);
             } else {
               // Dirty store addresses stay exact (see the scalar engine).
               const int nbytes = mem_access_bytes(op.op);
-              LaneMask oob = 0;
               for_lanes(d.mask[op.a_slot] & core.live, [&](int l) {
                 const std::uint32_t la = d.get(l, op.a_slot, a);
                 if (!mem_in_bounds(op.op, la, mem.size())) {
-                  oob |= LaneMask::bit(l);
-                  synth_trap(l, op.fu, la);
+                  evict_trap(l, op.fu, la);
                   return;
                 }
                 const std::uint32_t lb = op.b_imm ? b : d.get(l, op.b_slot, b);
                 store_diverged(d, l, mem, nbytes, a, b, la, lb);
               });
-              core.evict_lanes(oob, cycle, /*proven=*/true);
             }
           }
           if (!leader_ok) {
@@ -962,11 +871,9 @@ BatchResult run_vliw_batch(const vliw::VliwProgram& program, const mach::Machine
           case Opcode::Bnz: {
             const bool taken = a != 0;
             if (lanes_dirty && !op.a_imm) {
-              LaneMask divergent = 0;
               for_lanes(d.mask[op.a_slot] & core.live, [&](int l) {
-                if ((d.get(l, op.a_slot, a) != 0) != taken) divergent |= LaneMask::bit(l);
+                if ((d.get(l, op.a_slot, a) != 0) != taken) evict_rerun(l);
               });
-              core.evict_lanes(divergent, cycle, /*proven=*/true);
             }
             if (taken) {
               transfer_in = machine.delay_slots;
@@ -981,7 +888,7 @@ BatchResult run_vliw_batch(const vliw::VliwProgram& program, const mach::Machine
             return finish(std::move(result), std::move(mem),
                           op.a_imm ? -1 : static_cast<std::int32_t>(op.a_slot));
           default: {
-            const std::uint32_t value = lane_compute(op.op, a, b, mem, nullptr);
+            const std::uint32_t value = compute(op.op, a, b, mem);
             if (op.dst_slot >= 0) {
               std::size_t row = wb_idx + static_cast<std::size_t>(op.latency) + 1;
               if (row >= ring) row -= ring;  // latency + 1 < ring: one wrap at most
@@ -995,15 +902,15 @@ BatchResult run_vliw_batch(const vliw::VliwProgram& program, const mach::Machine
                   for_lanes(d.delta_mask & core.live, [&](int l) {
                     if (d.delta[static_cast<std::size_t>(l)].overlaps(
                             a, static_cast<std::uint32_t>(mem_access_bytes(op.op)))) {
-                      affected |= LaneMask::bit(l);
+                      affected |= lane_bit(l);
                     }
                   });
                 }
                 for_lanes(affected & core.live, [&](int l) {
                   const std::uint32_t la = op.a_imm ? a : d.get(l, op.a_slot, a);
                   const std::uint32_t lb = op.b_imm ? b : d.get(l, op.b_slot, b);
-                  const std::uint32_t lv =
-                      lane_compute(op.op, la, lb, mem, &d.delta[static_cast<std::size_t>(l)]);
+                  const std::uint32_t lv = compute(
+                      op.op, la, lb, LaneMemory{mem, d.delta[static_cast<std::size_t>(l)]});
                   d.set(l, eid, lv, value);
                 });
               }
@@ -1046,8 +953,8 @@ BatchResult run_vliw_batch(const vliw::VliwProgram& program, const mach::Machine
 // destination's diff at the commit phase that consumes them, mirroring the
 // leader's data flow; guard values are stored as 0/1 words. A lane whose
 // guard-squash or Bnz decision differs from the leader's is evicted as a
-// proven divergence; a dirty trigger value on a memory operation (the
-// address) is a conservative eviction.
+// proven divergence, and so is one whose memory address is out of bounds
+// on one side only.
 
 BatchResult run_tta_batch(const tta::TtaProgram& program, const mach::Machine& machine,
                           std::shared_ptr<const PredecodedTta> pre_ptr,
@@ -1140,39 +1047,26 @@ BatchResult run_tta_batch(const tta::TtaProgram& program, const mach::Machine& m
   // out of bounds traps at exactly this cycle, before any further state
   // change — its standalone hardened run's result is fully determined by
   // the lane's state view, so the rerun is skipped.
-  struct SynthTrap {
-    int lane;
-    ExecResult res;
-    ir::Memory mem;
+  auto evict_trap = [&](int l, int fu, std::uint32_t lane_addr) {
+    LaneOutcome& lo = core.evict(l, cycle);
+    lo.result.status = ExecStatus::Trapped;
+    lo.result.trap = TrapInfo{TrapReason::MemoryOutOfRange, cycle, fu, lane_addr};
+    lo.result.cycles = cycle;
+    lo.result.rf_state = rf;
+    lo.result.guard_state = guard_regs;
+    overlay(l, lo.result, -1);
+    lo.mem.emplace(materialize(mem, d.delta[static_cast<std::size_t>(l)]));
   };
-  std::vector<SynthTrap> synths;
-  auto synth_trap = [&](int l, int fu, std::uint32_t lane_addr) {
-    ExecResult r;
-    r.status = ExecStatus::Trapped;
-    r.trap = TrapInfo{TrapReason::MemoryOutOfRange, cycle, fu, lane_addr};
-    r.cycles = cycle;
-    r.rf_state = rf;
-    r.guard_state = guard_regs;
-    overlay(l, r, -1);
-    synths.push_back(
-        SynthTrap{l, std::move(r), materialize(mem, d.delta[static_cast<std::size_t>(l)])});
-  };
-
-  auto rerun = [&](int lane, LaneOutcome& lo) {
-    for (SynthTrap& st : synths) {
-      if (st.lane == lane) {
-        lo.result = std::move(st.res);
-        lo.mem.emplace(std::move(st.mem));
-        return;
-      }
-    }
+  // Any other divergence reruns the lane from cycle 0.
+  auto evict_rerun = [&](int l) {
     rerun_lane<tta::TtaSim>(program, machine, pre_ptr, initial_mem,
-                            lane_faults[static_cast<std::size_t>(lane)], max_cycles, lo);
+                            lane_faults[static_cast<std::size_t>(l)], max_cycles,
+                            core.evict(l, cycle));
   };
 
   auto finish = [&](ExecResult leader, ir::Memory leader_mem, std::int64_t ret_id) {
     auto overlay_lane = [&](int l, ExecResult& r) { overlay(l, r, ret_id); };
-    return assemble_batch(core, std::move(leader), std::move(leader_mem), overlay_lane, rerun);
+    return assemble_batch(core, std::move(leader), std::move(leader_mem), overlay_lane);
   };
 
   auto set_trap = [&](TrapReason reason, int unit, std::uint32_t detail) {
@@ -1312,12 +1206,10 @@ BatchResult run_tta_batch(const tta::TtaProgram& program, const mach::Machine& m
             // A lane whose squash decision differs executes a different move
             // set from here on: proven divergence.
             const std::size_t gid = gbase + static_cast<std::size_t>(mv.guard);
-            LaneMask divergent = 0;
             for_lanes(d.mask[gid] & core.live, [&](int l) {
               const bool lg = d.get(l, gid, g ? 1u : 0u) != 0;
-              if ((lg == mv.guard_negate) != squash) divergent |= LaneMask::bit(l);
+              if ((lg == mv.guard_negate) != squash) evict_rerun(l);
             });
-            core.evict_lanes(divergent, cycle, /*proven=*/true);
           }
           if (squash) continue;
         }
@@ -1385,11 +1277,9 @@ BatchResult run_tta_batch(const tta::TtaProgram& program, const mach::Machine& m
             case TtaPMove::Fire::Bnz: {
               const bool taken = fu_operand[fu] != 0;
               if (lanes_dirty) {
-                LaneMask divergent = 0;
                 for_lanes(d.mask[foid] & core.live, [&](int l) {
-                  if ((d.get(l, foid, fu_operand[fu]) != 0) != taken) divergent |= LaneMask::bit(l);
+                  if ((d.get(l, foid, fu_operand[fu]) != 0) != taken) evict_rerun(l);
                 });
-                core.evict_lanes(divergent, cycle, /*proven=*/true);
               }
               if (taken) {
                 transfer_in = machine.delay_slots;
@@ -1413,39 +1303,34 @@ BatchResult run_tta_batch(const tta::TtaProgram& program, const mach::Machine& m
           if (lanes_dirty) {
             if (ir::is_load(mv.opcode) && leader_ok) {
               // Dirty load addresses stay exact (see the scalar engine).
-              LaneMask oob = 0;
               for_lanes(src_mask(mv) & core.live, [&](int l) {
                 const std::uint32_t la = lane_src(l, mv);
                 if (!mem_in_bounds(mv.opcode, la, mem.size())) {
-                  oob |= LaneMask::bit(l);
-                  synth_trap(l, static_cast<int>(fu), la);
+                  evict_trap(l, static_cast<int>(fu), la);
                 }
               });
-              core.evict_lanes(oob, cycle, /*proven=*/true);
             } else if (!leader_ok) {
               for_lanes(src_mask(mv) & core.live, [&](int l) {
                 const std::uint32_t la = lane_src(l, mv);
                 if (!mem_in_bounds(mv.opcode, la, mem.size())) {
-                  synth_trap(l, static_cast<int>(fu), la);
+                  evict_trap(l, static_cast<int>(fu), la);
+                } else {
+                  evict_rerun(l);
                 }
               });
-              core.evict_lanes(src_mask(mv) & core.live, cycle, /*proven=*/true);
             } else {
               // Dirty store addresses stay exact (see the scalar engine).
               const int nbytes = mem_access_bytes(mv.opcode);
               const std::uint32_t data = fu_operand[fu];
-              LaneMask oob = 0;
               for_lanes(src_mask(mv) & core.live, [&](int l) {
                 const std::uint32_t la = lane_src(l, mv);
                 if (!mem_in_bounds(mv.opcode, la, mem.size())) {
-                  oob |= LaneMask::bit(l);
-                  synth_trap(l, static_cast<int>(fu), la);
+                  evict_trap(l, static_cast<int>(fu), la);
                   return;
                 }
                 store_diverged(d, l, mem, nbytes, f.value, data, la,
                                d.get(l, foid, data));
               });
-              core.evict_lanes(oob, cycle, /*proven=*/true);
             }
           }
           if (!leader_ok) {
@@ -1487,7 +1372,7 @@ BatchResult run_tta_batch(const tta::TtaProgram& program, const mach::Machine& m
             const bool input = mv.fire == TtaPMove::Fire::Input;
             const std::uint32_t a = input ? f.value : fu_operand[fu];
             const std::uint32_t b = input ? 0 : f.value;
-            const std::uint32_t v = lane_compute(mv.opcode, a, b, mem, nullptr);
+            const std::uint32_t v = compute(mv.opcode, a, b, mem);
             std::size_t col = ring_idx + static_cast<std::size_t>(mv.latency);
             if (col >= ring) col -= ring;  // latency < ring: one wrap at most
             InFlight* const entries = &ring_entry[col * nfus];
@@ -1503,7 +1388,7 @@ BatchResult run_tta_batch(const tta::TtaProgram& program, const mach::Machine& m
                 for_lanes(d.delta_mask & core.live, [&](int l) {
                   if (d.delta[static_cast<std::size_t>(l)].overlaps(
                           a, static_cast<std::uint32_t>(mem_access_bytes(mv.opcode)))) {
-                    affected |= LaneMask::bit(l);
+                    affected |= lane_bit(l);
                   }
                 });
               }
@@ -1511,8 +1396,8 @@ BatchResult run_tta_batch(const tta::TtaProgram& program, const mach::Machine& m
                 const std::uint32_t la =
                     input ? lane_src(l, mv) : d.get(l, foid, fu_operand[fu]);
                 const std::uint32_t lb = input ? 0 : lane_src(l, mv);
-                return lane_compute(mv.opcode, la, lb, mem,
-                                    &d.delta[static_cast<std::size_t>(l)]);
+                return compute(mv.opcode, la, lb,
+                               LaneMemory{mem, d.delta[static_cast<std::size_t>(l)]});
               };
               const std::size_t eid = rbase + col * nfus + e;
               if (e < n) {

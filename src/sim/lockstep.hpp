@@ -25,12 +25,12 @@
 // lane is marked diverged and **evicted**: its result comes from the
 // existing hardened single-run fast path (harden=true, same predecoded
 // program, same cycle budget), so sim/harden.hpp rules and TrapInfo
-// semantics are reused byte-for-byte rather than duplicated. A scalar lane
-// resumes there from the state lockstep captured at the eviction
-// (ScalarSim::resume); VLIW and TTA lanes rerun from cycle 0 unless the
-// eviction is a trap lockstep can state exactly. Eviction is the universal
-// correctness escape hatch: lockstep only ever handles the cases it can
-// represent exactly.
+// semantics are reused byte-for-byte rather than duplicated. That run
+// happens at the eviction, into the lane's outcome slot: a scalar lane
+// resumes from its state at that point (ScalarSim::resume); VLIW and TTA
+// lanes rerun from cycle 0 unless the eviction is a trap lockstep can
+// state exactly. Eviction is the universal correctness escape hatch:
+// lockstep only ever handles the cases it can represent exactly.
 //
 // Conversely a lane whose diffs all cancel (the flip was masked) converges:
 // once its dirty set, memory delta and fault queue are empty it can never
@@ -45,7 +45,6 @@
 // campaign keeps them on the scalar per-injection path.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -68,63 +67,6 @@ namespace ttsc::sim {
 /// single load-and-test; wider masks were measured to cost far more there
 /// than they save in shared leader runs.
 inline constexpr int kMaxLanes = 64;
-
-/// Fixed-width set of lanes. Only the operations the lockstep engines need;
-/// an implicit low-word constructor keeps `LaneMask m = 0;` and `m != 0`
-/// reading like the plain integer mask this started as.
-struct LaneMask {
-  static constexpr int kWords = kMaxLanes / 64;
-  std::array<std::uint64_t, kWords> w{};
-
-  constexpr LaneMask() = default;
-  constexpr LaneMask(std::uint64_t w0) : w{w0} {}  // NOLINT(google-explicit-constructor)
-
-  static constexpr LaneMask bit(int lane) {
-    LaneMask m;
-    m.w[static_cast<std::size_t>(lane) >> 6] = 1ull << (lane & 63);
-    return m;
-  }
-  /// The set {0, ..., n - 1} (n <= kMaxLanes).
-  static constexpr LaneMask first_n(int n) {
-    LaneMask m;
-    for (int i = 0; i < kWords; ++i) {
-      const int lo = i * 64;
-      if (n >= lo + 64) {
-        m.w[static_cast<std::size_t>(i)] = ~0ull;
-      } else if (n > lo) {
-        m.w[static_cast<std::size_t>(i)] = (1ull << (n - lo)) - 1;
-      }
-    }
-    return m;
-  }
-
-  constexpr bool test(int lane) const {
-    return ((w[static_cast<std::size_t>(lane) >> 6] >> (lane & 63)) & 1u) != 0;
-  }
-  constexpr bool any() const {
-    std::uint64_t o = 0;
-    for (const std::uint64_t x : w) o |= x;
-    return o != 0;
-  }
-  constexpr explicit operator bool() const { return any(); }
-
-  constexpr LaneMask& operator|=(const LaneMask& o) {
-    for (int i = 0; i < kWords; ++i) w[static_cast<std::size_t>(i)] |= o.w[static_cast<std::size_t>(i)];
-    return *this;
-  }
-  constexpr LaneMask& operator&=(const LaneMask& o) {
-    for (int i = 0; i < kWords; ++i) w[static_cast<std::size_t>(i)] &= o.w[static_cast<std::size_t>(i)];
-    return *this;
-  }
-  constexpr LaneMask operator~() const {
-    LaneMask m;
-    for (int i = 0; i < kWords; ++i) m.w[static_cast<std::size_t>(i)] = ~w[static_cast<std::size_t>(i)];
-    return m;
-  }
-  friend constexpr LaneMask operator|(LaneMask a, const LaneMask& b) { return a |= b; }
-  friend constexpr LaneMask operator&(LaneMask a, const LaneMask& b) { return a &= b; }
-  constexpr bool operator==(const LaneMask&) const = default;
-};
 
 /// Sparse per-lane memory diff against the leader image: sorted
 /// (address, lane byte) pairs with the exact-diff invariant — an entry
@@ -172,7 +114,8 @@ std::uint64_t checksum_with_delta(const ir::Memory& leader, const MemDelta& delt
 
 /// One lane's outcome. Exactly one of three shapes:
 ///  * evicted   — `result` and `mem` come from the lane's own hardened
-///                fast-path run (resumed or rerun, see the engines);
+///                fast-path run (resumed or rerun, see the engines) or,
+///                for an out-of-bounds access, the trap lockstep states;
 ///                `diverge_cycle` is the leader cycle the divergence was
 ///                detected at; `delta` is empty and `mem` is engaged.
 ///  * converged — the fault was fully masked: `result` is the leader's
@@ -197,8 +140,8 @@ struct BatchResult {
   std::vector<LaneOutcome> lanes;
   /// Lanes whose control flow / timing provably diverged from the leader.
   std::uint64_t divergences = 0;
-  /// Lanes evicted to the scalar path (divergences plus conservative
-  /// evictions such as a dirty memory-address operand).
+  /// Lanes evicted to their own run. Every eviction is a proven divergence
+  /// today, so this equals `divergences`.
   std::uint64_t evictions = 0;
 };
 

@@ -266,11 +266,6 @@ class ExecObserver {
 
 /// Per-run simulator configuration, accepted by all three simulators.
 struct SimOptions {
-  /// Execute over the predecoded program form (src/sim/predecode.hpp).
-  /// false selects the original interpretive loop — the cycle-exact
-  /// reference the fast path is differentially tested against.
-  bool fast_path = true;
-
   /// Cycle-level event sink; nullptr disables observation entirely.
   ExecObserver* observer = nullptr;
 
@@ -290,9 +285,10 @@ struct SimOptions {
   bool collect_profile = false;
 
   /// Fail-closed execution: bounds-check memory accesses (and apply
-  /// `faults`, when given) on the fast path, turning illegal states into
+  /// `faults`, when given), turning illegal states into
   /// ExecStatus::Trapped instead of assertions. Selected automatically
-  /// whenever `faults` is set; the reference loops always fail closed.
+  /// whenever `faults` or `protect` is set; the reference loops always fail
+  /// closed.
   /// Off (the default) keeps the no-fault fast path's cycle stream and
   /// instruction mix untouched.
   bool harden = false;
@@ -312,5 +308,27 @@ struct SimOptions {
   /// between runs.
   ProtectState* protect = nullptr;
 };
+
+/// Runs `loop.template operator()<kObserve, kHarden, kProfile>()` — a
+/// simulator's predecoded fast loop — instantiated for what `options`
+/// attaches: observer dispatch, fail-closed execution (asked for, or
+/// implied by faults or protection) and profile counting. The one place
+/// options pick a loop instantiation, so an unused feature costs nothing
+/// per cycle.
+template <typename Loop>
+decltype(auto) run_fast_loop(const SimOptions& options, Loop&& loop) {
+  const bool harden = options.harden || options.faults != nullptr || options.protect != nullptr;
+  switch ((options.observer != nullptr ? 4 : 0) | (harden ? 2 : 0) |
+          (options.profile != nullptr ? 1 : 0)) {
+    case 0: return loop.template operator()<false, false, false>();
+    case 1: return loop.template operator()<false, false, true>();
+    case 2: return loop.template operator()<false, true, false>();
+    case 3: return loop.template operator()<false, true, true>();
+    case 4: return loop.template operator()<true, false, false>();
+    case 5: return loop.template operator()<true, false, true>();
+    case 6: return loop.template operator()<true, true, false>();
+    default: return loop.template operator()<true, true, true>();
+  }
+}
 
 }  // namespace ttsc::sim

@@ -9,8 +9,8 @@
 // cycle).
 //
 // Two implementations of the same semantics live here:
-//  * run_reference — the original interpretive loop over TtaProgram,
-//    selected by SimOptions{.fast_path = false}; the differential baseline.
+//  * run_reference — the original interpretive loop over TtaProgram; the
+//    differential baseline the tests compare against.
 //  * run_fast<kObserve> — executes the predecoded flat form
 //    (sim/predecode.hpp): no per-cycle allocation, no latency lookups, FU
 //    in-flight results in a circular buffer instead of a priority queue,
@@ -22,11 +22,11 @@
 #include <algorithm>
 #include <queue>
 
+#include "sim/compute.hpp"
 #include "sim/fault.hpp"
 #include "sim/harden.hpp"
 #include "sim/predecode.hpp"
 #include "sim/protect.hpp"
-#include "support/bits.hpp"
 #include "tta/tta.hpp"
 
 namespace ttsc::tta {
@@ -64,54 +64,15 @@ struct RfWritePending {
   bool operator>(const RfWritePending& o) const { return visible_at > o.visible_at; }
 };
 
-std::uint32_t compute(Opcode op, std::uint32_t a, std::uint32_t b, ir::Memory& mem) {
-  switch (op) {
-    case Opcode::Add: return a + b;
-    case Opcode::Sub: return a - b;
-    case Opcode::Mul: return a * b;
-    case Opcode::And: return a & b;
-    case Opcode::Ior: return a | b;
-    case Opcode::Xor: return a ^ b;
-    case Opcode::Shl: return a << (b & 31);
-    case Opcode::Shru: return a >> (b & 31);
-    case Opcode::Shr: return static_cast<std::uint32_t>(static_cast<std::int32_t>(a) >> (b & 31));
-    case Opcode::Eq: return a == b ? 1 : 0;
-    case Opcode::Gt: return static_cast<std::int32_t>(a) > static_cast<std::int32_t>(b) ? 1 : 0;
-    case Opcode::Gtu: return a > b ? 1 : 0;
-    case Opcode::Sxhw: return static_cast<std::uint32_t>(sign_extend(a, 16));
-    case Opcode::Sxqw: return static_cast<std::uint32_t>(sign_extend(a, 8));
-    case Opcode::Ldw: return mem.load32(a);
-    case Opcode::Ldh: return static_cast<std::uint32_t>(sign_extend(mem.load16(a), 16));
-    case Opcode::Ldhu: return mem.load16(a);
-    case Opcode::Ldq: return static_cast<std::uint32_t>(sign_extend(mem.load8(a), 8));
-    case Opcode::Ldqu: return mem.load8(a);
-    default: TTSC_UNREACHABLE("compute: unsupported opcode");
-  }
-}
-
 }  // namespace
 
 ExecResult TtaSim::run(std::uint64_t max_cycles) {
-  if (!options_.fast_path) return run_reference(max_cycles);
   if (predecoded_ == nullptr) {
     predecoded_ = std::make_shared<const sim::PredecodedTta>(sim::predecode(program_, machine_));
   }
-  const bool harden =
-      options_.harden || options_.faults != nullptr || options_.protect != nullptr;
-  if (options_.profile != nullptr) {
-    if (options_.observer != nullptr) {
-      return harden ? run_fast<true, true, true>(max_cycles)
-                    : run_fast<true, false, true>(max_cycles);
-    }
-    return harden ? run_fast<false, true, true>(max_cycles)
-                  : run_fast<false, false, true>(max_cycles);
-  }
-  if (options_.observer != nullptr) {
-    return harden ? run_fast<true, true, false>(max_cycles)
-                  : run_fast<true, false, false>(max_cycles);
-  }
-  return harden ? run_fast<false, true, false>(max_cycles)
-                : run_fast<false, false, false>(max_cycles);
+  return sim::run_fast_loop(options_, [&]<bool kObserve, bool kHarden, bool kProfile> {
+    return run_fast<kObserve, kHarden, kProfile>(max_cycles);
+  });
 }
 
 template <bool kObserve, bool kHarden, bool kProfile>
@@ -453,7 +414,7 @@ ExecResult TtaSim::run_fast(std::uint64_t max_cycles) {
             const std::uint32_t a =
                 mv.fire == TtaPMove::Fire::Input ? f.value : fu_operand[fu];
             const std::uint32_t b = mv.fire == TtaPMove::Fire::Input ? 0 : f.value;
-            const std::uint32_t v = compute(mv.opcode, a, b, mem_);
+            const std::uint32_t v = sim::compute(mv.opcode, a, b, mem_);
             std::size_t col = ring_idx + static_cast<std::size_t>(mv.latency);
             if (col >= ring) col -= ring;  // latency < ring: one wrap at most
             InFlight* const entries = &ring_entry[col * nfus];
@@ -830,7 +791,8 @@ ExecResult TtaSim::run_reference(std::uint64_t max_cycles) {
               a = fu.operand;
               b = f.value;
             }
-            fu.in_flight.push({cycle + static_cast<std::uint64_t>(lat), compute(f.op, a, b, mem_)});
+            fu.in_flight.push(
+                {cycle + static_cast<std::uint64_t>(lat), sim::compute(f.op, a, b, mem_)});
             break;
           }
         }

@@ -158,11 +158,10 @@ using ExecResult = sim::ExecResult;
 /// operations, results appear in the FU result register after the
 /// operation latency and stay until replaced.
 ///
-/// Two execution paths produce bit-identical ExecResults: the default fast
-/// path runs over a predecoded flat program form (sim/predecode.hpp) with
-/// no per-cycle allocation or lookup, while SimOptions{.fast_path = false}
-/// selects the original interpretive reference loop the fast path is
-/// differentially tested against.
+/// Two execution paths produce bit-identical ExecResults: run() executes a
+/// predecoded flat program form (sim/predecode.hpp) with no per-cycle
+/// allocation or lookup, while run_reference() is the original
+/// interpretive loop the tests hold run() to.
 class TtaSim {
  public:
   TtaSim(const TtaProgram& program, const mach::Machine& machine, ir::Memory& memory,
@@ -175,10 +174,12 @@ class TtaSim {
 
   ExecResult run(std::uint64_t max_cycles = 2'000'000'000ull);
 
+  /// The interpretive reference loop: the oracle the tests hold run() to.
+  ExecResult run_reference(std::uint64_t max_cycles = 2'000'000'000ull);
+
  private:
   template <bool kObserve, bool kHarden, bool kProfile>
   ExecResult run_fast(std::uint64_t max_cycles);
-  ExecResult run_reference(std::uint64_t max_cycles);
 
   const TtaProgram& program_;
   const mach::Machine& machine_;

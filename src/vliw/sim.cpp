@@ -1,8 +1,8 @@
 // Cycle-accurate VLIW bundle-stepping simulator.
 //
 // Two implementations of the same semantics live here:
-//  * run_reference — the original interpretive loop over VliwProgram,
-//    selected by SimOptions{.fast_path = false}; the differential baseline.
+//  * run_reference — the original interpretive loop over VliwProgram; the
+//    differential baseline the tests compare against.
 //  * run_fast<kObserve> — executes the predecoded flat form
 //    (sim/predecode.hpp): no per-cycle FU-latency scans, registers in one
 //    flat array, and the write-back priority queue replaced by a circular
@@ -58,26 +58,12 @@ struct PendingWrite {
 }  // namespace
 
 ExecResult VliwSim::run(std::uint64_t max_cycles) {
-  if (!options_.fast_path) return run_reference(max_cycles);
   if (predecoded_ == nullptr) {
     predecoded_ = std::make_shared<const sim::PredecodedVliw>(sim::predecode(program_, machine_));
   }
-  const bool harden =
-      options_.harden || options_.faults != nullptr || options_.protect != nullptr;
-  if (options_.profile != nullptr) {
-    if (options_.observer != nullptr) {
-      return harden ? run_fast<true, true, true>(max_cycles)
-                    : run_fast<true, false, true>(max_cycles);
-    }
-    return harden ? run_fast<false, true, true>(max_cycles)
-                  : run_fast<false, false, true>(max_cycles);
-  }
-  if (options_.observer != nullptr) {
-    return harden ? run_fast<true, true, false>(max_cycles)
-                  : run_fast<true, false, false>(max_cycles);
-  }
-  return harden ? run_fast<false, true, false>(max_cycles)
-                : run_fast<false, false, false>(max_cycles);
+  return sim::run_fast_loop(options_, [&]<bool kObserve, bool kHarden, bool kProfile> {
+    return run_fast<kObserve, kHarden, kProfile>(max_cycles);
+  });
 }
 
 template <bool kObserve, bool kHarden, bool kProfile>

@@ -111,9 +111,9 @@ std::string disassemble(const VliwProgram& program, const mach::Machine& machine
 /// control transfer with delay-slot execution, and squashing of younger
 /// control operations once a transfer is pending.
 ///
-/// The default fast path executes a predecoded flat form
-/// (sim/predecode.hpp); SimOptions{.fast_path = false} selects the original
-/// interpretive reference loop, which produces bit-identical ExecResults.
+/// run() executes a predecoded flat form (sim/predecode.hpp);
+/// run_reference() is the original interpretive loop, which produces
+/// bit-identical ExecResults.
 class VliwSim {
  public:
   VliwSim(const VliwProgram& program, const mach::Machine& machine, ir::Memory& memory,
@@ -126,10 +126,12 @@ class VliwSim {
 
   ExecResult run(std::uint64_t max_cycles = 2'000'000'000ull);
 
+  /// The interpretive reference loop: the oracle the tests hold run() to.
+  ExecResult run_reference(std::uint64_t max_cycles = 2'000'000'000ull);
+
  private:
   template <bool kObserve, bool kHarden, bool kProfile>
   ExecResult run_fast(std::uint64_t max_cycles);
-  ExecResult run_reference(std::uint64_t max_cycles);
 
   const VliwProgram& program_;
   const mach::Machine& machine_;

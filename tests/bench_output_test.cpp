@@ -121,12 +121,14 @@ TEST(BenchOutput, UnknownFlagFailsWithUsage) {
 
   // Numeric values fail closed the same way: a value that is not a whole
   // number prints usage and exits 2 before anything runs, instead of
-  // silently running as 0 or as the default.
+  // silently running as 0 or as the default. --reference is no flag: the
+  // reference loops are reachable from tests only.
   const std::string table4 = TTSC_TABLE4_BIN;
   const std::string resil = TTSC_RESIL_BIN;
   const std::string err_path = tmp("bad_value_stderr.txt");
   for (const std::string& cmd :
-       {table4 + " --threads abc", table4 + " --threads=4x", "TTSC_THREADS=abc " + table4,
+       {table4 + " --reference", table4 + " --threads abc", table4 + " --threads=4x",
+        "TTSC_THREADS=abc " + table4,
         bin() + " --threads ''", resil + " --seed abc", resil + " --seed 7715x",
         resil + " --seed 010",
         resil + " --injections 1e3", resil + " --cell-timeout soon", resil + " --threads -",

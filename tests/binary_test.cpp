@@ -2,6 +2,9 @@
 // interconnect exploration.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
 #include "codegen/lower.hpp"
 #include "explore/explore.hpp"
 #include "fpga/imem.hpp"
@@ -22,7 +25,7 @@ struct Compiled {
   mach::Machine machine;
 };
 
-Compiled compile(const workloads::Workload& w, const char* machine_name) {
+Compiled compile(const workloads::Workload& w, const std::string& machine_name) {
   Compiled out{report::build_optimized(w), {}, mach::machine_by_name(machine_name)};
   const auto lowered = codegen::lower(out.module, "main", out.machine);
   out.program = schedule_tta(lowered.func, out.machine);
@@ -42,7 +45,9 @@ Simulated simulate(const Compiled& c, const TtaProgram& prog) {
   return {result, collector.report()};
 }
 
-class RoundTrip : public ::testing::TestWithParam<std::tuple<int, const char*>> {};
+// std::string, not const char*: gtest prints a pointer parameter's address
+// into the test name, which would then change with every build.
+class RoundTrip : public ::testing::TestWithParam<std::tuple<int, std::string>> {};
 
 TEST_P(RoundTrip, DecodeOfEncodeIsSemanticallyIdentical) {
   const auto& workload = workloads::all_workloads()[static_cast<std::size_t>(
@@ -81,7 +86,8 @@ TEST_P(RoundTrip, DecodeOfEncodeIsSemanticallyIdentical) {
 INSTANTIATE_TEST_SUITE_P(
     WorkloadsOnMachines, RoundTrip,
     ::testing::Combine(::testing::Range(0, 8),
-                       ::testing::Values("m-tta-1", "p-tta-2", "bm-tta-3")),
+                       ::testing::Values(std::string("m-tta-1"), std::string("p-tta-2"),
+                                         std::string("bm-tta-3"))),
     [](const auto& info) {
       std::string name = workloads::all_workloads()[static_cast<std::size_t>(
                              std::get<0>(info.param))].name +

@@ -129,15 +129,14 @@ template <typename RunFn>
 void record_run(const Compiled& c, const mach::Machine& machine, bool fast_path,
                 FlightRecorder& rec, RunFn&& check) {
   ir::Memory mem = report::make_loaded_memory(c.module);
-  sim::SimOptions opts;
-  opts.fast_path = fast_path;
-  opts.observer = &rec;
+  const sim::SimOptions opts{.observer = &rec};
+  const auto run = [&](auto&& sim) { return fast_path ? sim.run() : sim.run_reference(); };
   switch (machine.model) {
     case mach::Model::Scalar:
-      check(scalar::ScalarSim(c.scalar_prog, machine, mem, opts).run());
+      check(run(scalar::ScalarSim(c.scalar_prog, machine, mem, opts)));
       break;
-    case mach::Model::Vliw: check(vliw::VliwSim(c.vliw_prog, machine, mem, opts).run()); break;
-    case mach::Model::Tta: check(tta::TtaSim(c.tta_prog, machine, mem, opts).run()); break;
+    case mach::Model::Vliw: check(run(vliw::VliwSim(c.vliw_prog, machine, mem, opts))); break;
+    case mach::Model::Tta: check(run(tta::TtaSim(c.tta_prog, machine, mem, opts))); break;
   }
 }
 
@@ -299,7 +298,6 @@ TEST(FlightDump, RendersSchemaV1WithEventsAndTotals) {
   info.machine = machine.name;
   info.workload = "propgen-5eedc0de";
   info.engine = "tta";
-  info.path = "fast";
   info.status = "ok";
   info.cycles = cycles;
   info.ret = 42;

@@ -17,8 +17,11 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "mach/configs.hpp"
 #include "opt/superblock.hpp"
+#include "report/driver.hpp"
 #include "report/experiments.hpp"
 
 namespace ttsc {
@@ -44,10 +47,24 @@ std::string render_cycle_grid(const report::Matrix& matrix) {
   return out.str();
 }
 
+/// The reference loops, which sim::Engine never runs.
+sim::ExecResult run_reference(const scalar::ScalarProgram& program, const mach::Machine& machine,
+                              ir::Memory& mem) {
+  return scalar::ScalarSim(program, machine, mem).run_reference();
+}
+sim::ExecResult run_reference(const vliw::VliwProgram& program, const mach::Machine& machine,
+                              ir::Memory& mem) {
+  return vliw::VliwSim(program, machine, mem).run_reference();
+}
+sim::ExecResult run_reference(const tta::TtaProgram& program, const mach::Machine& machine,
+                              ir::Memory& mem) {
+  return tta::TtaSim(program, machine, mem).run_reference();
+}
+
 TEST(GoldenTable4, CycleGridMatchesSnapshot) {
-  // Serial driver on the default (fast) simulator path: the determinism
-  // reference. The differential suite separately proves fast == reference,
-  // so one sweep pins both paths.
+  // Serial driver on the predecoded simulator loops: the determinism
+  // reference. ReferenceLoopsMatchSnapshot below pins the interpretive
+  // reference loops to the same snapshot.
   const report::Matrix matrix = report::Matrix::run();
   const std::string got = render_cycle_grid(matrix);
 
@@ -67,6 +84,49 @@ TEST(GoldenTable4, CycleGridMatchesSnapshot) {
       << "cycle grid drifted from tests/golden/table4_cycles.txt; if the "
          "change is intentional, regenerate with TTSC_UPDATE_GOLDEN=1 and "
          "explain the drift in the commit message";
+}
+
+/// The same grid through the three interpretive reference loops, compiled
+/// exactly like the sweep above: every cell must end Ok with the golden
+/// interpreter's return value and output, and the cycle counts must equal
+/// the snapshot. A change to either loop's cycle accounting therefore fails
+/// this test or the one above.
+TEST(GoldenTable4, ReferenceLoopsMatchSnapshot) {
+  const std::vector<workloads::Workload>& suite = workloads::all_workloads();
+  std::vector<ir::Module> modules;
+  std::vector<report::GoldenOutcome> goldens;
+  std::ostringstream grid;
+  grid << "machine";
+  for (const workloads::Workload& w : suite) {
+    modules.push_back(report::build_optimized(w));
+    goldens.push_back(report::run_golden(w));
+    grid << ' ' << w.name;
+  }
+  grid << '\n';
+  for (const mach::Machine& machine : mach::all_machines()) {
+    grid << machine.name;
+    for (std::size_t i = 0; i < suite.size(); ++i) {
+      const workloads::Workload& w = suite[i];
+      const report::Backend backend = report::compile_backend(modules[i], w, machine);
+      ir::Memory mem = report::make_loaded_memory(backend.module);
+      const sim::ExecResult r = backend.engine.visit(
+          [&](const auto& program) { return run_reference(program, machine, mem); });
+      ASSERT_EQ(r.status, sim::ExecStatus::Ok) << machine.name << '/' << w.name;
+      EXPECT_EQ(r.ret, goldens[i].ret) << machine.name << '/' << w.name;
+      EXPECT_EQ(report::workload_output_checksum(backend.module, w, mem),
+                goldens[i].output_checksum)
+          << machine.name << '/' << w.name;
+      grid << ' ' << r.cycles;
+    }
+    grid << '\n';
+  }
+
+  std::ifstream in(golden_path());
+  ASSERT_TRUE(in.good()) << "missing golden snapshot " << golden_path();
+  std::stringstream want;
+  want << in.rdbuf();
+  EXPECT_EQ(want.str(), grid.str())
+      << "the reference loops' cycle grid differs from tests/golden/table4_cycles.txt";
 }
 
 /// The two-phase profile-guided superblock sweep, pinned the same way.

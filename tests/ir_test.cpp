@@ -160,8 +160,13 @@ TEST(Verify, RejectsWrongOperandCount) {
 
 // ---- interpreter semantics (one case per opcode class) -------------------------
 
+// gtest prints this parameter's bytes into each test's name, so the struct
+// has no padding bytes (they would be uninitialized): `op` is stored widened
+// to 32 bits.
 struct BinOpCase {
-  Opcode op;
+  BinOpCase(Opcode op, std::uint32_t a, std::uint32_t b, std::uint32_t expected)
+      : op(static_cast<std::uint32_t>(op)), a(a), b(b), expected(expected) {}
+  std::uint32_t op;
   std::uint32_t a;
   std::uint32_t b;
   std::uint32_t expected;
@@ -174,7 +179,7 @@ TEST_P(InterpBinOp, Evaluates) {
   Module m = simple_module([&](IRBuilder& b) {
     Vreg x = b.movi(static_cast<std::int32_t>(c.a));
     Vreg y = b.movi(static_cast<std::int32_t>(c.b));
-    b.ret(b.emit(c.op, {x, y}));
+    b.ret(b.emit(static_cast<Opcode>(c.op), {x, y}));
   });
   Interpreter interp(m);
   EXPECT_EQ(interp.run("main", {}).value, c.expected);

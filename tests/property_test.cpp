@@ -244,7 +244,7 @@ TEST(DifferentialFleet, SeededCorpusMatchesInterpreterOnAllModels) {
 /// ExecResult — cycles, timeout status, return value and the halt-time
 /// register-file/guard state — and a memory image
 /// bit-identical between the fast path and the reference interpreter loop
-/// (SimOptions{.fast_path = false}). Any divergence in tie-break handling,
+/// (run_reference()). Any divergence in tie-break handling,
 /// write-back timing or squash semantics shows up here as a field-level
 /// mismatch.
 TEST(FastPathDifferential, CycleExactOnAllMachineConfigs) {
@@ -288,23 +288,21 @@ TEST(FastPathDifferential, CycleExactOnAllMachineConfigs) {
         case mach::Model::Scalar: {
           const auto prog = scalar::emit_scalar(lowered.func);
           const auto fast = scalar::ScalarSim(prog, machine, fast_mem).run();
-          const auto ref =
-              scalar::ScalarSim(prog, machine, ref_mem, {.fast_path = false}).run();
+          const auto ref = scalar::ScalarSim(prog, machine, ref_mem).run_reference();
           if (!(fast == ref)) fail(machine, mismatch(fast.cycles, ref.cycles));
           break;
         }
         case mach::Model::Vliw: {
           const auto prog = vliw::schedule_vliw(lowered.func, machine);
           const auto fast = vliw::VliwSim(prog, machine, fast_mem).run();
-          const auto ref =
-              vliw::VliwSim(prog, machine, ref_mem, {.fast_path = false}).run();
+          const auto ref = vliw::VliwSim(prog, machine, ref_mem).run_reference();
           if (!(fast == ref)) fail(machine, mismatch(fast.cycles, ref.cycles));
           break;
         }
         case mach::Model::Tta: {
           const auto prog = tta::schedule_tta(lowered.func, machine);
           const auto fast = tta::TtaSim(prog, machine, fast_mem).run();
-          const auto ref = tta::TtaSim(prog, machine, ref_mem, {.fast_path = false}).run();
+          const auto ref = tta::TtaSim(prog, machine, ref_mem).run_reference();
           if (!(fast == ref)) fail(machine, mismatch(fast.cycles, ref.cycles));
           break;
         }
@@ -357,22 +355,22 @@ TEST(ProfileDifferential, ByteIdenticalFastVsReferenceOnAllMachineConfigs) {
       prof::CycleProfiler profiler(sp);
       sim::ProfileCounts counts = prof::make_profile_counts(sp);
       sim::SimOptions opts;
-      opts.fast_path = fast;
       opts.observer = &profiler;
       opts.profile = &counts;
       ir::Memory mem = report::make_loaded_memory(mod);
+      const auto run = [&](auto&& sim) { return fast ? sim.run() : sim.run_reference(); };
       std::uint64_t cycles = 0;
       sim::ExecStatus status = sim::ExecStatus::Trapped;
       if constexpr (std::is_same_v<std::decay_t<decltype(prog)>, scalar::ScalarProgram>) {
-        const auto r = scalar::ScalarSim(prog, m, mem, opts).run();
+        const auto r = run(scalar::ScalarSim(prog, m, mem, opts));
         cycles = r.cycles;
         status = r.status;
       } else if constexpr (std::is_same_v<std::decay_t<decltype(prog)>, vliw::VliwProgram>) {
-        const auto r = vliw::VliwSim(prog, m, mem, opts).run();
+        const auto r = run(vliw::VliwSim(prog, m, mem, opts));
         cycles = r.cycles;
         status = r.status;
       } else {
-        const auto r = tta::TtaSim(prog, m, mem, opts).run();
+        const auto r = run(tta::TtaSim(prog, m, mem, opts));
         cycles = r.cycles;
         status = r.status;
       }

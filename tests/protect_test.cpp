@@ -51,11 +51,11 @@ tta::ExecResult run_tta_protected(const tta::TtaProgram& prog, const mach::Machi
                                   bool fast_path, ir::Memory* final_mem = nullptr) {
   ir::Memory mem(1 << 16);
   sim::SimOptions opts;
-  opts.fast_path = fast_path;
   opts.harden = true;
   opts.faults = faults;
   opts.protect = prot;
-  const tta::ExecResult r = tta::TtaSim(prog, m, mem, opts).run(100000);
+  tta::TtaSim sim(prog, m, mem, opts);
+  const tta::ExecResult r = fast_path ? sim.run(100000) : sim.run_reference(100000);
   if (final_mem != nullptr) *final_mem = std::move(mem);
   return r;
 }
@@ -65,11 +65,11 @@ scalar::ExecResult run_scalar_protected(const scalar::ScalarProgram& prog,
                                         sim::ProtectState* prot, bool fast_path) {
   ir::Memory mem(1 << 16);
   sim::SimOptions opts;
-  opts.fast_path = fast_path;
   opts.harden = true;
   opts.faults = faults;
   opts.protect = prot;
-  return scalar::ScalarSim(prog, m, mem, opts).run(100000);
+  scalar::ScalarSim sim(prog, m, mem, opts);
+  return fast_path ? sim.run(100000) : sim.run_reference(100000);
 }
 
 mach::Protection profile(const char* name) {
@@ -399,26 +399,26 @@ TEST(ProtectZeroFault, SixtyFourSeedFleetMatchesUnprotectedGoldens) {
       sim::ProtectState prot(prot_machine.protect);
       ir::Memory mem = cell.initial_mem;
       sim::SimOptions opts;
-      opts.fast_path = fast;
       opts.harden = true;
       opts.protect = &prot;
+      const auto run = [&](auto& sim) { return fast ? sim.run() : sim.run_reference(); };
       switch (cell.machine.model) {
         case mach::Model::Scalar: {
           scalar::ScalarSim sim(*cell.scalar_prog, prot_machine, mem, opts);
           sim.use_predecoded(cell.scalar_pre);
-          EXPECT_EQ(sim.run(), cell.scalar_golden) << base << " seed " << seed;
+          EXPECT_EQ(run(sim), cell.scalar_golden) << base << " seed " << seed;
           break;
         }
         case mach::Model::Vliw: {
           vliw::VliwSim sim(*cell.vliw_prog, prot_machine, mem, opts);
           sim.use_predecoded(cell.vliw_pre);
-          EXPECT_EQ(sim.run(), cell.vliw_golden) << base << " seed " << seed;
+          EXPECT_EQ(run(sim), cell.vliw_golden) << base << " seed " << seed;
           break;
         }
         case mach::Model::Tta: {
           tta::TtaSim sim(*cell.tta_prog, prot_machine, mem, opts);
           sim.use_predecoded(cell.tta_pre);
-          EXPECT_EQ(sim.run(), cell.tta_golden) << base << " seed " << seed;
+          EXPECT_EQ(run(sim), cell.tta_golden) << base << " seed " << seed;
           break;
         }
       }

@@ -81,11 +81,10 @@ inline tta::ExecResult run_tta(const TtaProgram& prog, const mach::Machine& mach
                                ir::Memory* final_mem = nullptr) {
   ir::Memory mem(1 << 16);
   sim::SimOptions opts;
-  opts.fast_path = fast_path;
   opts.harden = true;
   opts.faults = faults;
   tta::TtaSim sim(prog, machine, mem, opts);
-  const tta::ExecResult r = sim.run(100000);
+  const tta::ExecResult r = fast_path ? sim.run(100000) : sim.run_reference(100000);
   if (final_mem != nullptr) *final_mem = std::move(mem);
   return r;
 }
@@ -96,11 +95,10 @@ inline scalar::ExecResult run_scalar(const scalar::ScalarProgram& prog,
                                      ir::Memory* final_mem = nullptr) {
   ir::Memory mem(1 << 16);
   sim::SimOptions opts;
-  opts.fast_path = fast_path;
   opts.harden = true;
   opts.faults = faults;
   scalar::ScalarSim sim(prog, machine, mem, opts);
-  const scalar::ExecResult r = sim.run(100000);
+  const scalar::ExecResult r = fast_path ? sim.run(100000) : sim.run_reference(100000);
   if (final_mem != nullptr) *final_mem = std::move(mem);
   return r;
 }
@@ -110,11 +108,10 @@ inline vliw::ExecResult run_vliw(const vliw::VliwProgram& prog, const mach::Mach
                                  ir::Memory* final_mem = nullptr) {
   ir::Memory mem(1 << 16);
   sim::SimOptions opts;
-  opts.fast_path = fast_path;
   opts.harden = true;
   opts.faults = faults;
   vliw::VliwSim sim(prog, machine, mem, opts);
-  const vliw::ExecResult r = sim.run(100000);
+  const vliw::ExecResult r = fast_path ? sim.run(100000) : sim.run_reference(100000);
   if (final_mem != nullptr) *final_mem = std::move(mem);
   return r;
 }

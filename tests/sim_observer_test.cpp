@@ -443,8 +443,12 @@ std::vector<std::string> record_events(const ProgT& prog, const mach::Machine& m
                                        bool fast_path) {
   ir::Memory mem(1 << 12);
   RecordingObserver rec;
-  SimT sim(prog, m, mem, {.fast_path = fast_path, .observer = &rec});
-  sim.run(100000);
+  SimT sim(prog, m, mem, {.observer = &rec});
+  if (fast_path) {
+    sim.run(100000);
+  } else {
+    sim.run_reference(100000);
+  }
   return rec.events();
 }
 
@@ -649,7 +653,7 @@ TEST(Timeout, VliwReportsTimeoutWithExecutedCycles) {
   EXPECT_EQ(fast.cycles, 100u);
 
   ir::Memory ref_mem(1 << 12);
-  const auto ref = vliw::VliwSim(p, m, ref_mem, {.fast_path = false}).run(100);
+  const auto ref = vliw::VliwSim(p, m, ref_mem).run_reference(100);
   EXPECT_EQ(fast, ref);
 }
 
@@ -669,7 +673,7 @@ TEST(Timeout, ScalarReportsTimeoutWithExecutedCycles) {
   EXPECT_GT(collector.report().total_triggers(), 0u);  // instructions did execute
 
   ir::Memory ref_mem(1 << 12);
-  const auto ref = scalar::ScalarSim(p, m, ref_mem, {.fast_path = false}).run(200);
+  const auto ref = scalar::ScalarSim(p, m, ref_mem).run_reference(200);
   EXPECT_EQ(fast, ref);
 }
 

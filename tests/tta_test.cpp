@@ -252,8 +252,8 @@ TEST(Sim, CycleLimitReportsTimeout) {
 
   // The reference path reports the identical timeout result.
   ir::Memory ref_mem = report::make_loaded_memory(built.module);
-  TtaSim ref(built.program, built.machine, ref_mem, {.fast_path = false});
-  EXPECT_EQ(ref.run(10000), r);
+  TtaSim ref(built.program, built.machine, ref_mem);
+  EXPECT_EQ(ref.run_reference(10000), r);
 }
 
 // ---- scheduling across machine variants ---------------------------------------------------
