@@ -112,6 +112,13 @@ inline const std::vector<CounterDoc>& counter_docs() {
     d.push_back({"resil.batch.lanes", "lockstep lanes simulated"});
     d.push_back({"resil.batch.divergences", "lanes diverged from golden"});
     d.push_back({"resil.batch.evictions", "lanes evicted to scalar replay"});
+    for (const char* path :
+         {"scalar", "batched-converged", "batched-in-diff", "evicted", "imem-analytic"}) {
+      // One path per injection (resil::InjectionPath): its own engine run, a
+      // lockstep lane that reconverged / finished in its diff / was evicted,
+      // or a protected imem fault resolved from the golden fetch table.
+      d.push_back({std::string("resil.path.") + path, "injections served by this path"});
+    }
     d.push_back({"resil.cells.run", "resilience cells campaigned"});
     d.push_back({"resil.cells.err", "resilience cells that failed"});
 

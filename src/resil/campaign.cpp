@@ -10,6 +10,7 @@
 #include "mach/configs.hpp"
 #include "obs/json.hpp"
 #include "report/driver.hpp"
+#include "report/module_cache.hpp"
 #include "resil/inject.hpp"
 #include "sim/collectors.hpp"
 #include "sim/engine.hpp"
@@ -31,8 +32,9 @@ const workloads::Workload& workload_by_name(const std::string& name) {
 
 /// Everything one cell's injections share: the engine over the scheduled
 /// program (every state-fault run reuses its predecoded form; instruction
-/// faults get an engine over their mutated copy), the fault-free golden run
-/// and the memory images around it.
+/// faults get an engine over their mutated copy), the fault-free golden run,
+/// the memory images around it and, on machines with an imem code, the
+/// golden run's fetch table.
 struct PreparedCell {
   const workloads::Workload* workload = nullptr;
   /// The backend-prepared module: memory layout and output globals.
@@ -46,12 +48,17 @@ struct PreparedCell {
   ir::Memory initial_mem;
   ir::Memory golden_mem;
   std::uint64_t imem_bits = 0;
+  /// First-fetch cycle per instruction/bundle index in the golden run,
+  /// recorded only when the machine protects its imem (empty otherwise):
+  /// protected imem faults resolve from it (resolve_imem_fetches).
+  sim::FetchTable fetches;
 
   const mach::Machine& machine() const { return engine.machine(); }
 };
 
 /// The backend compile of `optimized` for `machine` plus its fault-free
-/// golden run (with `observer` attached, when given).
+/// golden run (with `observer` attached, when given, and the fetch table
+/// recording when the machine protects its imem).
 PreparedCell compile_golden(const ir::Module& optimized, const workloads::Workload& w,
                             const mach::Machine& machine, const opt::ProfileData* profile,
                             sim::ExecObserver* observer) {
@@ -59,8 +66,10 @@ PreparedCell compile_golden(const ir::Module& optimized, const workloads::Worklo
                                                     {.superblocks = true});
   ir::Memory initial = report::make_loaded_memory(backend.module);
   ir::Memory mem = initial;
+  sim::FetchTable fetches;
+  sim::TeeObserver tee(observer, &fetches);
   sim::SimOptions opts;
-  opts.observer = observer;
+  opts.observer = machine.protect.imem != mach::Protection::Code::None ? &tee : observer;
   sim::ExecResult golden = backend.engine.run(mem, opts);
   if (golden.status != sim::ExecStatus::Ok) {
     throw Error(format("golden run did not complete: %s", sim::exec_status_name(golden.status)));
@@ -74,17 +83,18 @@ PreparedCell compile_golden(const ir::Module& optimized, const workloads::Worklo
                       .golden_checksum = checksum,
                       .initial_mem = std::move(initial),
                       .golden_mem = std::move(mem),
-                      .imem_bits = bits};
+                      .imem_bits = bits,
+                      .fetches = std::move(fetches)};
 }
 
 /// The cell as the driver compiles it. With `superblocks`, the two-phase
 /// compile of report::compile_and_run_prebuilt: the ordinary schedule's
 /// golden run doubles as the profiling run, and the trace schedule formed
 /// along it replaces the ordinary one only when it is no slower.
+/// `optimized` is `w`'s optimized module, built once per campaign.
 PreparedCell prepare_cell(const std::string& machine_name, const workloads::Workload& w,
-                          bool superblocks = false) {
+                          const ir::Module& optimized, bool superblocks) {
   const mach::Machine machine = mach::machine_by_name(machine_name);
-  const ir::Module optimized = report::build_optimized(w);
   sim::ProfileCollector collector;
   PreparedCell cell =
       compile_golden(optimized, w, machine, nullptr, superblocks ? &collector : nullptr);
@@ -143,6 +153,18 @@ Outcome run_injection(const PreparedCell& cell, const FaultSpec& spec, std::uint
                                 : cell.engine.run(mem, opts, budget);
   return classify(cell, r, mem, latent);
 }
+
+/// Index-addressed injection outcome: the reduction reads slots in order,
+/// so tallies are thread-count and lane-grouping independent.
+struct Slot {
+  TargetKind target = TargetKind::Rf;
+  Outcome outcome = Outcome::Err;
+  bool latent = false;
+  InjectionPath path = InjectionPath::Scalar;
+  /// Per-injection protection/recovery activity (protected machines only) —
+  /// reduced into CellReport::protect in index order.
+  ProtectStats prot{};
+};
 
 /// Decide what the imem code does with the corrupted codeword(s) and poison
 /// the fetch path accordingly. Returns true when the corruption escapes the
@@ -214,24 +236,42 @@ Outcome resolve_detection(const FaultSpec& spec, const mach::Protection& cfg,
   return Outcome::Detected;
 }
 
-/// run_injection for a protected machine: the same hardened simulators with
-/// a sim::ProtectState attached, plus campaign-side imem codeword decisions
-/// and analytic checkpoint-rollback resolution of detections.
-Outcome run_protected_injection(const PreparedCell& cell, const FaultSpec& spec,
-                                std::uint64_t budget, const mach::Protection& cfg,
-                                bool& latent, ProtectStats& stats) {
-  latent = false;
+/// The protected run of the *pristine* program with imem poisons at `pc0`
+/// and `pc1` (equal for a one-codeword fault), resolved from the golden
+/// run's fetch table instead of simulated. Exact: only
+/// ProtectState::check_imem_fetch acts on an imem poison, and until it
+/// detects, the run executes exactly the golden run. So each poisoned
+/// codeword is checked first at its golden first fetch, in that order; a
+/// correctable one scrubs there (later fetches, and a repeated pc, are
+/// clean) and a detectable one traps there. Returns the ProtectionDetected
+/// trap cycle, or nullopt when the run completes like golden.
+std::optional<std::uint64_t> resolve_imem_fetches(const sim::FetchTable& fetches,
+                                                  std::uint32_t pc0, std::uint32_t pc1,
+                                                  sim::ProtectState& prot) {
+  if (fetches.first_fetch(pc1) < fetches.first_fetch(pc0)) std::swap(pc0, pc1);
+  for (const std::uint32_t pc : {pc0, pc1}) {
+    if (!fetches.fetched(pc)) break;  // never fetched, and neither is a later pc
+    if (prot.check_imem_fetch(pc) == sim::ProtectState::ImemAction::Detected) {
+      return fetches.first_fetch(pc);
+    }
+  }
+  return std::nullopt;
+}
+
+/// run_injection for a protected machine, into `s`: the same hardened
+/// simulators with a sim::ProtectState attached, plus campaign-side imem
+/// codeword decisions and analytic checkpoint-rollback resolution of
+/// detections.
+void run_protected_injection(const PreparedCell& cell, const FaultSpec& spec,
+                             std::uint64_t budget, const mach::Protection& cfg, Slot& s) {
   sim::ProtectState prot(cfg);
-  ir::Memory mem = cell.initial_mem;
-  sim::FaultSet fs;
-  sim::SimOptions opts = injection_options(spec, fs);
-  opts.protect = &prot;
+  std::optional<std::uint64_t> detect_cycle;  // of a ProtectionDetected trap
 
   // Imem faults: locate the corrupted codeword(s) and let the declared code
-  // decide — escape (run the mutated program), correctable or detectable
-  // poison (run the pristine program; the fetch check fires if and when the
-  // pc actually reaches the poisoned index, so never-fetched corruption
-  // stays masked exactly like the unprotected model).
+  // decide. An escape runs the mutated program. A correctable or detectable
+  // poison leaves the pristine program, whose run the golden fetch table
+  // resolves without an engine: never-fetched corruption stays masked
+  // exactly like the unprotected model.
   bool imem_escape = false;
   if (spec.target == TargetKind::Imem) {
     const auto [pc0, pc1] = cell.engine.visit([&](const auto& program) {
@@ -241,23 +281,38 @@ Outcome run_protected_injection(const PreparedCell& cell, const FaultSpec& spec,
                                   : first};
     });
     imem_escape = poison_imem(cfg.imem, spec.imem_width, pc0, pc1, prot);
+    if (!imem_escape) {
+      s.path = InjectionPath::ImemAnalytic;
+      s.outcome = Outcome::Masked;  // unless detected: the golden run itself
+      detect_cycle = resolve_imem_fetches(cell.fetches, pc0, pc1, prot);
+    }
   }
-  const sim::ExecResult r = imem_escape ? mutated_engine(cell, spec).run(mem, opts, budget)
-                                        : cell.engine.run(mem, opts, budget);
+  if (s.path == InjectionPath::Scalar) {
+    ir::Memory mem = cell.initial_mem;
+    sim::FaultSet fs;
+    sim::SimOptions opts = injection_options(spec, fs);
+    opts.protect = &prot;
+    const sim::ExecResult r = imem_escape ? mutated_engine(cell, spec).run(mem, opts, budget)
+                                          : cell.engine.run(mem, opts, budget);
+    if (r.status == sim::ExecStatus::Trapped &&
+        r.trap.reason == sim::TrapReason::ProtectionDetected) {
+      detect_cycle = r.trap.cycle;
+    } else {
+      s.outcome = classify(cell, r, mem, s.latent);
+    }
+  }
 
-  stats.rf_corrected += prot.rf_corrected;
-  stats.rf_detected += prot.rf_detected;
-  stats.fu_detected += prot.fu_detected;
-  stats.guard_corrected += prot.guard_corrected;
-  stats.imem_corrected += prot.imem_corrected;
-  stats.imem_detected += prot.imem_detected;
-  if (r.status == sim::ExecStatus::Trapped &&
-      r.trap.reason == sim::TrapReason::ProtectionDetected) {
-    return resolve_detection(spec, cfg, r.trap.cycle, stats);
+  s.prot.rf_corrected = prot.rf_corrected;
+  s.prot.rf_detected = prot.rf_detected;
+  s.prot.fu_detected = prot.fu_detected;
+  s.prot.guard_corrected = prot.guard_corrected;
+  s.prot.imem_corrected = prot.imem_corrected;
+  s.prot.imem_detected = prot.imem_detected;
+  if (detect_cycle) {
+    s.outcome = resolve_detection(spec, cfg, *detect_cycle, s.prot);
+  } else if (s.outcome == Outcome::Masked && !s.latent && prot.corrections() > 0) {
+    s.outcome = Outcome::Corrected;
   }
-  const Outcome o = classify(cell, r, mem, latent);
-  if (o == Outcome::Masked && !latent && prot.corrections() > 0) return Outcome::Corrected;
-  return o;
 }
 
 /// One forensic replay pair: the fault-free and the faulted run, both
@@ -339,17 +394,6 @@ Outcome classify_lane(const PreparedCell& cell, const sim::LaneOutcome& lo,
   return Outcome::Masked;
 }
 
-/// Index-addressed injection outcome: the reduction reads slots in order,
-/// so tallies are thread-count and lane-grouping independent.
-struct Slot {
-  TargetKind target = TargetKind::Rf;
-  Outcome outcome = Outcome::Err;
-  bool latent = false;
-  /// Per-injection protection/recovery activity (protected machines only) —
-  /// reduced into CellReport::protect in index order.
-  ProtectStats prot{};
-};
-
 void accumulate(ProtectStats& into, const ProtectStats& s) {
   into.rf_corrected += s.rf_corrected;
   into.rf_detected += s.rf_detected;
@@ -399,9 +443,13 @@ BatchStats run_lane_group(const PreparedCell& cell, const std::vector<FaultSpec>
       cell.engine.run_batch(cell.initial_mem, lane_faults, budget, &cell.golden, &cell.golden_mem);
   for (std::size_t k = 0; k < count; ++k) {
     const std::size_t i = idxs[begin + k];
+    const sim::LaneOutcome& lane = br.lanes[k];
     Slot s;
     s.target = specs[i].target;
-    s.outcome = classify_lane(cell, br.lanes[k], br.leader_mem, s.latent);
+    s.outcome = classify_lane(cell, lane, br.leader_mem, s.latent);
+    s.path = lane.evicted     ? InjectionPath::Evicted
+             : lane.converged ? InjectionPath::BatchedConverged
+                              : InjectionPath::BatchedInDiff;
     slots[i] = s;
   }
   return BatchStats{count, br.divergences, br.evictions};
@@ -440,6 +488,10 @@ void export_cell_metrics(obs::Registry* registry, const CellReport& cr) {
     shard.add("recovery.recovered", cr.protect.recovered);
     shard.add("recovery.unrecoverable", cr.protect.unrecoverable);
     shard.add("recovery.cycles", cr.protect.recovery_cycles);
+  }
+  for (int p = 0; p < kNumInjectionPaths; ++p) {
+    shard.add(format("resil.path.%s", injection_path_name(static_cast<InjectionPath>(p))),
+              cr.paths[static_cast<std::size_t>(p)]);
   }
   if (cr.batch_lanes != 0) {
     shard.add("resil.batch.lanes", cr.batch_lanes);
@@ -531,6 +583,8 @@ CampaignReport run_campaign(const CampaignOptions& options) {
 
   std::optional<support::ThreadPool> pool;
   if (!options.serial) pool.emplace(options.threads);
+  // Each workload's front end and optimizer run once per campaign.
+  report::ModuleCache modules;
 
   for (const std::string& machine_name : options.machines) {
     for (const workloads::Workload* w : cell_workloads) {
@@ -544,7 +598,8 @@ CampaignReport run_campaign(const CampaignOptions& options) {
       cr.machine = machine_name;
       cr.workload = w->name;
       try {
-        const PreparedCell cell = prepare_cell(machine_name, *w, options.superblocks);
+        const PreparedCell cell =
+            prepare_cell(machine_name, *w, modules.get(*w), options.superblocks);
         cr.golden_cycles = cell.golden.cycles;
         cr.imem_bits = cell.imem_bits;
         mach::Protection prot_cfg = cell.machine().protect;
@@ -616,10 +671,8 @@ CampaignReport run_campaign(const CampaignOptions& options) {
                 [&] {
                   // Retry hygiene: a second attempt must not inherit the
                   // first attempt's partial protection stats.
-                  s.latent = false;
-                  s.prot = ProtectStats{};
-                  s.outcome =
-                      run_protected_injection(cell, specs[i], budget, prot_cfg, s.latent, s.prot);
+                  s = Slot{specs[i].target};
+                  run_protected_injection(cell, specs[i], budget, prot_cfg, s);
                 },
                 [&] { s = Slot{specs[i].target, Outcome::Err, false}; });
           } else {
@@ -629,10 +682,11 @@ CampaignReport run_campaign(const CampaignOptions& options) {
           slots[i] = s;
         };
 
-        // Protected cells always take the per-injection path: each injection
-        // owns a private sim::ProtectState (thread safety) and detection
-        // traps are per-lane control flow the lockstep batcher does not
-        // model. The unprotected report is unaffected.
+        // Protected cells never batch: each injection owns a private
+        // sim::ProtectState (thread safety) and detection traps are per-lane
+        // control flow the lockstep batcher does not model. Their imem
+        // faults mostly resolve without an engine run (resolve_imem_fetches).
+        // The unprotected report is unaffected.
         const bool use_batch = options.batch && !cr.protected_machine;
         if (!use_batch) {
           auto body = [&](std::size_t i) { scalar_injection(i); };
@@ -682,7 +736,8 @@ CampaignReport run_campaign(const CampaignOptions& options) {
                     group_stats[item] = BatchStats{};
                     for (std::size_t k = 0; k < count; ++k) {
                       const std::size_t i = state_idx[begin + k];
-                      slots[i] = Slot{specs[i].target, Outcome::Err, false};
+                      slots[i] = Slot{specs[i].target, Outcome::Err, false,
+                                      InjectionPath::BatchedInDiff};
                     }
                   });
             } else {
@@ -711,6 +766,7 @@ CampaignReport run_campaign(const CampaignOptions& options) {
         for (const Slot& s : slots) {
           TargetTally& tt = cr.targets[static_cast<std::size_t>(s.target)];
           ++tt.injections;
+          ++cr.paths[static_cast<std::size_t>(s.path)];
           switch (s.outcome) {
             case Outcome::Masked:
               ++tt.masked;

@@ -73,6 +73,38 @@ constexpr const char* outcome_name(Outcome o) {
   return "?";
 }
 
+/// How an injection's outcome was produced, exported as "resil.path.<name>"
+/// counters. Every injection of a cell counts under exactly one path:
+///
+///  * Scalar           — its own engine run (protected cells, unprotected
+///                       imem faults, `--no-batch`, escaped imem faults);
+///  * BatchedConverged — a lockstep lane that reconverged with the leader;
+///  * BatchedInDiff    — a lockstep lane that finished as a sparse diff (and
+///                       every lane of a group that failed twice);
+///  * Evicted          — a lockstep lane evicted to its own run;
+///  * ImemAnalytic     — a protected imem fault the code does not let escape,
+///                       resolved from the golden run's fetch table with no
+///                       engine run.
+enum class InjectionPath : std::uint8_t {
+  Scalar,
+  BatchedConverged,
+  BatchedInDiff,
+  Evicted,
+  ImemAnalytic,
+};
+constexpr int kNumInjectionPaths = 5;
+
+constexpr const char* injection_path_name(InjectionPath p) {
+  switch (p) {
+    case InjectionPath::Scalar: return "scalar";
+    case InjectionPath::BatchedConverged: return "batched-converged";
+    case InjectionPath::BatchedInDiff: return "batched-in-diff";
+    case InjectionPath::Evicted: return "evicted";
+    case InjectionPath::ImemAnalytic: return "imem-analytic";
+  }
+  return "?";
+}
+
 struct TargetTally {
   std::uint64_t injections = 0;
   std::uint64_t masked = 0;
@@ -163,6 +195,9 @@ struct CellReport {
   std::uint64_t batch_lanes = 0;
   std::uint64_t batch_divergences = 0;
   std::uint64_t batch_evictions = 0;
+  /// Injections per InjectionPath. Exported as "resil.path.*" counters and,
+  /// like the batch statistics, not part of the report table/JSON.
+  std::array<std::uint64_t, kNumInjectionPaths> paths{};
 
   /// First-divergence forensics (CampaignOptions::forensics): one record
   /// per analyzed SDC/latent injection, in injection-index order, bounded
@@ -187,8 +222,8 @@ struct CampaignOptions {
   std::vector<std::string> machines = {"mblaze-3", "m-vliw-2", "m-tta-2", "g-tta-2"};
   std::vector<std::string> workloads = {"blowfish", "sha"};
   /// Batched lockstep execution (sim/lockstep.hpp) for the non-imem fault
-  /// targets; instruction-memory faults always run the per-injection scalar
-  /// path. The report is byte-identical either way — `batch = false` is the
+  /// targets of unprotected cells; instruction-memory faults never batch.
+  /// The report is byte-identical either way — `batch = false` is the
   /// `--no-batch` escape hatch and the equivalence-test reference.
   bool batch = true;
   /// Lanes per lockstep batch, 1..sim::kMaxLanes (64). All lanes of a batch
@@ -227,9 +262,9 @@ struct CampaignOptions {
   /// cell so the rest of the grid still runs.
   double cell_timeout_seconds = 0.0;
   bool keep_going = false;
-  /// Optional metrics sink: "resil.<target>.<outcome>" counters plus
-  /// "resil.cells.run"/"resil.cells.err", merged once per cell; with
-  /// forensics on, also "forensics.*"; for protected cells, also
+  /// Optional metrics sink: "resil.<target>.<outcome>" and "resil.path.*"
+  /// counters plus "resil.cells.run"/"resil.cells.err", merged once per
+  /// cell; with forensics on, also "forensics.*"; for protected cells, also
   /// "protect.*" / "recovery.*".
   obs::Registry* registry = nullptr;
 

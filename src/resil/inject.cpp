@@ -1,5 +1,7 @@
 #include "resil/inject.hpp"
 
+#include <type_traits>
+
 #include "support/assert.hpp"
 
 namespace ttsc::resil {
@@ -15,10 +17,11 @@ constexpr int kOpcodeBits = 8;
 constexpr int kTargetBits = 16;
 constexpr int kGuardBits = 4;
 
-/// One walker serves both counting (target out of range: nothing flips,
-/// `pos` accumulates the bit total) and flipping (the field containing
-/// `target` gets one bit XORed). Using the same traversal for both keeps
-/// the bit numbering and the mutation in lockstep by construction.
+/// One walker serves counting, locating and flipping. `pos` accumulates the
+/// bit total; over a mutable program the field containing `target` gets one
+/// bit XORed, while a walk over a const program only counts. Using the same
+/// traversal for all three keeps the bit numbering and the mutation in
+/// lockstep by construction.
 struct BitCursor {
   std::uint64_t target;
   std::uint64_t pos = 0;
@@ -28,21 +31,25 @@ struct BitCursor {
 
   template <typename T>
   void field(T& v, int width) {
-    if (!flipped && target >= pos && target < pos + static_cast<std::uint64_t>(width)) {
-      v = static_cast<T>(static_cast<std::uint64_t>(v) ^ (1ull << (target - pos)));
-      flipped = true;
+    if constexpr (!std::is_const_v<T>) {
+      if (!flipped && target >= pos && target < pos + static_cast<std::uint64_t>(width)) {
+        v = static_cast<T>(static_cast<std::uint64_t>(v) ^ (1ull << (target - pos)));
+        flipped = true;
+      }
     }
     pos += static_cast<std::uint64_t>(width);
   }
 };
 
-void walk_move(tta::Move& mv, BitCursor& cur) {
+template <typename Move>  // tta::Move, const or not
+void walk_move(Move& mv, BitCursor& cur) {
+  constexpr bool kMutable = !std::is_const_v<Move>;
   // Guard specifier, encoded as guard+1 (0 = unconditional) so a flip of an
   // unconditional move can *gain* a guard and vice versa, and the decoded
   // index can never go below -1.
   int guard_enc = mv.guard + 1;
   cur.field(guard_enc, kGuardBits);
-  mv.guard = guard_enc - 1;
+  if constexpr (kMutable) mv.guard = guard_enc - 1;
 
   switch (mv.src.kind) {
     case tta::MoveSrc::Kind::Imm: cur.field(mv.src.imm, kImmBits); break;
@@ -59,7 +66,7 @@ void walk_move(tta::Move& mv, BitCursor& cur) {
       cur.field(mv.dst.unit, kFuBits);
       int op = static_cast<int>(mv.dst.opcode);
       cur.field(op, kOpcodeBits);
-      mv.dst.opcode = static_cast<ir::Opcode>(op);
+      if constexpr (kMutable) mv.dst.opcode = static_cast<ir::Opcode>(op);
       if (mv.is_control) cur.field(mv.target, kTargetBits);
       break;
     }
@@ -71,15 +78,16 @@ void walk_move(tta::Move& mv, BitCursor& cur) {
   }
 }
 
-void walk_minstr(codegen::MInstr& in, BitCursor& cur) {
+template <typename MInstr>  // codegen::MInstr, const or not
+void walk_minstr(MInstr& in, BitCursor& cur) {
   int op = static_cast<int>(in.op);
   cur.field(op, kOpcodeBits);
-  in.op = static_cast<ir::Opcode>(op);
+  if constexpr (!std::is_const_v<MInstr>) in.op = static_cast<ir::Opcode>(op);
   if (in.dst.valid()) {
     cur.field(in.dst.rf, kRfBits);
     cur.field(in.dst.index, kRegBits);
   }
-  for (codegen::MOperand& s : in.srcs) {
+  for (auto& s : in.srcs) {
     if (s.is_reg()) {
       cur.field(s.reg.rf, kRfBits);
       cur.field(s.reg.index, kRegBits);
@@ -87,32 +95,39 @@ void walk_minstr(codegen::MInstr& in, BitCursor& cur) {
       cur.field(s.imm, kImmBits);
     }
   }
-  for (std::uint32_t& t : in.targets) cur.field(t, kTargetBits);
+  for (auto& t : in.targets) cur.field(t, kTargetBits);
 }
 
-void walk_program(tta::TtaProgram& p, BitCursor& cur) {
-  for (tta::TtaInstruction& in : p.instrs) {
-    for (tta::Move& mv : in.moves) walk_move(mv, cur);
-  }
-}
-
-void walk_program(vliw::VliwProgram& p, BitCursor& cur) {
-  for (vliw::Bundle& b : p.bundles) {
-    for (auto& slot : b.slots) {
+/// One fetch unit — the pc-granular codeword: a TTA instruction, a VLIW
+/// bundle or a scalar instruction, const or not.
+template <typename Unit>
+void walk_unit(Unit& unit, BitCursor& cur) {
+  using U = std::remove_const_t<Unit>;
+  if constexpr (std::is_same_v<U, tta::TtaInstruction>) {
+    for (auto& mv : unit.moves) walk_move(mv, cur);
+  } else if constexpr (std::is_same_v<U, vliw::Bundle>) {
+    for (auto& slot : unit.slots) {
       if (slot.has_value()) walk_minstr(slot->instr, cur);
     }
+  } else {
+    walk_minstr(unit, cur);
   }
 }
 
-void walk_program(scalar::ScalarProgram& p, BitCursor& cur) {
-  for (codegen::MInstr& in : p.instrs) walk_minstr(in, cur);
+/// The program's fetch units in bit order.
+template <typename Program>
+auto& units_of(Program& program) {
+  if constexpr (std::is_same_v<std::remove_const_t<Program>, vliw::VliwProgram>) {
+    return program.bundles;
+  } else {
+    return program.instrs;
+  }
 }
 
 template <typename Program>
 std::uint64_t count_bits(const Program& program) {
-  Program copy = program;  // the counting walk never mutates, but keep const-correct
   BitCursor cur;
-  walk_program(copy, cur);
+  for (const auto& unit : units_of(program)) walk_unit(unit, cur);
   return cur.pos;
 }
 
@@ -120,9 +135,24 @@ template <typename Program>
 Program flip(const Program& program, std::uint64_t bit) {
   Program copy = program;
   BitCursor cur(bit);
-  walk_program(copy, cur);
+  for (auto& unit : units_of(copy)) walk_unit(unit, cur);
   TTSC_ASSERT(cur.flipped, "imem fault bit index out of range");
   return copy;
+}
+
+// Fetch-unit lookup via the same walker that defines the bit numbering (one
+// unit at a time, so the boundary bookkeeping can never drift from
+// flip_bit).
+template <typename Program>
+std::uint32_t unit_of_bit(const Program& program, std::uint64_t bit) {
+  const auto& units = units_of(program);
+  BitCursor cur;
+  for (std::size_t i = 0; i < units.size(); ++i) {
+    walk_unit(units[i], cur);
+    if (bit < cur.pos) return static_cast<std::uint32_t>(i);
+  }
+  TTSC_ASSERT(false, "imem fault bit index out of range");
+  return 0;
 }
 
 }  // namespace
@@ -141,44 +171,14 @@ scalar::ScalarProgram flip_bit(const scalar::ScalarProgram& program, std::uint64
   return flip(program, bit);
 }
 
-// Fetch-unit lookup via the same walker that defines the bit numbering (one
-// unit at a time, so the boundary bookkeeping can never drift from
-// flip_bit). The walk mutates nothing: the cursor's default target is out of
-// range.
-
 std::uint32_t imem_instr_of_bit(const tta::TtaProgram& program, std::uint64_t bit) {
-  tta::TtaProgram copy = program;
-  BitCursor cur;
-  for (std::size_t i = 0; i < copy.instrs.size(); ++i) {
-    for (tta::Move& mv : copy.instrs[i].moves) walk_move(mv, cur);
-    if (bit < cur.pos) return static_cast<std::uint32_t>(i);
-  }
-  TTSC_ASSERT(false, "imem fault bit index out of range");
-  return 0;
+  return unit_of_bit(program, bit);
 }
-
 std::uint32_t imem_instr_of_bit(const vliw::VliwProgram& program, std::uint64_t bit) {
-  vliw::VliwProgram copy = program;
-  BitCursor cur;
-  for (std::size_t i = 0; i < copy.bundles.size(); ++i) {
-    for (auto& slot : copy.bundles[i].slots) {
-      if (slot.has_value()) walk_minstr(slot->instr, cur);
-    }
-    if (bit < cur.pos) return static_cast<std::uint32_t>(i);
-  }
-  TTSC_ASSERT(false, "imem fault bit index out of range");
-  return 0;
+  return unit_of_bit(program, bit);
 }
-
 std::uint32_t imem_instr_of_bit(const scalar::ScalarProgram& program, std::uint64_t bit) {
-  scalar::ScalarProgram copy = program;
-  BitCursor cur;
-  for (std::size_t i = 0; i < copy.instrs.size(); ++i) {
-    walk_minstr(copy.instrs[i], cur);
-    if (bit < cur.pos) return static_cast<std::uint32_t>(i);
-  }
-  TTSC_ASSERT(false, "imem fault bit index out of range");
-  return 0;
+  return unit_of_bit(program, bit);
 }
 
 }  // namespace ttsc::resil

@@ -249,4 +249,9 @@ void ProfileCollector::on_block_enter(std::uint64_t, std::uint32_t block) {
   last_block_ = block;
 }
 
+void FetchTable::on_exec(std::uint64_t cycle, std::uint32_t pc, bool) {
+  if (first_.size() <= pc) first_.resize(pc + 1, kNever);
+  if (first_[pc] == kNever) first_[pc] = cycle;
+}
+
 }  // namespace ttsc::sim

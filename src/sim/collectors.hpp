@@ -9,6 +9,8 @@
 //  * ProfileCollector — per-block execution counts and block-to-block edge
 //    counts from on_block_enter events (the input to opt::ProfileData and
 //    profile-guided superblock formation).
+//  * FetchTable — the first cycle each instruction/bundle index is fetched
+//    (the resilience campaign's imem fetch table).
 #pragma once
 
 #include <array>
@@ -150,6 +152,27 @@ class ProfileCollector final : public ExecObserver {
   std::map<std::pair<std::uint32_t, std::uint32_t>, std::uint64_t> edge_counts_;
   bool have_last_ = false;
   std::uint32_t last_block_ = 0;
+};
+
+/// Observer that records the first cycle each instruction/bundle index is
+/// fetched: the first on_exec at that pc. All three fast loops run the
+/// protected-imem fetch check (ProtectState::check_imem_fetch) directly
+/// before on_exec, at the same pc and cycle, so a fault-free run's table
+/// says exactly whether and when a poisoned codeword would first be checked.
+class FetchTable final : public ExecObserver {
+ public:
+  static constexpr std::uint64_t kNever = UINT64_MAX;
+
+  void on_exec(std::uint64_t cycle, std::uint32_t pc, bool shadow) override;
+
+  /// The cycle `pc` was first fetched, or kNever.
+  std::uint64_t first_fetch(std::uint32_t pc) const {
+    return pc < first_.size() ? first_[pc] : kNever;
+  }
+  bool fetched(std::uint32_t pc) const { return first_fetch(pc) != kNever; }
+
+ private:
+  std::vector<std::uint64_t> first_;  // indexed by pc
 };
 
 }  // namespace ttsc::sim

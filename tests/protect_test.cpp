@@ -10,12 +10,18 @@
 //    to zero on fully protected machines, the pinned report golden
 //    (tests/golden/resil_protect.json), double-bit fault sampling, the
 //    cancellation and per-cell watchdog paths, and the FPGA cost model's
-//    additive protection overhead.
+//    additive protection overhead;
+//  * the golden fetch table protected imem faults resolve from: executed
+//    poisoned runs agree with it at every pc, campaign tallies equal an
+//    executed reference, and every injection counts under one serving path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <csignal>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -25,9 +31,12 @@
 #include "obs/metrics.hpp"
 #include "resil/campaign.hpp"
 #include "resil/fault_plan.hpp"
+#include "resil/inject.hpp"
+#include "sim/collectors.hpp"
 #include "sim/fault.hpp"
 #include "sim/protect.hpp"
 #include "support/assert.hpp"
+#include "support/thread_pool.hpp"
 #include "tta/tta.hpp"
 #include "tta/verify.hpp"
 
@@ -613,6 +622,390 @@ TEST(ProtectCampaign, ProtectCountersAreExportedAndDocumented) {
   EXPECT_EQ(registry.counter("protect.rf.corrected"), c.protect.rf_corrected);
   EXPECT_EQ(registry.counter("resil.rf.corrected"),
             c.targets[static_cast<std::size_t>(resil::TargetKind::Rf)].corrected);
+}
+
+// ---------------------------------------------------------------------------
+// Protected imem faults resolve from the golden run's fetch table
+// (sim::FetchTable) instead of re-simulating the pristine program.
+
+const workloads::Workload& workload_named(const std::string& name) {
+  for (const workloads::Workload& w : workloads::all_workloads()) {
+    if (w.name == name) return w;
+  }
+  ADD_FAILURE() << "no workload " << name;
+  return workloads::all_workloads().front();
+}
+
+/// A campaign cell compiled the way resil::run_campaign compiles it, with
+/// its fault-free golden run (and that run's fetch table).
+struct CompiledCell {
+  CompiledCell(const std::string& machine_name, const workloads::Workload& w,
+               const ir::Module& optimized)
+      : machine(mach::machine_by_name(machine_name)),
+        backend(report::compile_backend(optimized, w, machine, {}, nullptr, nullptr,
+                                        {.superblocks = true})),
+        initial(report::make_loaded_memory(backend.module)),
+        golden_mem(initial) {
+    sim::SimOptions opts;
+    opts.observer = &fetches;
+    golden = backend.engine.run(golden_mem, opts);
+    units = backend.engine.visit([](const auto& program) {
+      if constexpr (requires { program.bundles; }) {
+        return static_cast<std::uint32_t>(program.bundles.size());
+      } else {
+        return static_cast<std::uint32_t>(program.instrs.size());
+      }
+    });
+  }
+
+  mach::Machine machine;
+  report::Backend backend;
+  ir::Memory initial;
+  ir::Memory golden_mem;
+  sim::ExecResult golden;
+  sim::FetchTable fetches;
+  std::uint32_t units = 0;  // instructions / bundles
+};
+
+sim::SimOptions protected_options(sim::ProtectState* prot) {
+  sim::SimOptions opts;
+  opts.harden = true;
+  opts.protect = prot;
+  return opts;
+}
+
+class FetchTableExhaustive : public ::testing::TestWithParam<std::string> {};
+
+// Every pc of one scalar, one VLIW and one TTA cell: the executed pristine
+// run with that codeword poisoned agrees with the golden fetch table. A
+// detectable poison traps with ProtectionDetected exactly when the table
+// marks the pc fetched, at its first fetch; a correctable one scrubs once
+// and completes like golden when fetched, and leaves the run untouched
+// (masked) when not. mips leaves some codewords unfetched on all three
+// machines, so both sides of the rule run.
+TEST_P(FetchTableExhaustive, PoisonedRunsAgreeWithTheTableAtEveryPc) {
+  const workloads::Workload& w = workload_named("mips");
+  const CompiledCell c(GetParam(), w, report::build_optimized(w));
+  ASSERT_EQ(c.golden.status, sim::ExecStatus::Ok);
+  const std::uint64_t budget = resil::timeout_budget(c.golden.cycles);
+
+  std::uint32_t fetched = 0;
+  for (std::uint32_t pc = 0; pc < c.units; ++pc) fetched += c.fetches.fetched(pc) ? 1 : 0;
+  EXPECT_GT(fetched, 0u);
+  EXPECT_LT(fetched, c.units) << "no unfetched codeword: the masked side goes untested";
+  EXPECT_FALSE(c.fetches.fetched(c.units));
+
+  support::ThreadPool pool(4);
+  support::parallel_for(pool, c.units, [&](std::size_t i) {
+    const auto pc = static_cast<std::uint32_t>(i);
+    const bool is_fetched = c.fetches.fetched(pc);
+    {
+      sim::ProtectState prot(c.machine.protect);
+      prot.poison_imem_detectable(pc);
+      ir::Memory mem = c.initial;
+      const sim::ExecResult r = c.backend.engine.run(mem, protected_options(&prot), budget);
+      if (is_fetched) {
+        EXPECT_EQ(r.status, sim::ExecStatus::Trapped) << "pc " << pc;
+        EXPECT_EQ(r.trap.reason, sim::TrapReason::ProtectionDetected) << "pc " << pc;
+        EXPECT_EQ(r.trap.cycle, c.fetches.first_fetch(pc)) << "pc " << pc;
+        EXPECT_EQ(r.trap.detail, pc);
+        EXPECT_EQ(prot.imem_detected, 1u) << "pc " << pc;
+      } else {
+        EXPECT_EQ(r, c.golden) << "pc " << pc;
+        EXPECT_TRUE(mem == c.golden_mem) << "pc " << pc;
+        EXPECT_EQ(prot.imem_detected, 0u) << "pc " << pc;
+      }
+    }
+    {
+      sim::ProtectState prot(c.machine.protect);
+      prot.poison_imem_correctable(pc);
+      ir::Memory mem = c.initial;
+      const sim::ExecResult r = c.backend.engine.run(mem, protected_options(&prot), budget);
+      EXPECT_EQ(r, c.golden) << "pc " << pc;
+      EXPECT_TRUE(mem == c.golden_mem) << "pc " << pc;
+      EXPECT_EQ(prot.imem_corrected, is_fetched ? 1u : 0u) << "pc " << pc;
+    }
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(Models, FetchTableExhaustive,
+                         ::testing::Values("mblaze-3+full", "m-vliw-2+full", "m-tta-2+full"),
+                         [](const ::testing::TestParamInfo<std::string>& info) {
+                           std::string name = info.param;
+                           for (char& ch : name) {
+                             if (ch == '-' || ch == '+') ch = '_';
+                           }
+                           return name;
+                         });
+
+/// One protected cell as an executed reference computes it: every injection
+/// runs its engine, imem faults included — the pristine program under the
+/// code's poison, or the mutated program when the flip escapes the code —
+/// and detections resolve with the campaign's checkpoint-rollback rule.
+struct ExecutedCell {
+  std::uint64_t golden_cycles = 0;
+  std::uint64_t imem_bits = 0;
+  std::array<resil::TargetTally, resil::kNumTargetKinds> targets{};
+  resil::ProtectStats protect;
+  std::uint64_t imem_unescaped = 0;  // imem faults the code caught
+};
+
+ExecutedCell executed_reference(const std::string& machine_name, const workloads::Workload& w,
+                                const ir::Module& optimized, const resil::CampaignOptions& opt) {
+  const CompiledCell c(machine_name, w, optimized);
+  const mach::Protection& cfg = c.machine.protect;
+  const sim::Engine& engine = c.backend.engine;
+  ExecutedCell out;
+  out.golden_cycles = c.golden.cycles;
+  out.imem_bits = engine.visit([](const auto& p) { return resil::imem_bits(p); });
+  const std::uint64_t checksum = report::workload_output_checksum(c.backend.module, w, c.golden_mem);
+  const std::uint64_t budget = resil::timeout_budget(c.golden.cycles);
+  const resil::FaultPlan plan(c.machine, c.machine.model == mach::Model::Tta, out.imem_bits,
+                              c.golden.cycles, opt.double_bit_permille);
+  const std::uint64_t cell_seed =
+      resil::mix_seed(opt.seed, resil::hash_name(machine_name + "/" + w.name));
+
+  for (int i = 0; i < opt.injections_per_cell; ++i) {
+    const resil::FaultSpec spec = plan.sample(resil::mix_seed(cell_seed, static_cast<std::uint64_t>(i)));
+    sim::ProtectState prot(cfg);
+    sim::SimOptions opts = protected_options(&prot);
+    sim::FaultSet fs;
+    std::optional<sim::Engine> mutated;
+    if (spec.target == resil::TargetKind::Imem) {
+      const bool two = spec.imem_width >= 2;
+      const auto [pc0, pc1] = engine.visit([&](const auto& p) {
+        return std::pair{resil::imem_instr_of_bit(p, spec.imem_bit),
+                         resil::imem_instr_of_bit(p, spec.imem_bit + (two ? 1 : 0))};
+      });
+      // The codeword decision: parity misses an even flip inside one
+      // codeword; SEC-DED corrects single flips and detects a double one.
+      bool escape = cfg.imem == mach::Protection::Code::None;
+      if (cfg.imem == mach::Protection::Code::Parity) {
+        escape = two && pc0 == pc1;
+        if (!escape) {
+          prot.poison_imem_detectable(pc0);
+          prot.poison_imem_detectable(pc1);
+        }
+      } else if (cfg.imem == mach::Protection::Code::SecDed) {
+        if (two && pc0 == pc1) {
+          prot.poison_imem_detectable(pc0);
+        } else {
+          prot.poison_imem_correctable(pc0);
+          if (two) prot.poison_imem_correctable(pc1);
+        }
+      }
+      if (escape) {
+        mutated = engine.visit([&](const auto& p) {
+          auto flipped = resil::flip_bit(p, spec.imem_bit);
+          if (two) flipped = resil::flip_bit(flipped, spec.imem_bit + 1);
+          return engine.with_program(std::move(flipped));
+        });
+      } else {
+        ++out.imem_unescaped;
+      }
+    } else {
+      fs.faults.push_back(spec.state);
+      opts.faults = &fs;
+    }
+    ir::Memory mem = c.initial;
+    const sim::ExecResult r = (mutated ? *mutated : engine).run(mem, opts, budget);
+
+    resil::TargetTally& t = out.targets[static_cast<std::size_t>(spec.target)];
+    resil::ProtectStats& ps = out.protect;
+    ++t.injections;
+    ps.rf_corrected += prot.rf_corrected;
+    ps.rf_detected += prot.rf_detected;
+    ps.fu_detected += prot.fu_detected;
+    ps.guard_corrected += prot.guard_corrected;
+    ps.imem_corrected += prot.imem_corrected;
+    ps.imem_detected += prot.imem_detected;
+    if (r.status == sim::ExecStatus::Trapped &&
+        r.trap.reason == sim::TrapReason::ProtectionDetected) {
+      // Rollback from the last checkpoint recovers a transient state fault
+      // that landed after it; imem corruption persists, so it detects again
+      // on every retry and degrades to a safe stop.
+      const std::uint64_t interval = cfg.checkpoint_interval > 0 ? cfg.checkpoint_interval : 1;
+      const std::uint64_t checkpoint = (r.trap.cycle / interval) * interval;
+      if (!cfg.rollback) {
+        ++t.detected;
+      } else if (spec.target != resil::TargetKind::Imem && spec.state.cycle >= checkpoint) {
+        const std::uint64_t replay = r.trap.cycle - checkpoint + cfg.rollback_penalty;
+        ++t.recovered;
+        ++ps.rollbacks;
+        ++ps.recovered;
+        ps.recovery_cycles += replay;
+        ps.recovery_cycles_max = std::max(ps.recovery_cycles_max, replay);
+      } else {
+        const auto retries = static_cast<std::uint64_t>(std::max(cfg.retry_budget, 0));
+        ++t.detected;
+        ps.rollbacks += retries;
+        ps.retries += retries;
+        ++ps.unrecoverable;
+      }
+      continue;
+    }
+    switch (r.status) {
+      case sim::ExecStatus::Trapped: ++t.trap; continue;
+      case sim::ExecStatus::TimedOut: ++t.timeout; continue;
+      case sim::ExecStatus::Ok: break;
+    }
+    if (r.ret != c.golden.ret ||
+        report::workload_output_checksum(c.backend.module, w, mem) != checksum) {
+      ++t.sdc;
+      continue;
+    }
+    const bool latent = r.rf_state != c.golden.rf_state ||
+                        r.guard_state != c.golden.guard_state || !(mem == c.golden_mem);
+    if (!latent && prot.corrections() > 0) {
+      ++t.corrected;
+    } else {
+      ++t.masked;
+      if (latent) ++t.latent;
+    }
+  }
+  return out;
+}
+
+void expect_tally_eq(const resil::TargetTally& got, const resil::TargetTally& want,
+                     const std::string& where) {
+  EXPECT_EQ(got.injections, want.injections) << where;
+  EXPECT_EQ(got.masked, want.masked) << where;
+  EXPECT_EQ(got.corrected, want.corrected) << where;
+  EXPECT_EQ(got.recovered, want.recovered) << where;
+  EXPECT_EQ(got.detected, want.detected) << where;
+  EXPECT_EQ(got.sdc, want.sdc) << where;
+  EXPECT_EQ(got.timeout, want.timeout) << where;
+  EXPECT_EQ(got.trap, want.trap) << where;
+  EXPECT_EQ(got.err, want.err) << where;
+  EXPECT_EQ(got.latent, want.latent) << where;
+}
+
+void expect_protect_eq(const resil::ProtectStats& got, const resil::ProtectStats& want,
+                       const std::string& where) {
+  EXPECT_EQ(got.rf_corrected, want.rf_corrected) << where;
+  EXPECT_EQ(got.rf_detected, want.rf_detected) << where;
+  EXPECT_EQ(got.fu_detected, want.fu_detected) << where;
+  EXPECT_EQ(got.guard_corrected, want.guard_corrected) << where;
+  EXPECT_EQ(got.imem_corrected, want.imem_corrected) << where;
+  EXPECT_EQ(got.imem_detected, want.imem_detected) << where;
+  EXPECT_EQ(got.rollbacks, want.rollbacks) << where;
+  EXPECT_EQ(got.retries, want.retries) << where;
+  EXPECT_EQ(got.recovered, want.recovered) << where;
+  EXPECT_EQ(got.unrecoverable, want.unrecoverable) << where;
+  EXPECT_EQ(got.recovery_cycles, want.recovery_cycles) << where;
+  EXPECT_EQ(got.recovery_cycles_max, want.recovery_cycles_max) << where;
+}
+
+// The 4 default machines x {blowfish, sha} x every protection profile, with
+// single-bit upsets only and with half adjacent double-bit upsets: per cell,
+// run_campaign's tallies and ProtectStats equal the executed reference, and
+// exactly the imem faults the code caught took the analytic path.
+TEST(ProtectImemAnalytic, CampaignMatchesExecutedReference) {
+  resil::CampaignOptions opt;
+  opt.machines.clear();
+  for (const std::string base : {"mblaze-3", "m-vliw-2", "m-tta-2", "g-tta-2"}) {
+    for (const char* profile : {"+parity", "+eccdmr", "+full"}) opt.machines.push_back(base + profile);
+  }
+  opt.workloads = {"blowfish", "sha"};
+  opt.injections_per_cell = 24;
+  opt.seed = 0x1515;
+  opt.threads = 4;
+  std::vector<ir::Module> optimized;
+  for (const std::string& name : opt.workloads) {
+    optimized.push_back(report::build_optimized(workload_named(name)));
+  }
+  support::ThreadPool pool(4);
+  for (const int double_bit : {0, 500}) {
+    opt.double_bit_permille = double_bit;
+    const resil::CampaignReport report = resil::run_campaign(opt);
+    ASSERT_TRUE(report.all_ok());
+    ASSERT_EQ(report.cells.size(), opt.machines.size() * opt.workloads.size());
+    std::vector<ExecutedCell> want(report.cells.size());
+    support::parallel_for(pool, report.cells.size(), [&](std::size_t i) {
+      const std::size_t wi = i % opt.workloads.size();
+      want[i] = executed_reference(opt.machines[i / opt.workloads.size()],
+                                   workload_named(opt.workloads[wi]), optimized[wi], opt);
+    });
+    std::uint64_t analytic = 0;
+    for (std::size_t i = 0; i < report.cells.size(); ++i) {
+      const resil::CellReport& got = report.cells[i];
+      const std::string where =
+          got.machine + "/" + got.workload + " double-bit " + std::to_string(double_bit);
+      EXPECT_EQ(got.golden_cycles, want[i].golden_cycles) << where;
+      EXPECT_EQ(got.imem_bits, want[i].imem_bits) << where;
+      for (int t = 0; t < resil::kNumTargetKinds; ++t) {
+        expect_tally_eq(got.targets[static_cast<std::size_t>(t)],
+                        want[i].targets[static_cast<std::size_t>(t)],
+                        where + " " + resil::target_kind_name(static_cast<resil::TargetKind>(t)));
+      }
+      expect_protect_eq(got.protect, want[i].protect, where);
+      const auto path = [&](resil::InjectionPath p) {
+        return got.paths[static_cast<std::size_t>(p)];
+      };
+      EXPECT_EQ(path(resil::InjectionPath::ImemAnalytic), want[i].imem_unescaped) << where;
+      EXPECT_EQ(path(resil::InjectionPath::Scalar) + path(resil::InjectionPath::ImemAnalytic),
+                static_cast<std::uint64_t>(opt.injections_per_cell))
+          << where;
+      analytic += path(resil::InjectionPath::ImemAnalytic);
+    }
+    EXPECT_GT(analytic, report.cells.size()) << "the analytic path barely ran";
+  }
+}
+
+// Every injection of a cell counts under exactly one serving path, on the
+// batched, the per-injection and the protected campaign, and the registry's
+// "resil.path.*" counters are the per-cell counts summed.
+TEST(InjectionPaths, EveryInjectionCountsUnderExactlyOnePath) {
+  resil::CampaignOptions batched = small_campaign();
+  resil::CampaignOptions scalar = small_campaign();
+  scalar.batch = false;
+  resil::CampaignOptions protected_cells = protect_campaign();
+  protected_cells.serial = false;
+  std::vector<std::array<std::uint64_t, resil::kNumInjectionPaths>> sums_of;
+  for (const resil::CampaignOptions* opt : {&batched, &scalar, &protected_cells}) {
+    resil::CampaignOptions run = *opt;
+    obs::Registry registry;
+    run.registry = &registry;
+    const resil::CampaignReport report = resil::run_campaign(run);
+    ASSERT_TRUE(report.all_ok());
+    std::array<std::uint64_t, resil::kNumInjectionPaths>& sums = sums_of.emplace_back();
+    for (const resil::CellReport& c : report.cells) {
+      const std::string where = c.machine + "/" + c.workload;
+      std::uint64_t total = 0;
+      for (int p = 0; p < resil::kNumInjectionPaths; ++p) {
+        total += c.paths[static_cast<std::size_t>(p)];
+        sums[static_cast<std::size_t>(p)] += c.paths[static_cast<std::size_t>(p)];
+      }
+      EXPECT_EQ(total, c.total().injections) << where;
+      const auto path = [&](resil::InjectionPath p) {
+        return c.paths[static_cast<std::size_t>(p)];
+      };
+      const std::uint64_t lanes = path(resil::InjectionPath::BatchedConverged) +
+                                  path(resil::InjectionPath::BatchedInDiff) +
+                                  path(resil::InjectionPath::Evicted);
+      EXPECT_EQ(lanes, c.batch_lanes) << where;
+      EXPECT_EQ(path(resil::InjectionPath::Evicted), c.batch_evictions) << where;
+      const std::uint64_t imem = c.targets[static_cast<std::size_t>(resil::TargetKind::Imem)].injections;
+      if (!c.protected_machine) {
+        EXPECT_EQ(path(resil::InjectionPath::ImemAnalytic), 0u) << where;
+        EXPECT_EQ(path(resil::InjectionPath::Scalar), run.batch ? imem : c.total().injections)
+            << where;
+      } else {
+        EXPECT_EQ(lanes, 0u) << where;
+        EXPECT_LE(path(resil::InjectionPath::ImemAnalytic), imem) << where;
+      }
+    }
+    for (int p = 0; p < resil::kNumInjectionPaths; ++p) {
+      const std::string name =
+          std::string("resil.path.") + resil::injection_path_name(static_cast<resil::InjectionPath>(p));
+      EXPECT_EQ(registry.counter(name), sums[static_cast<std::size_t>(p)]) << name;
+    }
+  }
+  // The batched campaign exercises the lockstep paths; the protected one the
+  // analytic path.
+  EXPECT_GT(sums_of[0][static_cast<std::size_t>(resil::InjectionPath::BatchedConverged)], 0u);
+  EXPECT_GT(sums_of[0][static_cast<std::size_t>(resil::InjectionPath::BatchedInDiff)], 0u);
+  EXPECT_GT(sums_of[2][static_cast<std::size_t>(resil::InjectionPath::ImemAnalytic)], 0u);
 }
 
 // ---------------------------------------------------------------------------
