@@ -112,13 +112,16 @@ inline const std::vector<CounterDoc>& counter_docs() {
     d.push_back({"resil.batch.lanes", "lockstep lanes simulated"});
     d.push_back({"resil.batch.divergences", "lanes diverged from golden"});
     d.push_back({"resil.batch.evictions", "lanes evicted to scalar replay"});
-    for (const char* path :
-         {"scalar", "batched-converged", "batched-in-diff", "evicted", "imem-analytic"}) {
-      // One path per injection (resil::InjectionPath): its own engine run, a
-      // lockstep lane that reconverged / finished in its diff / was evicted,
-      // or a protected imem fault resolved from the golden fetch table.
+    for (const char* path : {"scalar", "batched-converged", "batched-in-diff", "evicted",
+                             "imem-analytic", "resumed"}) {
+      // One path per injection (resil::InjectionPath): its own engine run
+      // from cycle 0, a lockstep lane that reconverged / finished in its
+      // diff / was evicted, a protected imem fault resolved from the golden
+      // fetch table, or its own engine run resumed from a golden snapshot.
       d.push_back({std::string("resil.path.") + path, "injections served by this path"});
     }
+    d.push_back({"resil.resume.cycles_skipped", "golden-prefix cycles resumed runs skipped"});
+    d.push_back({"resil.snapshot.bytes", "bytes held by the cells' golden snapshots"});
     d.push_back({"resil.cells.run", "resilience cells campaigned"});
     d.push_back({"resil.cells.err", "resilience cells that failed"});
 

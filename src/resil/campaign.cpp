@@ -11,10 +11,8 @@
 #include "obs/json.hpp"
 #include "report/driver.hpp"
 #include "report/module_cache.hpp"
+#include "resil/cell.hpp"
 #include "resil/inject.hpp"
-#include "sim/collectors.hpp"
-#include "sim/engine.hpp"
-#include "sim/protect.hpp"
 #include "support/assert.hpp"
 #include "support/strings.hpp"
 #include "support/thread_pool.hpp"
@@ -28,80 +26,6 @@ const workloads::Workload& workload_by_name(const std::string& name) {
     if (w.name == name) return w;
   }
   throw Error("resil: unknown workload " + name);
-}
-
-/// Everything one cell's injections share: the engine over the scheduled
-/// program (every state-fault run reuses its predecoded form; instruction
-/// faults get an engine over their mutated copy), the fault-free golden run,
-/// the memory images around it and, on machines with an imem code, the
-/// golden run's fetch table.
-struct PreparedCell {
-  const workloads::Workload* workload = nullptr;
-  /// The backend-prepared module: memory layout and output globals.
-  ir::Module module;
-  sim::Engine engine;
-  /// Golden run: the reference every injection is diffed against, and the
-  /// lockstep reference that lets a batch stop once every lane settled.
-  sim::ExecResult golden;
-  std::uint64_t golden_checksum = 0;
-  /// Pristine loaded image, copied for every injection / lockstep leader.
-  ir::Memory initial_mem;
-  ir::Memory golden_mem;
-  std::uint64_t imem_bits = 0;
-  /// First-fetch cycle per instruction/bundle index in the golden run,
-  /// recorded only when the machine protects its imem (empty otherwise):
-  /// protected imem faults resolve from it (resolve_imem_fetches).
-  sim::FetchTable fetches;
-
-  const mach::Machine& machine() const { return engine.machine(); }
-};
-
-/// The backend compile of `optimized` for `machine` plus its fault-free
-/// golden run (with `observer` attached, when given, and the fetch table
-/// recording when the machine protects its imem).
-PreparedCell compile_golden(const ir::Module& optimized, const workloads::Workload& w,
-                            const mach::Machine& machine, const opt::ProfileData* profile,
-                            sim::ExecObserver* observer) {
-  report::Backend backend = report::compile_backend(optimized, w, machine, {}, nullptr, profile,
-                                                    {.superblocks = true});
-  ir::Memory initial = report::make_loaded_memory(backend.module);
-  ir::Memory mem = initial;
-  sim::FetchTable fetches;
-  sim::TeeObserver tee(observer, &fetches);
-  sim::SimOptions opts;
-  opts.observer = machine.protect.imem != mach::Protection::Code::None ? &tee : observer;
-  sim::ExecResult golden = backend.engine.run(mem, opts);
-  if (golden.status != sim::ExecStatus::Ok) {
-    throw Error(format("golden run did not complete: %s", sim::exec_status_name(golden.status)));
-  }
-  const std::uint64_t checksum = report::workload_output_checksum(backend.module, w, mem);
-  const std::uint64_t bits = backend.engine.visit([](const auto& p) { return imem_bits(p); });
-  return PreparedCell{.workload = &w,
-                      .module = std::move(backend.module),
-                      .engine = std::move(backend.engine),
-                      .golden = std::move(golden),
-                      .golden_checksum = checksum,
-                      .initial_mem = std::move(initial),
-                      .golden_mem = std::move(mem),
-                      .imem_bits = bits,
-                      .fetches = std::move(fetches)};
-}
-
-/// The cell as the driver compiles it. With `superblocks`, the two-phase
-/// compile of report::compile_and_run_prebuilt: the ordinary schedule's
-/// golden run doubles as the profiling run, and the trace schedule formed
-/// along it replaces the ordinary one only when it is no slower.
-/// `optimized` is `w`'s optimized module, built once per campaign.
-PreparedCell prepare_cell(const std::string& machine_name, const workloads::Workload& w,
-                          const ir::Module& optimized, bool superblocks) {
-  const mach::Machine machine = mach::machine_by_name(machine_name);
-  sim::ProfileCollector collector;
-  PreparedCell cell =
-      compile_golden(optimized, w, machine, nullptr, superblocks ? &collector : nullptr);
-  if (!superblocks) return cell;
-  const opt::ProfileData profile = opt::ProfileData::from_collector(collector);
-  PreparedCell traced = compile_golden(optimized, w, machine, &profile, nullptr);
-  return traced.golden.cycles <= cell.golden.cycles ? std::move(traced) : std::move(cell);
 }
 
 Outcome classify(const PreparedCell& cell, const sim::ExecResult& r, const ir::Memory& mem,
@@ -119,41 +43,6 @@ Outcome classify(const PreparedCell& cell, const sim::ExecResult& r, const ir::M
   return Outcome::Masked;
 }
 
-/// An engine over the cell's program with `spec`'s imem fault applied: one
-/// flipped encoding bit, or an adjacent pair for double-bit upsets
-/// (FaultSpec::imem_width).
-sim::Engine mutated_engine(const PreparedCell& cell, const FaultSpec& spec) {
-  return cell.engine.visit([&](const auto& program) {
-    auto mutated = flip_bit(program, spec.imem_bit);
-    if (spec.imem_width >= 2) mutated = flip_bit(mutated, spec.imem_bit + 1);
-    return cell.engine.with_program(std::move(mutated));
-  });
-}
-
-/// Hardened run options carrying `spec`'s state fault in `fs` (imem faults
-/// change the program instead).
-sim::SimOptions injection_options(const FaultSpec& spec, sim::FaultSet& fs) {
-  sim::SimOptions opts;
-  opts.harden = true;
-  if (spec.target != TargetKind::Imem) {
-    fs.faults.push_back(spec.state);
-    opts.faults = &fs;
-  }
-  return opts;
-}
-
-Outcome run_injection(const PreparedCell& cell, const FaultSpec& spec, std::uint64_t budget,
-                      bool& latent) {
-  latent = false;
-  ir::Memory mem = cell.initial_mem;
-  sim::FaultSet fs;
-  const sim::SimOptions opts = injection_options(spec, fs);
-  const sim::ExecResult r = spec.target == TargetKind::Imem
-                                ? mutated_engine(cell, spec).run(mem, opts, budget)
-                                : cell.engine.run(mem, opts, budget);
-  return classify(cell, r, mem, latent);
-}
-
 /// Index-addressed injection outcome: the reduction reads slots in order,
 /// so tallies are thread-count and lane-grouping independent.
 struct Slot {
@@ -164,7 +53,26 @@ struct Slot {
   /// Per-injection protection/recovery activity (protected machines only) —
   /// reduced into CellReport::protect in index order.
   ProtectStats prot{};
+  /// The golden cycle a standalone run resumed at (0: from cycle 0).
+  std::uint64_t resumed_at = 0;
 };
+
+/// A standalone run of `spec`, from its resume point, on `image`; counted
+/// under InjectionPath::Resumed when it started past cycle 0.
+sim::ExecResult run_standalone_into(const PreparedCell& cell, const FaultSpec& spec,
+                                    sim::ProtectState* prot, std::uint64_t budget,
+                                    ir::Memory& image, Slot& s) {
+  StandaloneRun run = run_standalone(cell, spec, prot, budget, image);
+  s.resumed_at = run.resumed_at;
+  if (run.resumed_at > 0) s.path = InjectionPath::Resumed;
+  return std::move(run.result);
+}
+
+void run_injection(const PreparedCell& cell, const FaultSpec& spec, std::uint64_t budget,
+                   ir::Memory& image, Slot& s) {
+  const sim::ExecResult r = run_standalone_into(cell, spec, nullptr, budget, image, s);
+  s.outcome = classify(cell, r, image, s.latent);
+}
 
 /// Decide what the imem code does with the corrupted codeword(s) and poison
 /// the fetch path accordingly. Returns true when the corruption escapes the
@@ -263,7 +171,8 @@ std::optional<std::uint64_t> resolve_imem_fetches(const sim::FetchTable& fetches
 /// codeword decisions and analytic checkpoint-rollback resolution of
 /// detections.
 void run_protected_injection(const PreparedCell& cell, const FaultSpec& spec,
-                             std::uint64_t budget, const mach::Protection& cfg, Slot& s) {
+                             std::uint64_t budget, const mach::Protection& cfg,
+                             ir::Memory& image, Slot& s) {
   sim::ProtectState prot(cfg);
   std::optional<std::uint64_t> detect_cycle;  // of a ProtectionDetected trap
 
@@ -272,7 +181,6 @@ void run_protected_injection(const PreparedCell& cell, const FaultSpec& spec,
   // poison leaves the pristine program, whose run the golden fetch table
   // resolves without an engine: never-fetched corruption stays masked
   // exactly like the unprotected model.
-  bool imem_escape = false;
   if (spec.target == TargetKind::Imem) {
     const auto [pc0, pc1] = cell.engine.visit([&](const auto& program) {
       const std::uint32_t first = imem_instr_of_bit(program, spec.imem_bit);
@@ -280,25 +188,19 @@ void run_protected_injection(const PreparedCell& cell, const FaultSpec& spec,
                                   ? imem_instr_of_bit(program, spec.imem_bit + 1)
                                   : first};
     });
-    imem_escape = poison_imem(cfg.imem, spec.imem_width, pc0, pc1, prot);
-    if (!imem_escape) {
+    if (!poison_imem(cfg.imem, spec.imem_width, pc0, pc1, prot)) {
       s.path = InjectionPath::ImemAnalytic;
       s.outcome = Outcome::Masked;  // unless detected: the golden run itself
       detect_cycle = resolve_imem_fetches(cell.fetches, pc0, pc1, prot);
     }
   }
   if (s.path == InjectionPath::Scalar) {
-    ir::Memory mem = cell.initial_mem;
-    sim::FaultSet fs;
-    sim::SimOptions opts = injection_options(spec, fs);
-    opts.protect = &prot;
-    const sim::ExecResult r = imem_escape ? mutated_engine(cell, spec).run(mem, opts, budget)
-                                          : cell.engine.run(mem, opts, budget);
+    const sim::ExecResult r = run_standalone_into(cell, spec, &prot, budget, image, s);
     if (r.status == sim::ExecStatus::Trapped &&
         r.trap.reason == sim::TrapReason::ProtectionDetected) {
       detect_cycle = r.trap.cycle;
     } else {
-      s.outcome = classify(cell, r, mem, s.latent);
+      s.outcome = classify(cell, r, image, s.latent);
     }
   }
 
@@ -493,6 +395,8 @@ void export_cell_metrics(obs::Registry* registry, const CellReport& cr) {
     shard.add(format("resil.path.%s", injection_path_name(static_cast<InjectionPath>(p))),
               cr.paths[static_cast<std::size_t>(p)]);
   }
+  shard.add("resil.resume.cycles_skipped", cr.resume_cycles_skipped);
+  shard.add("resil.snapshot.bytes", cr.snapshot_bytes);
   if (cr.batch_lanes != 0) {
     shard.add("resil.batch.lanes", cr.batch_lanes);
     shard.add("resil.batch.divergences", cr.batch_divergences);
@@ -583,6 +487,18 @@ CampaignReport run_campaign(const CampaignOptions& options) {
 
   std::optional<support::ThreadPool> pool;
   if (!options.serial) pool.emplace(options.threads);
+  // One memory image per pool worker (one for a serial campaign), reused
+  // by every standalone run: resetting it copies the few pages a run wrote
+  // instead of the whole image.
+  std::vector<std::optional<ir::Memory>> images(pool ? static_cast<std::size_t>(pool->size()) : 1);
+  auto image_for = [&](const PreparedCell& cell) -> ir::Memory& {
+    const int worker = pool ? support::ThreadPool::current_worker_id() : 0;
+    TTSC_ASSERT(worker >= 0 && static_cast<std::size_t>(worker) < images.size(),
+                "standalone injection run outside the campaign's workers");
+    std::optional<ir::Memory>& image = images[static_cast<std::size_t>(worker)];
+    if (!image || image->size() != cell.initial_mem.size()) image.emplace(cell.initial_mem);
+    return *image;
+  };
   // Each workload's front end and optimizer run once per campaign.
   report::ModuleCache modules;
 
@@ -602,6 +518,7 @@ CampaignReport run_campaign(const CampaignOptions& options) {
             prepare_cell(machine_name, *w, modules.get(*w), options.superblocks);
         cr.golden_cycles = cell.golden.cycles;
         cr.imem_bits = cell.imem_bits;
+        cr.snapshot_bytes = cell.snapshot_bytes();
         mach::Protection prot_cfg = cell.machine().protect;
         if (options.retry_budget_override > 0) prot_cfg.retry_budget = options.retry_budget_override;
         if (options.checkpoint_override > 0) {
@@ -672,12 +589,16 @@ CampaignReport run_campaign(const CampaignOptions& options) {
                   // Retry hygiene: a second attempt must not inherit the
                   // first attempt's partial protection stats.
                   s = Slot{specs[i].target};
-                  run_protected_injection(cell, specs[i], budget, prot_cfg, s);
+                  run_protected_injection(cell, specs[i], budget, prot_cfg, image_for(cell), s);
                 },
                 [&] { s = Slot{specs[i].target, Outcome::Err, false}; });
           } else {
-            attempt_twice([&] { s.outcome = run_injection(cell, specs[i], budget, s.latent); },
-                          [&] { s = Slot{specs[i].target, Outcome::Err, false}; });
+            attempt_twice(
+                [&] {
+                  s = Slot{specs[i].target};
+                  run_injection(cell, specs[i], budget, image_for(cell), s);
+                },
+                [&] { s = Slot{specs[i].target, Outcome::Err, false}; });
           }
           slots[i] = s;
         };
@@ -767,6 +688,7 @@ CampaignReport run_campaign(const CampaignOptions& options) {
           TargetTally& tt = cr.targets[static_cast<std::size_t>(s.target)];
           ++tt.injections;
           ++cr.paths[static_cast<std::size_t>(s.path)];
+          cr.resume_cycles_skipped += s.resumed_at;
           switch (s.outcome) {
             case Outcome::Masked:
               ++tt.masked;

@@ -76,23 +76,27 @@ constexpr const char* outcome_name(Outcome o) {
 /// How an injection's outcome was produced, exported as "resil.path.<name>"
 /// counters. Every injection of a cell counts under exactly one path:
 ///
-///  * Scalar           — its own engine run (protected cells, unprotected
-///                       imem faults, `--no-batch`, escaped imem faults);
+///  * Scalar           — its own engine run from cycle 0 (protected cells,
+///                       unprotected imem faults, `--no-batch`, escaped imem
+///                       faults);
 ///  * BatchedConverged — a lockstep lane that reconverged with the leader;
 ///  * BatchedInDiff    — a lockstep lane that finished as a sparse diff (and
 ///                       every lane of a group that failed twice);
 ///  * Evicted          — a lockstep lane evicted to its own run;
 ///  * ImemAnalytic     — a protected imem fault the code does not let escape,
 ///                       resolved from the golden run's fetch table with no
-///                       engine run.
+///                       engine run;
+///  * Resumed          — its own engine run, started past cycle 0 from a
+///                       golden snapshot (resil/cell.hpp).
 enum class InjectionPath : std::uint8_t {
   Scalar,
   BatchedConverged,
   BatchedInDiff,
   Evicted,
   ImemAnalytic,
+  Resumed,
 };
-constexpr int kNumInjectionPaths = 5;
+constexpr int kNumInjectionPaths = 6;
 
 constexpr const char* injection_path_name(InjectionPath p) {
   switch (p) {
@@ -101,6 +105,7 @@ constexpr const char* injection_path_name(InjectionPath p) {
     case InjectionPath::BatchedInDiff: return "batched-in-diff";
     case InjectionPath::Evicted: return "evicted";
     case InjectionPath::ImemAnalytic: return "imem-analytic";
+    case InjectionPath::Resumed: return "resumed";
   }
   return "?";
 }
@@ -198,6 +203,11 @@ struct CellReport {
   /// Injections per InjectionPath. Exported as "resil.path.*" counters and,
   /// like the batch statistics, not part of the report table/JSON.
   std::array<std::uint64_t, kNumInjectionPaths> paths{};
+  /// Golden-prefix cycles the Resumed runs skipped, and the bytes the
+  /// cell's golden snapshots held ("resil.resume.cycles_skipped",
+  /// "resil.snapshot.bytes"; registry only, like `paths`).
+  std::uint64_t resume_cycles_skipped = 0;
+  std::uint64_t snapshot_bytes = 0;
 
   /// First-divergence forensics (CampaignOptions::forensics): one record
   /// per analyzed SDC/latent injection, in injection-index order, bounded

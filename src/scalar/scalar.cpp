@@ -93,27 +93,23 @@ void ScalarSim::use_predecoded(std::shared_ptr<const sim::PredecodedScalar> pred
 }
 
 ExecResult ScalarSim::run(std::uint64_t max_cycles) {
+  return std::get<ExecResult>(run(max_cycles, nullptr, sim::kNoStop));
+}
+
+sim::Segment ScalarSim::run(std::uint64_t max_cycles, const sim::Snapshot* from,
+                            std::uint64_t stop_at) {
   if (predecoded_ == nullptr) {
     predecoded_ =
         std::make_shared<const sim::PredecodedScalar>(sim::predecode(program_, machine_));
   }
   return sim::run_fast_loop(options_, [&]<bool kObserve, bool kHarden, bool kProfile> {
-    return run_fast<kObserve, kHarden, kProfile>(max_cycles);
+    return run_fast<kObserve, kHarden, kProfile>(max_cycles, from, stop_at);
   });
 }
 
-ExecResult ScalarSim::resume(ScalarState state, std::uint64_t max_cycles) {
-  TTSC_ASSERT(options_.observer == nullptr && options_.profile == nullptr,
-              "ScalarSim::resume runs the unobserved fast path");
-  if (predecoded_ == nullptr) {
-    predecoded_ =
-        std::make_shared<const sim::PredecodedScalar>(sim::predecode(program_, machine_));
-  }
-  return run_fast<false, true, false>(max_cycles, &state);
-}
-
 template <bool kObserve, bool kHarden, bool kProfile>
-ExecResult ScalarSim::run_fast(std::uint64_t max_cycles, ScalarState* from) {
+sim::Segment ScalarSim::run_fast(std::uint64_t max_cycles, const sim::Snapshot* from,
+                                 std::uint64_t stop_at) {
   using sim::ScalarPInstr;
   const sim::PredecodedScalar& pre = *predecoded_;
   sim::ExecObserver* const obs = options_.observer;
@@ -123,19 +119,19 @@ ExecResult ScalarSim::run_fast(std::uint64_t max_cycles, ScalarState* from) {
     prof->frontend_fill = static_cast<std::uint64_t>(timing.pipeline_stages - 1);
   }
 
-  ScalarState fresh;
-  if (from == nullptr) {
-    fresh.regs.assign(pre.rf_slots, 0u);
-    fresh.ready.assign(pre.rf_slots, 0ull);
-    fresh.cycle = static_cast<std::uint64_t>(timing.pipeline_stages - 1);  // fill
-    from = &fresh;
-  }
-  std::vector<std::uint32_t> regs = std::move(from->regs);
-  std::vector<std::uint64_t> ready = std::move(from->ready);
-
+  std::vector<std::uint32_t> regs(pre.rf_slots, 0u);
+  std::vector<std::uint64_t> ready(pre.rf_slots, 0ull);
   ExecResult result;
-  std::uint64_t cycle = from->cycle;
-  std::uint32_t pc = from->pc;
+  std::uint64_t cycle = static_cast<std::uint64_t>(timing.pipeline_stages - 1);  // fill
+  std::uint32_t pc = 0;
+  if (from != nullptr) {
+    TTSC_ASSERT(from->regs.size() == regs.size() && from->ready.size() == ready.size(),
+                "scalar snapshot of another register layout");
+    regs = from->regs;
+    ready = from->ready;
+    cycle = from->cycle;
+    pc = from->pc;
+  }
 
   auto set_trap = [&](sim::TrapReason reason, std::uint32_t detail) {
     result.status = sim::ExecStatus::Trapped;
@@ -148,11 +144,14 @@ ExecResult ScalarSim::run_fast(std::uint64_t max_cycles, ScalarState* from) {
   // state. The loop steps instruction-wise over jumping cycle counts, so
   // faults apply at the first instruction whose start cycle reached them —
   // identical in both execution paths, which share the cycle sequence.
+  [[maybe_unused]] const sim::StateFault* fault_begin = nullptr;
   [[maybe_unused]] const sim::StateFault* fault_next = nullptr;
   [[maybe_unused]] const sim::StateFault* fault_end = nullptr;
   if (options_.faults != nullptr) {
-    fault_next = options_.faults->faults.data();
-    fault_end = fault_next + options_.faults->faults.size();
+    fault_begin = options_.faults->faults.data();
+    fault_end = fault_begin + options_.faults->faults.size();
+    fault_next = fault_begin + (from != nullptr ? from->faults_applied : 0);
+    TTSC_ASSERT(fault_next <= fault_end, "snapshot fault cursor past the fault set");
   }
   [[maybe_unused]] sim::ProtectState* const prot = options_.protect;
   [[maybe_unused]] auto apply_fault = [&](const sim::StateFault& f) {
@@ -176,13 +175,22 @@ ExecResult ScalarSim::run_fast(std::uint64_t max_cycles, ScalarState* from) {
       if (entry < pre.instrs.size()) entry_of[entry] = static_cast<std::int32_t>(b);
     }
     // Pipeline-fill cycles before the first instruction issues.
-    if (timing.pipeline_stages > 1) {
+    if (timing.pipeline_stages > 1 && from == nullptr) {
       obs->on_overhead(0, sim::OverheadKind::FrontendFill,
                        static_cast<std::uint64_t>(timing.pipeline_stages - 1));
     }
   }
 
   while (true) {
+    if (cycle >= stop_at) {
+      sim::Snapshot snap;
+      snap.cycle = cycle;
+      snap.pc = pc;
+      snap.faults_applied = static_cast<std::uint32_t>(fault_next - fault_begin);
+      snap.regs = std::move(regs);
+      snap.ready = std::move(ready);
+      return snap;
+    }
     if constexpr (kHarden) {
       while (fault_next != fault_end && fault_next->cycle <= cycle) {
         apply_fault(*fault_next);

@@ -14,6 +14,7 @@
 #include "ir/module.hpp"
 #include "mach/machine.hpp"
 #include "sim/observer.hpp"
+#include "sim/snapshot.hpp"
 
 namespace ttsc::sim {
 struct PredecodedScalar;
@@ -54,16 +55,6 @@ ScalarProgram emit_scalar(const codegen::MFunction& func);
 
 using ExecResult = sim::ExecResult;
 
-/// The state the fast loop carries from one instruction to the next (memory
-/// aside): flat register slots as sim::PredecodedScalar numbers them, the
-/// cycle each slot becomes readable, the next issue cycle and the pc.
-struct ScalarState {
-  std::vector<std::uint32_t> regs;
-  std::vector<std::uint64_t> ready;
-  std::uint64_t cycle = 0;
-  std::uint32_t pc = 0;
-};
-
 /// Cycle-approximate in-order pipeline simulation: functional execution plus
 /// the hazard/penalty model of mach::ScalarTiming (forwarding, load-use /
 /// multiply / shift stalls, taken-branch penalty, IMM prefix cycles).
@@ -83,19 +74,20 @@ class ScalarSim {
 
   ExecResult run(std::uint64_t max_cycles = 2'000'000'000ull);
 
-  /// Continue a hardened, unobserved fast-path run from `state`, a
-  /// top-of-loop state of the same program whose memory is this
-  /// simulator's image and whose faults still to apply are
-  /// SimOptions::faults. Equals the run that reached `state`, carried on
-  /// (the lockstep engine resumes evicted lanes with it).
-  ExecResult resume(ScalarState state, std::uint64_t max_cycles);
+  /// run() from `from`'s machine state (nullptr: cycle 0) on this
+  /// simulator's memory, which must already hold the image at `from`. A run
+  /// still going at the first instruction boundary at or past `stop_at`
+  /// stops there and returns its machine state; the snapshot's memory
+  /// fields stay empty (sim::Engine fills them).
+  sim::Segment run(std::uint64_t max_cycles, const sim::Snapshot* from, std::uint64_t stop_at);
 
   /// The interpretive reference loop: the oracle the tests hold run() to.
   ExecResult run_reference(std::uint64_t max_cycles = 2'000'000'000ull);
 
  private:
   template <bool kObserve, bool kHarden, bool kProfile>
-  ExecResult run_fast(std::uint64_t max_cycles, ScalarState* from = nullptr);
+  sim::Segment run_fast(std::uint64_t max_cycles, const sim::Snapshot* from,
+                        std::uint64_t stop_at);
 
   const ScalarProgram& program_;
   const mach::Machine& machine_;

@@ -9,19 +9,29 @@
 // runs programs through this one type; the few model-specific needs (imem
 // fault bit walks, encoders, static profiles) reach the program through
 // visit().
+//
+// A run can also stop at a cycle boundary and hand back its state as a
+// sim::Snapshot, and a later run can resume from one (sim/snapshot.hpp):
+// the resilience campaign splits each golden run into snapshots and starts
+// an injection's run from the last one before its fault can matter.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <span>
 #include <variant>
+#include <vector>
 
 #include "sim/lockstep.hpp"
+#include "sim/snapshot.hpp"
 
 namespace ttsc::sim {
 
 class Engine {
  public:
+  /// Default cycle budget of a run.
+  static constexpr std::uint64_t kMaxCycles = 2'000'000'000ull;
+
   /// Predecode `program` for `machine`; the engine keeps its own copy of
   /// both.
   template <typename Program>
@@ -40,7 +50,30 @@ class Engine {
   /// One run on `mem` with the model's simulator over the predecoded
   /// program.
   ExecResult run(ir::Memory& mem, const SimOptions& options = {},
-                 std::uint64_t max_cycles = 2'000'000'000ull) const;
+                 std::uint64_t max_cycles = kMaxCycles) const;
+
+  /// run() that may stop early: a run still going at the first cycle
+  /// boundary at or past `stop_at` stops there and returns its Snapshot
+  /// (for scalar, the first instruction boundary); a run that ends first
+  /// returns its ExecResult.
+  Segment run(ir::Memory& mem, const SimOptions& options, std::uint64_t max_cycles,
+              std::uint64_t stop_at) const;
+
+  /// Continue the run `from` was taken of, on `mem` — any image of the
+  /// snapshot's size, restored to the snapshot's image first — stopping
+  /// like run() at `stop_at`. With the options of that run (the same fault
+  /// set, a fresh observer or protection state) the resumed run equals the
+  /// uninterrupted one from the snapshot on: result, memory and observer
+  /// events.
+  Segment resume(const Snapshot& from, ir::Memory& mem, const SimOptions& options,
+                 std::uint64_t max_cycles, std::uint64_t stop_at = kNoStop) const;
+
+  /// The instruction/bundle indices whose predecoded record differs from
+  /// `other`'s, ascending; `other` runs the same model on the same machine
+  /// (e.g. this engine's program with an instruction-memory fault). A run of
+  /// `other` behaves exactly like this engine's until it fetches one of
+  /// them. When the programs differ in length, every index counts.
+  std::vector<std::uint32_t> differing_pcs(const Engine& other) const;
 
   /// One lockstep fault batch (sim/lockstep.hpp) over the predecoded program.
   BatchResult run_batch(const ir::Memory& initial_mem, std::span<const FaultSet> lane_faults,
@@ -55,6 +88,10 @@ class Engine {
   }
 
  private:
+  /// run / resume: from cycle 0 (`from` null) or from `*from`.
+  Segment segment(const Snapshot* from, ir::Memory& mem, const SimOptions& options,
+                  std::uint64_t max_cycles, std::uint64_t stop_at) const;
+
   template <typename Program, typename Predecoded>
   struct Model {
     std::shared_ptr<const Program> program;

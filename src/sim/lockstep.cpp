@@ -439,7 +439,11 @@ BatchResult run_scalar_batch(const scalar::ScalarProgram& program, const mach::M
   // loop from there instead of re-simulating the shared prefix from cycle 0.
   auto evict = [&](int l) {
     const auto sl = static_cast<std::size_t>(l);
-    scalar::ScalarState state{regs, ready, cycle, pc};
+    Snapshot state;
+    state.regs = regs;
+    state.ready = ready;
+    state.cycle = cycle;
+    state.pc = pc;
     for (std::uint32_t id = 0; id < pre.rf_slots; ++id) {
       if (d.dirty(l, id)) state.regs[id] = d.value[sl * d.n_ids + id];
     }
@@ -451,7 +455,7 @@ BatchResult run_scalar_batch(const scalar::ScalarProgram& program, const mach::M
     o.faults = &rest;
     scalar::ScalarSim s(program, machine, *lo.mem, o);
     s.use_predecoded(pre_ptr);
-    lo.result = s.resume(std::move(state), max_cycles);
+    lo.result = std::get<ExecResult>(s.run(max_cycles, &state, kNoStop));
   };
 
   // Halt: `ret_id` is the flat RF slot the return value was read from

@@ -27,7 +27,7 @@
 // program, same cycle budget), so sim/harden.hpp rules and TrapInfo
 // semantics are reused byte-for-byte rather than duplicated. That run
 // happens at the eviction, into the lane's outcome slot: a scalar lane
-// resumes from its state at that point (ScalarSim::resume); VLIW and TTA
+// resumes from its state at that point (a sim::Snapshot); VLIW and TTA
 // lanes rerun from cycle 0 unless the eviction is a trap lockstep can
 // state exactly. Eviction is the universal correctness escape hatch:
 // lockstep only ever handles the cases it can represent exactly.

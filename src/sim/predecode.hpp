@@ -60,6 +60,8 @@ struct TtaPMove {
   /// suppresses it, matching execute-time validation in the reference loop).
   std::uint8_t trap = 0;
   std::uint32_t trap_detail = 0;
+
+  bool operator==(const TtaPMove&) const = default;
 };
 
 struct PredecodedTta {
@@ -91,6 +93,8 @@ struct VliwPOp {
   std::uint8_t nsrcs = 0;
   std::uint8_t trap = 0;  // 0 = legal; else TrapReason + 1 (sim/harden.hpp)
   std::uint32_t trap_detail = 0;
+
+  bool operator==(const VliwPOp&) const = default;
 };
 
 struct PredecodedVliw {
@@ -122,6 +126,8 @@ struct ScalarPInstr {
   std::uint8_t nsrcs = 0;
   std::uint8_t trap = 0;  // 0 = legal; else TrapReason + 1 (sim/harden.hpp)
   std::uint32_t trap_detail = 0;
+
+  bool operator==(const ScalarPInstr&) const = default;
 };
 
 struct PredecodedScalar {

@@ -14,8 +14,8 @@
 //  * run_fast<kObserve> — executes the predecoded flat form
 //    (sim/predecode.hpp): no per-cycle allocation, no latency lookups, FU
 //    in-flight results in a circular buffer instead of a priority queue,
-//    RF/guard write delays as double buffers. Instantiated with and
-//    without observer dispatch so a null observer is free.
+//    RF/guard write delays as fixed-capacity double buffers. Instantiated
+//    with and without observer dispatch so a null observer is free.
 // The two paths are locked together cycle-for-cycle (ExecResult including
 // halt-time RF/guard state) by the differential suite in
 // tests/property_test.cpp.
@@ -67,16 +67,22 @@ struct RfWritePending {
 }  // namespace
 
 ExecResult TtaSim::run(std::uint64_t max_cycles) {
+  return std::get<ExecResult>(run(max_cycles, nullptr, sim::kNoStop));
+}
+
+sim::Segment TtaSim::run(std::uint64_t max_cycles, const sim::Snapshot* from,
+                         std::uint64_t stop_at) {
   if (predecoded_ == nullptr) {
     predecoded_ = std::make_shared<const sim::PredecodedTta>(sim::predecode(program_, machine_));
   }
   return sim::run_fast_loop(options_, [&]<bool kObserve, bool kHarden, bool kProfile> {
-    return run_fast<kObserve, kHarden, kProfile>(max_cycles);
+    return run_fast<kObserve, kHarden, kProfile>(max_cycles, from, stop_at);
   });
 }
 
 template <bool kObserve, bool kHarden, bool kProfile>
-ExecResult TtaSim::run_fast(std::uint64_t max_cycles) {
+sim::Segment TtaSim::run_fast(std::uint64_t max_cycles, const sim::Snapshot* from,
+                              std::uint64_t stop_at) {
   using sim::TtaPMove;
   const sim::PredecodedTta& pre = *predecoded_;
   sim::ExecObserver* const obs = options_.observer;
@@ -84,12 +90,17 @@ ExecResult TtaSim::run_fast(std::uint64_t max_cycles) {
   const std::size_t nfus = machine_.fus.size();
   const std::uint64_t ring = static_cast<std::uint64_t>(pre.ring);
   const std::size_t num_instrs = pre.num_instrs();
+  // Stores write bytes, which may alias anything: loop-invariant machine
+  // fields and table pointers live in locals so the loop never reloads them.
+  const int delay_slots = machine_.delay_slots;
+  const TtaPMove* const moves = pre.moves.data();
+  const std::uint32_t* const instr_begin = pre.instr_begin.data();
 
   // All run state is allocated up front; the cycle loop is allocation-free.
-  std::vector<std::uint32_t> rf(pre.rf_slots, 0u);
-  std::vector<std::uint32_t> fu_operand(nfus, 0u);
-  std::vector<std::uint32_t> fu_result(nfus, 0u);
-  std::vector<std::uint8_t> guard_regs(static_cast<std::size_t>(machine_.guard_regs), 0u);
+  std::vector<std::uint32_t> rf_vec(pre.rf_slots, 0u);
+  std::vector<std::uint32_t> fu_operand_vec(nfus, 0u);
+  std::vector<std::uint32_t> fu_result_vec(nfus, 0u);
+  std::vector<std::uint8_t> guard_vec(static_cast<std::size_t>(machine_.guard_regs), 0u);
 
   // In-flight results as per-completion-column entry lists: column c holds
   // the results landing when the ring cursor reaches c, at most one entry
@@ -102,28 +113,42 @@ ExecResult TtaSim::run_fast(std::uint64_t max_cycles) {
   std::vector<InFlight> ring_entry(ring * nfus);
   std::vector<std::uint32_t> ring_count(ring, 0u);
 
+  // RF and guard writes wait one cycle in a double buffer: the half for
+  // cycle c holds the writes committing at its top. A cycle queues at most
+  // one write per move of its instruction, so each half is a fixed array
+  // sized by the widest instruction.
   struct RfWrite {
     std::uint32_t slot;
     std::uint32_t value;
     std::int16_t rf;
     std::int16_t reg;
   };
-  std::vector<RfWrite> rf_pending[2];
   struct GuardWrite {
     std::uint32_t guard;
     std::uint8_t value;
   };
-  std::vector<GuardWrite> guard_pending[2];
   struct Fire {
     const TtaPMove* mv;
     std::uint32_t value;
   };
-  // At most one move (and so one trigger) per instruction move slot.
   std::uint32_t max_instr_moves = 0;
   for (std::size_t i = 0; i < num_instrs; ++i) {
-    max_instr_moves = std::max(max_instr_moves, pre.instr_begin[i + 1] - pre.instr_begin[i]);
+    max_instr_moves = std::max(max_instr_moves, instr_begin[i + 1] - instr_begin[i]);
   }
-  std::vector<Fire> fires(max_instr_moves + 1);
+  const std::size_t pend_cap = max_instr_moves + 1;
+  std::vector<RfWrite> rf_pend_vec(2 * pend_cap);
+  std::vector<GuardWrite> guard_pend_vec(2 * pend_cap);
+  std::uint32_t rf_pend_n[2] = {0, 0};
+  std::uint32_t guard_pend_n[2] = {0, 0};
+  std::vector<Fire> fires_vec(pend_cap);
+
+  std::uint32_t* const rf = rf_vec.data();
+  std::uint32_t* const fu_operand = fu_operand_vec.data();
+  std::uint32_t* const fu_result = fu_result_vec.data();
+  std::uint8_t* const guard_regs = guard_vec.data();
+  RfWrite* const rf_pend = rf_pend_vec.data();
+  GuardWrite* const guard_pend = guard_pend_vec.data();
+  Fire* const fires = fires_vec.data();
 
   ExecResult result;
   std::uint64_t cycle = 0;
@@ -131,14 +156,44 @@ ExecResult TtaSim::run_fast(std::uint64_t max_cycles) {
   int transfer_in = -1;
   std::size_t transfer_target = 0;
   [[maybe_unused]] std::uint32_t last_arch = 0;
+  if (from != nullptr) {
+    // The ring restarts at column 0: a result due d cycles on lands in
+    // column d; the pending writes all commit at the top of `cycle`.
+    TTSC_ASSERT(from->regs.size() == rf_vec.size() && from->fu_operand.size() == nfus &&
+                    from->fu_result.size() == nfus && from->guards.size() == guard_vec.size(),
+                "TTA snapshot of another machine");
+    TTSC_ASSERT(from->rf_writes.size() < pend_cap && from->guard_writes.size() < pend_cap,
+                "TTA snapshot overflows the pending writes");
+    std::copy(from->regs.begin(), from->regs.end(), rf);
+    std::copy(from->fu_operand.begin(), from->fu_operand.end(), fu_operand);
+    std::copy(from->fu_result.begin(), from->fu_result.end(), fu_result);
+    std::copy(from->guards.begin(), from->guards.end(), guard_regs);
+    for (const sim::Snapshot::InFlight& r : from->fu_results) {
+      TTSC_ASSERT(r.due < ring && ring_count[r.due] < nfus, "TTA snapshot overflows the ring");
+      ring_entry[r.due * nfus + ring_count[r.due]++] = InFlight{r.slot, r.value};
+    }
+    cycle = from->cycle;
+    const std::size_t half = (cycle & 1) * pend_cap;
+    for (const sim::Snapshot::InFlight& w : from->rf_writes) {
+      rf_pend[half + rf_pend_n[cycle & 1]++] = RfWrite{w.slot, w.value, w.rf, w.reg};
+    }
+    for (const sim::Snapshot::InFlight& g : from->guard_writes) {
+      guard_pend[half + guard_pend_n[cycle & 1]++] =
+          GuardWrite{g.slot, static_cast<std::uint8_t>(g.value)};
+    }
+    pc = from->pc;
+    transfer_in = from->transfer_in;
+    transfer_target = from->transfer_target;
+    last_arch = from->last_arch;
+  }
 
   auto capture_state = [&] {
     if constexpr (kProfile) {
       // Writes still pending at halt never commit (the observer's
       // on_rf_write never fires for them either).
-      for (const std::vector<RfWrite>& pend : rf_pending) {
-        for (const RfWrite& w : pend) {
-          ++prof->uncommitted_rf_writes[static_cast<std::size_t>(w.rf)];
+      for (std::size_t h = 0; h < 2; ++h) {
+        for (std::uint32_t i = 0; i < rf_pend_n[h]; ++i) {
+          ++prof->uncommitted_rf_writes[static_cast<std::size_t>(rf_pend[h * pend_cap + i].rf)];
         }
       }
       prof->final_pc = last_arch;
@@ -147,8 +202,8 @@ ExecResult TtaSim::run_fast(std::uint64_t max_cycles) {
       prof->end_transfer_target =
           transfer_in >= 0 ? static_cast<std::int32_t>(transfer_target) : -1;
     }
-    result.rf_state = rf;
-    result.guard_state = guard_regs;
+    result.rf_state = rf_vec;
+    result.guard_state = guard_vec;
   };
 
   auto set_trap = [&](sim::TrapReason reason, int unit, std::uint32_t detail) {
@@ -159,11 +214,14 @@ ExecResult TtaSim::run_fast(std::uint64_t max_cycles) {
   };
 
   // SEU state faults (sim/fault.hpp), applied at the top of their cycle.
+  [[maybe_unused]] const sim::StateFault* fault_begin = nullptr;
   [[maybe_unused]] const sim::StateFault* fault_next = nullptr;
   [[maybe_unused]] const sim::StateFault* fault_end = nullptr;
   if (options_.faults != nullptr) {
-    fault_next = options_.faults->faults.data();
-    fault_end = fault_next + options_.faults->faults.size();
+    fault_begin = options_.faults->faults.data();
+    fault_end = fault_begin + options_.faults->faults.size();
+    fault_next = fault_begin + (from != nullptr ? from->faults_applied : 0);
+    TTSC_ASSERT(fault_next <= fault_end, "snapshot fault cursor past the fault set");
   }
   // Declared protection semantics (sim/protect.hpp): fault filters at the
   // apply sites, code/checker checks at the read sites, poison clears at
@@ -209,7 +267,8 @@ ExecResult TtaSim::run_fast(std::uint64_t max_cycles) {
   }
 
   std::size_t ring_idx = 0;
-  while (cycle < max_cycles) {
+  const std::uint64_t end_cycle = std::min(max_cycles, stop_at);
+  while (cycle < end_cycle) {
     // 0. State faults land between cycles: before result delivery, RF
     // commits and guard latching, so both execution paths observe the
     // identical corrupted state from this cycle on.
@@ -231,23 +290,27 @@ ExecResult TtaSim::run_fast(std::uint64_t max_cycles) {
       }
       ring_count[ring_idx] = 0;
     }
+    const std::size_t now = cycle & 1;
+    const std::size_t next = now ^ 1;
     // 2. RF writes from the previous cycle become readable.
-    std::vector<RfWrite>& commits = rf_pending[cycle & 1];
-    for (const RfWrite& w : commits) {
+    const RfWrite* const commits = rf_pend + now * pend_cap;
+    for (std::uint32_t i = 0, n = rf_pend_n[now]; i < n; ++i) {
+      const RfWrite& w = commits[i];
       rf[w.slot] = w.value;
       if constexpr (kHarden) {
         if (prot != nullptr) prot->clear_rf(w.slot);
       }
       if constexpr (kObserve) obs->on_rf_write(cycle, w.rf, w.reg, w.value);
     }
-    commits.clear();
+    rf_pend_n[now] = 0;
     // 2b. Guard writes from the previous cycle latch in.
-    std::vector<GuardWrite>& latches = guard_pending[cycle & 1];
-    for (const GuardWrite& g : latches) {
+    const GuardWrite* const latches = guard_pend + now * pend_cap;
+    for (std::uint32_t i = 0, n = guard_pend_n[now]; i < n; ++i) {
+      const GuardWrite& g = latches[i];
       guard_regs[g.guard] = g.value;
       if constexpr (kObserve) obs->on_guard_write(cycle, static_cast<int>(g.guard), g.value);
     }
-    latches.clear();
+    guard_pend_n[now] = 0;
 
     if (pc >= num_instrs && transfer_in < 0) {
       // The PC ran off the end with no transfer pending: fail closed.
@@ -279,14 +342,18 @@ ExecResult TtaSim::run_fast(std::uint64_t max_cycles) {
         // no profile memory per cycle.
         if (transfer_in < 0) last_arch = static_cast<std::uint32_t>(pc);
       }
-      const std::uint32_t begin = pre.instr_begin[pc];
-      const std::uint32_t end = pre.instr_begin[pc + 1];
+      const std::uint32_t begin = instr_begin[pc];
+      const std::uint32_t end = instr_begin[pc + 1];
+      RfWrite* const rf_queue = rf_pend + next * pend_cap;
+      GuardWrite* const guard_queue = guard_pend + next * pend_cap;
+      std::uint32_t n_rf = 0;
+      std::uint32_t n_guard = 0;
       std::size_t nfires = 0;
       // 3+4a. Sample sources and write non-trigger destinations (RF and
       // guard writes are deferred a cycle; sources never read a state this
       // pass mutates, so sampling and writing interleave exactly).
       for (std::uint32_t m = begin; m < end; ++m) {
-        const TtaPMove& mv = pre.moves[m];
+        const TtaPMove& mv = moves[m];
         if (mv.guard >= 0) {
           const bool g = guard_regs[static_cast<std::size_t>(mv.guard)] != 0;
           if (g == mv.guard_negate) {  // squashed
@@ -301,6 +368,7 @@ ExecResult TtaSim::run_fast(std::uint64_t max_cycles) {
         // it executes; a squashed guard suppressed it above. Valid programs
         // never carry trap moves, so this branch never fires for them.
         if (mv.trap != 0) {
+          rf_pend_n[next] = n_rf;
           set_trap(static_cast<sim::TrapReason>(mv.trap - 1), mv.bus, mv.trap_detail);
           return result;
         }
@@ -311,6 +379,7 @@ ExecResult TtaSim::run_fast(std::uint64_t max_cycles) {
             if constexpr (kHarden) {
               // DMR/residue checkers compare when the result is consumed.
               if (prot != nullptr && prot->check_fu_read(mv.src_slot, fu_result[mv.src_slot])) {
+                rf_pend_n[next] = n_rf;
                 set_trap(sim::TrapReason::ProtectionDetected, -1, mv.src_slot);
                 return result;
               }
@@ -321,6 +390,7 @@ ExecResult TtaSim::run_fast(std::uint64_t max_cycles) {
             if constexpr (kHarden) {
               // Storage codes check (and SEC-DED scrubs) on read.
               if (prot != nullptr && prot->check_rf_read(mv.src_slot, &rf[mv.src_slot])) {
+                rf_pend_n[next] = n_rf;
                 set_trap(sim::TrapReason::ProtectionDetected, -1, mv.src_slot);
                 return result;
               }
@@ -333,17 +403,17 @@ ExecResult TtaSim::run_fast(std::uint64_t max_cycles) {
         switch (mv.dst) {
           case TtaPMove::Dst::FuOperand: fu_operand[mv.dst_slot] = value; break;
           case TtaPMove::Dst::RfWrite:
-            rf_pending[(cycle + 1) & 1].push_back(
-                RfWrite{mv.dst_slot, value, mv.dst_rf, mv.dst_reg});
+            rf_queue[n_rf++] = RfWrite{mv.dst_slot, value, mv.dst_rf, mv.dst_reg};
             break;
           case TtaPMove::Dst::GuardWrite:
-            guard_pending[(cycle + 1) & 1].push_back(
-                GuardWrite{mv.dst_slot, static_cast<std::uint8_t>(value != 0)});
+            guard_queue[n_guard++] = GuardWrite{mv.dst_slot, static_cast<std::uint8_t>(value != 0)};
             break;
           case TtaPMove::Dst::FuTrigger:
           case TtaPMove::Dst::ControlTrigger: fires[nfires++] = Fire{&mv, value}; break;
         }
       }
+      rf_pend_n[next] = n_rf;
+      guard_pend_n[next] = n_guard;
       // 4b. Triggers fire using this cycle's operand port contents.
       for (std::size_t fi = 0; fi < nfires; ++fi) {
         const Fire& f = fires[fi];
@@ -354,18 +424,18 @@ ExecResult TtaSim::run_fast(std::uint64_t max_cycles) {
           if constexpr (kObserve) obs->on_trigger(cycle, static_cast<int>(fu), mv.opcode);
           switch (mv.fire) {
             case TtaPMove::Fire::Jump:
-              transfer_in = machine_.delay_slots;
+              transfer_in = delay_slots;
               transfer_target = mv.target_pc;
               if constexpr (kProfile) {
-                ++prof->taken[static_cast<std::size_t>(f.mv - pre.moves.data())];
+                ++prof->taken[static_cast<std::size_t>(f.mv - moves)];
               }
               break;
             case TtaPMove::Fire::Bnz:
               if (fu_operand[fu] != 0) {
-                transfer_in = machine_.delay_slots;
+                transfer_in = delay_slots;
                 transfer_target = mv.target_pc;
                 if constexpr (kProfile) {
-                  ++prof->taken[static_cast<std::size_t>(f.mv - pre.moves.data())];
+                  ++prof->taken[static_cast<std::size_t>(f.mv - moves)];
                 }
               }
               break;
@@ -449,6 +519,41 @@ ExecResult TtaSim::run_fast(std::uint64_t max_cycles) {
     } else {
       ++pc;
     }
+  }
+  if (cycle < max_cycles) {
+    // Stopped at the top of `stop_at`, before its faults and deliveries.
+    // Only the half committing now holds writes: the other was emptied at
+    // the top of the previous cycle and fills during this one.
+    sim::Snapshot snap;
+    snap.cycle = cycle;
+    snap.pc = static_cast<std::uint32_t>(pc);
+    snap.transfer_in = transfer_in;
+    snap.transfer_target = static_cast<std::uint32_t>(transfer_target);
+    snap.faults_applied = static_cast<std::uint32_t>(fault_next - fault_begin);
+    snap.last_arch = last_arch;
+    snap.regs = std::move(rf_vec);
+    snap.fu_operand = std::move(fu_operand_vec);
+    snap.fu_result = std::move(fu_result_vec);
+    snap.guards = std::move(guard_vec);
+    for (std::size_t due = 0; due < ring; ++due) {
+      const std::size_t col = (ring_idx + due) % ring;
+      for (std::uint32_t e = 0; e < ring_count[col]; ++e) {
+        const InFlight& r = ring_entry[col * nfus + e];
+        snap.fu_results.push_back({static_cast<std::uint32_t>(due), r.fu, r.value});
+      }
+    }
+    const std::size_t now = cycle & 1;
+    TTSC_ASSERT(rf_pend_n[now ^ 1] == 0 && guard_pend_n[now ^ 1] == 0,
+                "TTA writes queued past the next cycle");
+    for (std::uint32_t i = 0; i < rf_pend_n[now]; ++i) {
+      const RfWrite& w = rf_pend[now * pend_cap + i];
+      snap.rf_writes.push_back({0, w.slot, w.value, w.rf, w.reg});
+    }
+    for (std::uint32_t i = 0; i < guard_pend_n[now]; ++i) {
+      const GuardWrite& g = guard_pend[now * pend_cap + i];
+      snap.guard_writes.push_back({0, g.guard, g.value});
+    }
+    return snap;
   }
   result.status = sim::ExecStatus::TimedOut;
   result.cycles = max_cycles;

@@ -31,6 +31,7 @@
 #include "ir/memory.hpp"
 #include "mach/machine.hpp"
 #include "sim/observer.hpp"
+#include "sim/snapshot.hpp"
 
 namespace ttsc::sim {
 struct PredecodedTta;
@@ -174,12 +175,20 @@ class TtaSim {
 
   ExecResult run(std::uint64_t max_cycles = 2'000'000'000ull);
 
+  /// run() from `from`'s machine state (nullptr: cycle 0) on this
+  /// simulator's memory, which must already hold the image at `from`. A run
+  /// still going at cycle `stop_at` stops at the top of it and returns its
+  /// machine state; the snapshot's memory fields stay empty (sim::Engine
+  /// fills them).
+  sim::Segment run(std::uint64_t max_cycles, const sim::Snapshot* from, std::uint64_t stop_at);
+
   /// The interpretive reference loop: the oracle the tests hold run() to.
   ExecResult run_reference(std::uint64_t max_cycles = 2'000'000'000ull);
 
  private:
   template <bool kObserve, bool kHarden, bool kProfile>
-  ExecResult run_fast(std::uint64_t max_cycles);
+  sim::Segment run_fast(std::uint64_t max_cycles, const sim::Snapshot* from,
+                        std::uint64_t stop_at);
 
   const TtaProgram& program_;
   const mach::Machine& machine_;

@@ -11,6 +11,7 @@
 //    observer dispatch so a null observer is free.
 // The two paths are locked together cycle-for-cycle by the differential
 // suite in tests/property_test.cpp.
+#include <algorithm>
 #include <queue>
 
 #include "sim/fault.hpp"
@@ -58,16 +59,22 @@ struct PendingWrite {
 }  // namespace
 
 ExecResult VliwSim::run(std::uint64_t max_cycles) {
+  return std::get<ExecResult>(run(max_cycles, nullptr, sim::kNoStop));
+}
+
+sim::Segment VliwSim::run(std::uint64_t max_cycles, const sim::Snapshot* from,
+                          std::uint64_t stop_at) {
   if (predecoded_ == nullptr) {
     predecoded_ = std::make_shared<const sim::PredecodedVliw>(sim::predecode(program_, machine_));
   }
   return sim::run_fast_loop(options_, [&]<bool kObserve, bool kHarden, bool kProfile> {
-    return run_fast<kObserve, kHarden, kProfile>(max_cycles);
+    return run_fast<kObserve, kHarden, kProfile>(max_cycles, from, stop_at);
   });
 }
 
 template <bool kObserve, bool kHarden, bool kProfile>
-ExecResult VliwSim::run_fast(std::uint64_t max_cycles) {
+sim::Segment VliwSim::run_fast(std::uint64_t max_cycles, const sim::Snapshot* from,
+                               std::uint64_t stop_at) {
   using sim::VliwPOp;
   const sim::PredecodedVliw& pre = *predecoded_;
   sim::ExecObserver* const obs = options_.observer;
@@ -100,6 +107,20 @@ ExecResult VliwSim::run_fast(std::uint64_t max_cycles) {
   int transfer_in = -1;
   std::size_t transfer_target = 0;
   [[maybe_unused]] std::uint32_t last_arch = 0;
+  if (from != nullptr) {
+    // The ring restarts at row 0: a write due d cycles on lands in row d.
+    TTSC_ASSERT(from->regs.size() == regs.size(), "VLIW snapshot of another register layout");
+    regs = from->regs;
+    for (const sim::Snapshot::InFlight& w : from->rf_writes) {
+      TTSC_ASSERT(w.due < ring && wb_count[w.due] < row_cap, "VLIW snapshot overflows the ring");
+      wb[w.due * row_cap + wb_count[w.due]++] = Write{w.slot, w.value, w.rf, w.reg};
+    }
+    cycle = from->cycle;
+    pc = from->pc;
+    transfer_in = from->transfer_in;
+    transfer_target = from->transfer_target;
+    last_arch = from->last_arch;
+  }
 
   auto capture_state = [&] {
     if constexpr (kProfile) {
@@ -129,11 +150,14 @@ ExecResult VliwSim::run_fast(std::uint64_t max_cycles) {
 
   // SEU state faults (sim/fault.hpp), applied at the top of their cycle.
   // Only RfBit faults target VLIW state (no exposed bypass/guard registers).
+  [[maybe_unused]] const sim::StateFault* fault_begin = nullptr;
   [[maybe_unused]] const sim::StateFault* fault_next = nullptr;
   [[maybe_unused]] const sim::StateFault* fault_end = nullptr;
   if (options_.faults != nullptr) {
-    fault_next = options_.faults->faults.data();
-    fault_end = fault_next + options_.faults->faults.size();
+    fault_begin = options_.faults->faults.data();
+    fault_end = fault_begin + options_.faults->faults.size();
+    fault_next = fault_begin + (from != nullptr ? from->faults_applied : 0);
+    TTSC_ASSERT(fault_next <= fault_end, "snapshot fault cursor past the fault set");
   }
   // Declared protection semantics (sim/protect.hpp); null when unprotected.
   [[maybe_unused]] sim::ProtectState* const prot = options_.protect;
@@ -160,7 +184,8 @@ ExecResult VliwSim::run_fast(std::uint64_t max_cycles) {
   }
 
   std::size_t wb_idx = 0;
-  while (cycle < max_cycles) {
+  const std::uint64_t end_cycle = std::min(max_cycles, stop_at);
+  while (cycle < end_cycle) {
     // State faults land between cycles, before write-back commits.
     if constexpr (kHarden) {
       while (fault_next != fault_end && fault_next->cycle <= cycle) {
@@ -344,6 +369,25 @@ ExecResult VliwSim::run_fast(std::uint64_t max_cycles) {
     } else {
       ++pc;
     }
+  }
+  if (cycle < max_cycles) {
+    // Stopped at the top of `stop_at`, before its faults and commits.
+    sim::Snapshot snap;
+    snap.cycle = cycle;
+    snap.pc = static_cast<std::uint32_t>(pc);
+    snap.transfer_in = transfer_in;
+    snap.transfer_target = static_cast<std::uint32_t>(transfer_target);
+    snap.faults_applied = static_cast<std::uint32_t>(fault_next - fault_begin);
+    snap.last_arch = last_arch;
+    snap.regs = std::move(regs);
+    for (std::size_t due = 0; due < ring; ++due) {
+      const std::size_t row = (wb_idx + due) % ring;
+      for (std::uint32_t i = 0; i < wb_count[row]; ++i) {
+        const Write& w = wb[row * row_cap + i];
+        snap.rf_writes.push_back({static_cast<std::uint32_t>(due), w.slot, w.value, w.rf, w.reg});
+      }
+    }
+    return snap;
   }
   result.status = sim::ExecStatus::TimedOut;
   result.cycles = max_cycles;

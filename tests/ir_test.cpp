@@ -1,6 +1,9 @@
 // IR core: builder, verifier, memory, interpreter semantics, analyses.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "ir/analysis.hpp"
 #include "ir/builder.hpp"
 #include "ir/interp.hpp"
@@ -49,6 +52,106 @@ TEST(Memory, WriteBlockAndView) {
   auto view = mem.view(4, 3);
   EXPECT_EQ(view[0], 1);
   EXPECT_EQ(view[2], 3);
+}
+
+// Page tracking: every store marks the pages it touches, a page never
+// written holds zeros, and comparison and restore visit only written pages.
+
+bool same_bytes(const Memory& a, const Memory& b) {
+  const auto x = a.view(0, static_cast<std::uint32_t>(a.size()));
+  const auto y = b.view(0, static_cast<std::uint32_t>(b.size()));
+  return a.size() == b.size() && std::equal(x.begin(), x.end(), y.begin());
+}
+
+TEST(MemoryPages, StoresStraddlingAPageBoundaryMarkBothPages) {
+  constexpr std::uint32_t P = Memory::kPageSize;
+  Memory mem(4 * P);
+  for (std::size_t p = 0; p < mem.num_pages(); ++p) EXPECT_FALSE(mem.page_written(p));
+  mem.store32(P - 2, 0x11223344);  // pages 0 and 1
+  EXPECT_TRUE(mem.page_written(0));
+  EXPECT_TRUE(mem.page_written(1));
+  EXPECT_FALSE(mem.page_written(2));
+  mem.store16(3 * P - 1, 0xabcd);  // pages 2 and 3
+  EXPECT_TRUE(mem.page_written(2));
+  EXPECT_TRUE(mem.page_written(3));
+  EXPECT_EQ(mem.load16(3 * P - 1), 0xabcd);
+
+  Memory block(4 * P);
+  const std::vector<std::uint8_t> data(P + 2, 7);
+  block.write_block(P - 1, data);  // pages 0, 1 and 2
+  EXPECT_TRUE(block.page_written(0));
+  EXPECT_TRUE(block.page_written(1));
+  EXPECT_TRUE(block.page_written(2));
+  EXPECT_FALSE(block.page_written(3));
+
+  Memory byte(4 * P);
+  byte.store8(2 * P, 1);
+  EXPECT_FALSE(byte.page_written(1));
+  EXPECT_TRUE(byte.page_written(2));
+}
+
+TEST(MemoryPages, RestoreFromAcrossTwoBases) {
+  constexpr std::uint32_t P = Memory::kPageSize;
+  Memory base1(8 * P + 100);  // a short last page too
+  base1.store32(10, 0xdeadbeef);
+  base1.store32(5 * P, 0x01020304);
+  Memory base2(8 * P + 100);
+  base2.store32(2 * P + 8, 0xcafef00d);
+  base2.store8(8 * P + 99, 0x5a);
+
+  Memory image = base1;
+  image.store32(7 * P, 42);
+  image.store32(12, 99);
+  image.restore_from(base1);
+  EXPECT_TRUE(same_bytes(image, base1));
+  image.store32(3 * P, 5);
+  image.restore_from(base2);
+  EXPECT_TRUE(same_bytes(image, base2));
+  EXPECT_TRUE(image == base2);
+  EXPECT_FALSE(image.page_written(0));  // base1's page is cleared and untracked again
+  image.restore_from(base1);
+  EXPECT_TRUE(same_bytes(image, base1));
+}
+
+TEST(MemoryPages, EqualityComparesEitherSidesWrittenPages) {
+  constexpr std::uint32_t P = Memory::kPageSize;
+  Memory a(4 * P);
+  Memory b(4 * P);
+  EXPECT_TRUE(a == b);
+  a.store8(3 * P + 1, 1);  // written on one side only
+  EXPECT_FALSE(a == b);
+  EXPECT_FALSE(b == a);
+  b.store8(3 * P + 1, 1);
+  EXPECT_TRUE(a == b);
+  b.store32(P, 0);  // written, but still equal (zero)
+  EXPECT_TRUE(a == b);
+  b.store32(P, 3);
+  EXPECT_FALSE(a == b);
+  EXPECT_FALSE(Memory(4 * P) == Memory(5 * P));
+}
+
+TEST(MemoryPages, PageSetsRebuildTheImage) {
+  constexpr std::uint32_t P = Memory::kPageSize;
+  Memory initial(6 * P);
+  initial.store32(P + 4, 0x12345678);
+  initial.store32(4 * P, 9);
+  const PageSet base = initial.written_pages();
+  EXPECT_EQ(base.index, (std::vector<std::uint32_t>{1, 4}));
+
+  Memory later = initial;
+  later.store32(2 * P, 77);        // a new page
+  later.store32(4 * P, 0);         // a base page, changed
+  later.store32(P + 4, 0x12345678);  // rewritten with the same value
+  const PageSet delta = later.pages_differing_from(base);
+  EXPECT_EQ(delta.index, (std::vector<std::uint32_t>{2, 4}));
+
+  Memory image(6 * P);
+  image.store32(5 * P, 1);  // stale page the restore must clear
+  image.restore(base, delta);
+  EXPECT_TRUE(same_bytes(image, later));
+  EXPECT_FALSE(image.page_written(5));
+  image.restore(base, PageSet{});
+  EXPECT_TRUE(same_bytes(image, initial));
 }
 
 // ---- module / layout ----------------------------------------------------------

@@ -30,6 +30,7 @@
 #include "mach/configs.hpp"
 #include "obs/metrics.hpp"
 #include "resil/campaign.hpp"
+#include "resil/cell.hpp"
 #include "resil/fault_plan.hpp"
 #include "resil/inject.hpp"
 #include "sim/collectors.hpp"
@@ -943,7 +944,8 @@ TEST(ProtectImemAnalytic, CampaignMatchesExecutedReference) {
         return got.paths[static_cast<std::size_t>(p)];
       };
       EXPECT_EQ(path(resil::InjectionPath::ImemAnalytic), want[i].imem_unescaped) << where;
-      EXPECT_EQ(path(resil::InjectionPath::Scalar) + path(resil::InjectionPath::ImemAnalytic),
+      EXPECT_EQ(path(resil::InjectionPath::Scalar) + path(resil::InjectionPath::Resumed) +
+                    path(resil::InjectionPath::ImemAnalytic),
                 static_cast<std::uint64_t>(opt.injections_per_cell))
           << where;
       analytic += path(resil::InjectionPath::ImemAnalytic);
@@ -954,7 +956,9 @@ TEST(ProtectImemAnalytic, CampaignMatchesExecutedReference) {
 
 // Every injection of a cell counts under exactly one serving path, on the
 // batched, the per-injection and the protected campaign, and the registry's
-// "resil.path.*" counters are the per-cell counts summed.
+// "resil.path.*" counters are the per-cell counts summed. A standalone run
+// counts as `resumed` exactly when it skipped part of the golden prefix, and
+// the resume counters are the per-cell figures summed too.
 TEST(InjectionPaths, EveryInjectionCountsUnderExactlyOnePath) {
   resil::CampaignOptions batched = small_campaign();
   resil::CampaignOptions scalar = small_campaign();
@@ -969,6 +973,8 @@ TEST(InjectionPaths, EveryInjectionCountsUnderExactlyOnePath) {
     const resil::CampaignReport report = resil::run_campaign(run);
     ASSERT_TRUE(report.all_ok());
     std::array<std::uint64_t, resil::kNumInjectionPaths>& sums = sums_of.emplace_back();
+    std::uint64_t skipped = 0;
+    std::uint64_t snapshot_bytes = 0;
     for (const resil::CellReport& c : report.cells) {
       const std::string where = c.machine + "/" + c.workload;
       std::uint64_t total = 0;
@@ -986,15 +992,27 @@ TEST(InjectionPaths, EveryInjectionCountsUnderExactlyOnePath) {
       EXPECT_EQ(lanes, c.batch_lanes) << where;
       EXPECT_EQ(path(resil::InjectionPath::Evicted), c.batch_evictions) << where;
       const std::uint64_t imem = c.targets[static_cast<std::size_t>(resil::TargetKind::Imem)].injections;
+      const std::uint64_t standalone =
+          path(resil::InjectionPath::Scalar) + path(resil::InjectionPath::Resumed);
       if (!c.protected_machine) {
         EXPECT_EQ(path(resil::InjectionPath::ImemAnalytic), 0u) << where;
-        EXPECT_EQ(path(resil::InjectionPath::Scalar), run.batch ? imem : c.total().injections)
-            << where;
+        EXPECT_EQ(standalone, run.batch ? imem : c.total().injections) << where;
       } else {
         EXPECT_EQ(lanes, 0u) << where;
         EXPECT_LE(path(resil::InjectionPath::ImemAnalytic), imem) << where;
+        EXPECT_EQ(standalone + path(resil::InjectionPath::ImemAnalytic), c.total().injections)
+            << where;
       }
+      EXPECT_EQ(c.resume_cycles_skipped > 0, path(resil::InjectionPath::Resumed) > 0) << where;
+      EXPECT_GE(c.resume_cycles_skipped,
+                path(resil::InjectionPath::Resumed) * resil::kSnapshotInterval)
+          << where;
+      EXPECT_GT(c.snapshot_bytes, 0u) << where;
+      skipped += c.resume_cycles_skipped;
+      snapshot_bytes += c.snapshot_bytes;
     }
+    EXPECT_EQ(registry.counter("resil.resume.cycles_skipped"), skipped);
+    EXPECT_EQ(registry.counter("resil.snapshot.bytes"), snapshot_bytes);
     for (int p = 0; p < resil::kNumInjectionPaths; ++p) {
       const std::string name =
           std::string("resil.path.") + resil::injection_path_name(static_cast<resil::InjectionPath>(p));
@@ -1006,6 +1024,11 @@ TEST(InjectionPaths, EveryInjectionCountsUnderExactlyOnePath) {
   EXPECT_GT(sums_of[0][static_cast<std::size_t>(resil::InjectionPath::BatchedConverged)], 0u);
   EXPECT_GT(sums_of[0][static_cast<std::size_t>(resil::InjectionPath::BatchedInDiff)], 0u);
   EXPECT_GT(sums_of[2][static_cast<std::size_t>(resil::InjectionPath::ImemAnalytic)], 0u);
+  // All three resume standalone runs: imem faults, --no-batch state faults,
+  // protected state faults.
+  for (const auto& sums : sums_of) {
+    EXPECT_GT(sums[static_cast<std::size_t>(resil::InjectionPath::Resumed)], 0u);
+  }
 }
 
 // ---------------------------------------------------------------------------
