@@ -110,7 +110,6 @@ inline const std::vector<CounterDoc>& counter_docs() {
       }
     }
     d.push_back({"resil.batch.lanes", "lockstep lanes simulated"});
-    d.push_back({"resil.batch.divergences", "lanes diverged from golden"});
     d.push_back({"resil.batch.evictions", "lanes evicted to scalar replay"});
     for (const char* path : {"scalar", "batched-converged", "batched-in-diff", "evicted",
                              "imem-analytic", "resumed"}) {

@@ -322,7 +322,6 @@ struct CellTimeoutError : Error {
 
 struct BatchStats {
   std::uint64_t lanes = 0;
-  std::uint64_t divergences = 0;
   std::uint64_t evictions = 0;
 };
 
@@ -354,7 +353,7 @@ BatchStats run_lane_group(const PreparedCell& cell, const std::vector<FaultSpec>
                               : InjectionPath::BatchedInDiff;
     slots[i] = s;
   }
-  return BatchStats{count, br.divergences, br.evictions};
+  return BatchStats{count, br.evictions};
 }
 
 void export_cell_metrics(obs::Registry* registry, const CellReport& cr) {
@@ -399,7 +398,6 @@ void export_cell_metrics(obs::Registry* registry, const CellReport& cr) {
   shard.add("resil.snapshot.bytes", cr.snapshot_bytes);
   if (cr.batch_lanes != 0) {
     shard.add("resil.batch.lanes", cr.batch_lanes);
-    shard.add("resil.batch.divergences", cr.batch_divergences);
     shard.add("resil.batch.evictions", cr.batch_evictions);
   }
   if (cr.forensics_candidates != 0) {
@@ -673,7 +671,6 @@ CampaignReport run_campaign(const CampaignOptions& options) {
           }
           for (const BatchStats& gs : group_stats) {
             cr.batch_lanes += gs.lanes;
-            cr.batch_divergences += gs.divergences;
             cr.batch_evictions += gs.evictions;
           }
         }

@@ -198,7 +198,6 @@ struct CellReport {
   /// Exported as "resil.batch.*" counters; deliberately NOT part of the
   /// report table/JSON, which batching must reproduce byte-for-byte.
   std::uint64_t batch_lanes = 0;
-  std::uint64_t batch_divergences = 0;
   std::uint64_t batch_evictions = 0;
   /// Injections per InjectionPath. Exported as "resil.path.*" counters and,
   /// like the batch statistics, not part of the report table/JSON.

@@ -1,8 +1,12 @@
 #include "scalar/scalar.hpp"
 
+#include <type_traits>
+
 #include "obs/trace.hpp"
+#include "sim/compute.hpp"
 #include "sim/fault.hpp"
 #include "sim/harden.hpp"
+#include "sim/lanes.hpp"
 #include "sim/predecode.hpp"
 #include "sim/protect.hpp"
 #include "support/bits.hpp"
@@ -103,14 +107,26 @@ sim::Segment ScalarSim::run(std::uint64_t max_cycles, const sim::Snapshot* from,
         std::make_shared<const sim::PredecodedScalar>(sim::predecode(program_, machine_));
   }
   return sim::run_fast_loop(options_, [&]<bool kObserve, bool kHarden, bool kProfile> {
-    return run_fast<kObserve, kHarden, kProfile>(max_cycles, from, stop_at);
+    return run_fast<kObserve, kHarden, kProfile, sim::NoLanes>(max_cycles, from, stop_at);
   });
 }
 
-template <bool kObserve, bool kHarden, bool kProfile>
+ExecResult ScalarSim::run(std::uint64_t max_cycles, sim::RegLanes& lanes) {
+  TTSC_ASSERT(predecoded_ != nullptr, "a lockstep leader runs a predecoded program");
+  lanes_ = &lanes;
+  ExecResult result = std::get<ExecResult>(
+      run_fast<false, true, false, sim::RegLanes>(max_cycles, nullptr, sim::kNoStop));
+  lanes_ = nullptr;
+  return result;
+}
+
+template <bool kObserve, bool kHarden, bool kProfile, typename Lanes>
 sim::Segment ScalarSim::run_fast(std::uint64_t max_cycles, const sim::Snapshot* from,
                                  std::uint64_t stop_at) {
   using sim::ScalarPInstr;
+  // Lockstep lanes (sim/lanes.hpp) ride on the hardened loop only.
+  constexpr bool kLanes = std::is_same_v<Lanes, sim::RegLanes>;
+  static_assert(!kLanes || (kHarden && !kObserve && !kProfile));
   const sim::PredecodedScalar& pre = *predecoded_;
   sim::ExecObserver* const obs = options_.observer;
   sim::ProfileCounts* const prof = options_.profile;
@@ -132,6 +148,7 @@ sim::Segment ScalarSim::run_fast(std::uint64_t max_cycles, const sim::Snapshot* 
     cycle = from->cycle;
     pc = from->pc;
   }
+  if constexpr (kLanes) lanes_->start(regs, &ready);
 
   auto set_trap = [&](sim::TrapReason reason, std::uint32_t detail) {
     result.status = sim::ExecStatus::Trapped;
@@ -197,6 +214,10 @@ sim::Segment ScalarSim::run_fast(std::uint64_t max_cycles, const sim::Snapshot* 
         ++fault_next;
       }
     }
+    if constexpr (kLanes) {
+      // Settled: the batch takes its reference outcome instead.
+      if (lanes_->top(cycle, pc)) return result;
+    }
     if (pc >= pre.instrs.size()) {
       // The PC ran off the end (corrupted fallthrough): fail closed.
       set_trap(sim::TrapReason::PcOutOfRange, pc);
@@ -256,6 +277,7 @@ sim::Segment ScalarSim::run_fast(std::uint64_t max_cycles, const sim::Snapshot* 
     // Multi-word expansions: IMM prefixes, and (without a barrel shifter)
     // single-bit shift sequences or the variable-shift loop.
     if (in.var_shift) {
+      if constexpr (kLanes) lanes_->var_shift(in, b);
       const std::uint64_t extra = static_cast<std::uint64_t>(timing.variable_shift_setup) +
                                   static_cast<std::uint64_t>(timing.variable_shift_per_bit) *
                                       (b & 31);
@@ -289,6 +311,7 @@ sim::Segment ScalarSim::run_fast(std::uint64_t max_cycles, const sim::Snapshot* 
     }
     if constexpr (kHarden) {
       // `a` is the address of every memory operation.
+      if constexpr (kLanes) lanes_->mem_access(in, a, b, -1);
       if (ir::is_memory(in.op) && !sim::mem_in_bounds(in.op, a, mem_.size())) {
         set_trap(sim::TrapReason::MemoryOutOfRange, a);
         return result;
@@ -298,31 +321,7 @@ sim::Segment ScalarSim::run_fast(std::uint64_t max_cycles, const sim::Snapshot* 
 
     std::uint32_t value = 0;
     switch (in.op) {
-      case Opcode::Add: value = a + b; break;
-      case Opcode::Sub: value = a - b; break;
-      case Opcode::Mul: value = a * b; break;
-      case Opcode::And: value = a & b; break;
-      case Opcode::Ior: value = a | b; break;
-      case Opcode::Xor: value = a ^ b; break;
-      case Opcode::Shl: value = a << (b & 31); break;
-      case Opcode::Shru: value = a >> (b & 31); break;
-      case Opcode::Shr:
-        value = static_cast<std::uint32_t>(static_cast<std::int32_t>(a) >> (b & 31));
-        break;
-      case Opcode::Eq: value = a == b ? 1 : 0; break;
-      case Opcode::Gt:
-        value = static_cast<std::int32_t>(a) > static_cast<std::int32_t>(b) ? 1 : 0;
-        break;
-      case Opcode::Gtu: value = a > b ? 1 : 0; break;
-      case Opcode::Sxhw: value = static_cast<std::uint32_t>(sign_extend(a, 16)); break;
-      case Opcode::Sxqw: value = static_cast<std::uint32_t>(sign_extend(a, 8)); break;
-      case Opcode::MovI:
-      case Opcode::Copy: value = a; break;
-      case Opcode::Ldw: value = mem_.load32(a); break;
-      case Opcode::Ldh: value = static_cast<std::uint32_t>(sign_extend(mem_.load16(a), 16)); break;
-      case Opcode::Ldhu: value = mem_.load16(a); break;
-      case Opcode::Ldq: value = static_cast<std::uint32_t>(sign_extend(mem_.load8(a), 8)); break;
-      case Opcode::Ldqu: value = mem_.load8(a); break;
+      TTSC_COMPUTE_CASES(value, a, b, mem_)
       case Opcode::Stw:
         mem_.store32(a, b);
         if constexpr (kObserve) obs->on_store(issue, a, b, 4);
@@ -352,6 +351,7 @@ sim::Segment ScalarSim::run_fast(std::uint64_t max_cycles, const sim::Snapshot* 
         continue;
       }
       case Opcode::Bnz: {
+        if constexpr (kLanes) lanes_->bnz(in, a);
         const bool taken = a != 0;
         if constexpr (kObserve) {
           if (taken && timing.branch_penalty > 0) {
@@ -372,6 +372,7 @@ sim::Segment ScalarSim::run_fast(std::uint64_t max_cycles, const sim::Snapshot* 
       }
       case Opcode::Ret: {
         if constexpr (kProfile) prof->final_pc = pc;
+        if constexpr (kLanes) lanes_->ret(in);
         result.cycles = issue + 1;
         result.ret = a;
         result.rf_state = regs;
@@ -383,10 +384,12 @@ sim::Segment ScalarSim::run_fast(std::uint64_t max_cycles, const sim::Snapshot* 
         // marker fires above before the switch is reached.
         TTSC_UNREACHABLE("calls/selects are lowered before scalar emission");
     }
+    if constexpr (kLanes) lanes_->store(in, a, b);
 
     cycle = issue + 1;
     if (in.dst_slot >= 0) {
       const std::size_t slot = static_cast<std::size_t>(in.dst_slot);
+      if constexpr (kLanes) lanes_->write(slot, in, a, b, value);
       regs[slot] = value;
       if constexpr (kHarden) {
         if (prot != nullptr) prot->clear_rf(static_cast<std::uint32_t>(slot));

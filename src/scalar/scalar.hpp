@@ -18,6 +18,7 @@
 
 namespace ttsc::sim {
 struct PredecodedScalar;
+class RegLanes;
 }
 
 namespace ttsc::scalar {
@@ -81,11 +82,17 @@ class ScalarSim {
   /// fields stay empty (sim::Engine fills them).
   sim::Segment run(std::uint64_t max_cycles, const sim::Snapshot* from, std::uint64_t stop_at);
 
+  /// A hardened run() from cycle 0 as the leader of a lockstep batch
+  /// (sim/lanes.hpp): `lanes` follows every state change it makes.
+  ExecResult run(std::uint64_t max_cycles, sim::RegLanes& lanes);
+
   /// The interpretive reference loop: the oracle the tests hold run() to.
   ExecResult run_reference(std::uint64_t max_cycles = 2'000'000'000ull);
 
  private:
-  template <bool kObserve, bool kHarden, bool kProfile>
+  /// The fast loop. With Lanes = sim::RegLanes it leads the lockstep batch
+  /// at lanes_; sim::NoLanes is the plain run.
+  template <bool kObserve, bool kHarden, bool kProfile, typename Lanes>
   sim::Segment run_fast(std::uint64_t max_cycles, const sim::Snapshot* from,
                         std::uint64_t stop_at);
 
@@ -94,6 +101,7 @@ class ScalarSim {
   ir::Memory& mem_;
   sim::SimOptions options_;
   std::shared_ptr<const sim::PredecodedScalar> predecoded_;
+  sim::RegLanes* lanes_ = nullptr;  // during run(max_cycles, lanes)
 };
 
 }  // namespace ttsc::scalar

@@ -1,25 +1,13 @@
 // Batched lockstep fault-injection execution (see lockstep.hpp).
 //
-// Each engine below is a line-for-line mirror of the corresponding
-// run_fast<kObserve=false, kHarden=true> loop (scalar/scalar.cpp,
-// vliw/sim.cpp, tta/sim.cpp) with lane hooks inserted at every point the
-// leader reads or writes architectural state. The mirrored loops are the
-// correctness-critical part: any drift from the scalar semantics is caught
-// by the differential fleet in tests/lockstep_test.cpp, which locks every
-// lane's ExecResult and memory image to a scalar hardened rerun.
-//
-// Hook discipline shared by all three engines:
-//  * lane processing happens BEFORE the leader's write lands, using operand
-//    values captured before the leader mutates them (read-before-write);
-//    set() then compares the lane's value against the value the leader is
-//    about to write, maintaining the exact-diff invariant;
-//  * stores are the one exception: the leader's bytes land first, and each
-//    lane's bytes are then set-or-erased against the post-store image;
-//  * the `affected` lane set for an operation is the union of the dirty
-//    masks of every location it reads or writes (plus, for loads, lanes
-//    whose memory delta overlaps the accessed range), always intersected
-//    with the live mask — a fully clean lane never costs more than the
-//    mask-word unions.
+// The scalar and VLIW batches run the leader on the model's own fast loop
+// with the RegLanes policy (sim/lanes.hpp); this file holds the policy's
+// eviction and result assembly. The TTA engine below is still a mirror of
+// TtaSim::run_fast<kObserve=false, kHarden=true> (tta/sim.cpp) with the
+// lane hooks written into it, following the same hook discipline. Any
+// drift from the plain loop's semantics is caught by the differential
+// fleet in tests/lockstep_test.cpp, which locks every lane's ExecResult and
+// memory image to a standalone hardened run.
 #include "sim/lockstep.hpp"
 
 #include <algorithm>
@@ -28,6 +16,7 @@
 
 #include "sim/compute.hpp"
 #include "sim/harden.hpp"
+#include "sim/lanes.hpp"
 #include "sim/observer.hpp"
 #include "support/assert.hpp"
 
@@ -124,206 +113,9 @@ std::uint64_t checksum_with_delta(const ir::Memory& leader, const MemDelta& delt
   return h;
 }
 
-namespace {
-
-/// A set of lanes: bit l is lane l (kMaxLanes lanes fit one word).
-using LaneMask = std::uint64_t;
-
-constexpr LaneMask lane_bit(int lane) { return LaneMask{1} << lane; }
-
-/// Call fn(lane) for every set bit.
-template <typename Fn>
-void for_lanes(LaneMask m, Fn&& fn) {
-  while (m != 0) {
-    fn(std::countr_zero(m));
-    m &= m - 1;
-  }
-}
-
-// ---- Sparse lane diffs -------------------------------------------------
-
-/// Structure-of-arrays diff of up to kMaxLanes lanes against the leader.
-/// Every piece of leader state the lanes can diverge in gets a location id;
-/// `mask[id]` is the set of lanes whose value at that location differs and
-/// `value[lane * n_ids + id]` holds the differing value. All storage is
-/// allocated once at batch start; the per-cycle loop only flips mask bits.
-struct LaneDiffs {
-  std::size_t n_ids = 0;
-  std::vector<LaneMask> mask;        // [id] -> lanes differing from leader
-  std::vector<std::uint32_t> value;  // [lane * n_ids + id] -> lane value
-  std::array<std::uint32_t, kMaxLanes> dirty_count{};  // dirty ids per lane
-  std::array<MemDelta, kMaxLanes> delta;
-  LaneMask diff_mask = 0;   // lanes with any dirty id or delta byte
-  LaneMask delta_mask = 0;  // lanes with a non-empty memory delta
-
-  void init(std::size_t ids, int lanes) {
-    n_ids = ids;
-    mask.assign(ids, 0u);
-    value.assign(ids * static_cast<std::size_t>(lanes), 0u);
-  }
-
-  bool dirty(int lane, std::size_t id) const { return (mask[id] & lane_bit(lane)) != 0; }
-
-  std::uint32_t get(int lane, std::size_t id, std::uint32_t leader_value) const {
-    return dirty(lane, id) ? value[static_cast<std::size_t>(lane) * n_ids + id] : leader_value;
-  }
-
-  void update_diff(int lane) {
-    const LaneMask bit = lane_bit(lane);
-    if (delta[static_cast<std::size_t>(lane)].empty()) {
-      delta_mask &= ~bit;
-    } else {
-      delta_mask |= bit;
-    }
-    if (dirty_count[static_cast<std::size_t>(lane)] != 0 || (delta_mask & bit) != 0) {
-      diff_mask |= bit;
-    } else {
-      diff_mask &= ~bit;
-    }
-  }
-
-  /// Set-or-erase: record the lane's value at `id` against the value the
-  /// leader holds (or is about to write) there.
-  void set(int lane, std::size_t id, std::uint32_t lane_value, std::uint32_t leader_value) {
-    const LaneMask bit = lane_bit(lane);
-    if (lane_value == leader_value) {
-      if ((mask[id] & bit) != 0) {
-        mask[id] &= ~bit;
-        --dirty_count[static_cast<std::size_t>(lane)];
-        update_diff(lane);
-      }
-      return;
-    }
-    if ((mask[id] & bit) == 0) {
-      mask[id] |= bit;
-      ++dirty_count[static_cast<std::size_t>(lane)];
-      diff_mask |= bit;
-    }
-    value[static_cast<std::size_t>(lane) * n_ids + id] = lane_value;
-  }
-
-  /// Drop every lane's dirt at `id` (a ring/pending entry that was consumed
-  /// and is about to be reused for an unrelated write).
-  void clear_all(std::size_t id) {
-    for_lanes(mask[id], [&](int l) {
-      --dirty_count[static_cast<std::size_t>(l)];
-      update_diff(l);
-    });
-    mask[id] = 0;
-  }
-
-  void mem_set(int lane, std::uint32_t addr, std::uint8_t lane_byte, std::uint8_t leader_byte) {
-    delta[static_cast<std::size_t>(lane)].set(addr, lane_byte, leader_byte);
-    update_diff(lane);
-  }
-};
-
-// ---- Batch bookkeeping -------------------------------------------------
-
-/// Live mask, per-lane fault cursors and one outcome slot per lane. Fault
-/// application is pointer-gated exactly like the scalar loops: every head
-/// entry whose cycle has been reached applies, in FaultSet array order per
-/// lane.
-struct BatchCore {
-  LaneDiffs d;
-  int n_lanes = 0;
-  LaneMask live = 0;
-  LaneMask fault_pending = 0;
-  std::array<const StateFault*, kMaxLanes> fcur{};
-  std::array<const StateFault*, kMaxLanes> fend{};
-  std::uint64_t next_due = ~0ull;
-  /// An evicted lane's slot holds its own outcome from the eviction on; the
-  /// others are filled from the leader's at halt (assemble_batch).
-  std::vector<LaneOutcome> lanes;
-  std::uint64_t evictions = 0;
-
-  void init(std::size_t n_ids, std::span<const FaultSet> lane_faults) {
-    n_lanes = static_cast<int>(lane_faults.size());
-    TTSC_ASSERT(n_lanes >= 1 && n_lanes <= kMaxLanes, "lockstep: 1..kMaxLanes lanes per batch");
-    d.init(n_ids, n_lanes);
-    lanes.resize(static_cast<std::size_t>(n_lanes));
-    live = n_lanes == kMaxLanes ? ~LaneMask{0} : lane_bit(n_lanes) - 1;
-    for (int l = 0; l < n_lanes; ++l) {
-      const auto sl = static_cast<std::size_t>(l);
-      fcur[sl] = lane_faults[sl].faults.data();
-      fend[sl] = fcur[sl] + lane_faults[sl].faults.size();
-      if (fcur[sl] != fend[sl]) fault_pending |= lane_bit(l);
-    }
-    recompute_next_due();
-  }
-
-  void recompute_next_due() {
-    next_due = ~0ull;
-    for_lanes(fault_pending & live, [&](int l) {
-      next_due = std::min(next_due, fcur[static_cast<std::size_t>(l)]->cycle);
-    });
-  }
-
-  /// Apply every due fault via fn(lane, fault). Fast-exits on the cached
-  /// minimum head cycle, so fault-free stretches cost one compare.
-  template <typename Fn>
-  void apply_due(std::uint64_t now, Fn&& fn) {
-    if (now < next_due) return;
-    for_lanes(fault_pending & live, [&](int l) {
-      const auto sl = static_cast<std::size_t>(l);
-      while (fcur[sl] != fend[sl] && fcur[sl]->cycle <= now) {
-        fn(l, *fcur[sl]);
-        ++fcur[sl];
-      }
-      if (fcur[sl] == fend[sl]) fault_pending &= ~lane_bit(l);
-    });
-    recompute_next_due();
-  }
-
-  /// Remove a lane whose control flow, timing or trap provably diverged
-  /// from the leader's at `cycle`. The caller fills the returned slot's
-  /// result and memory with the lane's own outcome before the leader moves
-  /// on.
-  LaneOutcome& evict(int lane, std::uint64_t cycle) {
-    live &= ~lane_bit(lane);
-    ++evictions;
-    recompute_next_due();
-    LaneOutcome& lo = lanes[static_cast<std::size_t>(lane)];
-    lo.evicted = true;
-    lo.diverge_cycle = cycle;
-    return lo;
-  }
-
-  /// True when no live lane can ever diverge from the leader again: no
-  /// state/memory diff left and no fault still to apply.
-  bool settled() const { return (d.diff_mask & live) == 0 && (fault_pending & live) == 0; }
-};
-
-// ---- Lane-side operand evaluation --------------------------------------
-
-/// A lane's memory as sim::compute reads it: the leader image with the
-/// lane's delta patched in.
-struct LaneMemory {
-  const ir::Memory& leader;
-  const MemDelta& delta;
-
-  std::uint8_t load8(std::uint32_t addr) const {
-    const std::uint8_t* p = delta.find(addr);
-    return p != nullptr ? *p : leader.load8(addr);
-  }
-  std::uint16_t load16(std::uint32_t addr) const {
-    return static_cast<std::uint16_t>(load8(addr) | (load8(addr + 1) << 8));
-  }
-  std::uint32_t load32(std::uint32_t addr) const {
-    return load16(addr) | (static_cast<std::uint32_t>(load16(addr + 2)) << 16);
-  }
-};
-
-/// Exact dirty-address store: lane `l` stores `lane_val` at `lane_addr`
-/// while the leader is about to store `leader_val` at `leader_addr` (`mem`
-/// is the pre-store image). Rewrites the lane's delta over both (possibly
-/// overlapping) byte ranges so the exact-diff invariant holds afterwards:
-/// over the leader's range the lane keeps its own pre-store bytes, over the
-/// lane's range it holds the stored value against the leader's post-store
-/// image.
 void store_diverged(LaneDiffs& d, int l, const ir::Memory& mem, int nbytes,
-                    std::uint32_t leader_addr, std::uint32_t leader_val,
-                    std::uint32_t lane_addr, std::uint32_t lane_val) {
+                    std::uint32_t leader_addr, std::uint32_t leader_val, std::uint32_t lane_addr,
+                    std::uint32_t lane_val) {
   const LaneMemory lane_mem{mem, d.delta[static_cast<std::size_t>(l)]};
   std::array<std::uint8_t, 4> lane_pre{};
   for (int i = 0; i < nbytes; ++i) {
@@ -345,6 +137,8 @@ void store_diverged(LaneDiffs& d, int l, const ir::Memory& mem, int nbytes,
     d.mem_set(l, x, static_cast<std::uint8_t>(lane_val >> (8 * i)), leader_post);
   }
 }
+
+namespace {
 
 // ---- Result assembly ---------------------------------------------------
 
@@ -385,7 +179,6 @@ BatchResult assemble_batch(BatchCore& core, ExecResult leader_result, ir::Memory
   BatchResult out;
   out.leader = std::move(leader_result);
   out.leader_mem = std::move(leader_mem);
-  out.divergences = core.evictions;
   out.evictions = core.evictions;
   out.lanes = std::move(core.lanes);
   for (int l = 0; l < core.n_lanes; ++l) {
@@ -402,549 +195,141 @@ BatchResult assemble_batch(BatchCore& core, ExecResult leader_result, ir::Memory
 
 }  // namespace
 
-// ---- Scalar engine -----------------------------------------------------
-//
-// Mirrors ScalarSim::run_fast<false, true> (scalar/scalar.cpp). Location
-// ids are the flat RF slots only: the `ready` scoreboard timing is shared
-// by construction (reads stall on shared issue cycles), except for the
-// variable-shift loop whose duration depends on the masked shift amount —
-// a lane whose masked amount differs is a proven timing divergence.
+// ---- The register-file lane policy -------------------------------------
+
+RegLanes::RegLanes(std::span<const FaultSet> lane_faults, std::size_t n_ids,
+                   std::uint32_t rf_slots, const std::vector<std::uint32_t>& rf_base,
+                   const mach::Machine& machine, const ir::Memory& leader_mem,
+                   const ir::Memory& initial_mem, const ExecResult* reference,
+                   const ir::Memory* reference_mem, Exit exit, Runner run)
+    : lane_faults_(lane_faults),
+      rf_slots_(rf_slots),
+      rf_base_(rf_base),
+      machine_(machine),
+      leader_mem_(&leader_mem),
+      initial_mem_(&initial_mem),
+      reference_(reference),
+      reference_mem_(reference_mem),
+      exit_(exit),
+      run_(std::move(run)) {
+  TTSC_ASSERT((reference == nullptr) == (reference_mem == nullptr),
+              "reference result and memory must be passed together");
+  init(n_ids, lane_faults);
+}
+
+void RegLanes::apply_fault(int lane, const StateFault& f) {
+  if (f.kind != FaultKind::RfBit) return;
+  if (f.unit < 0 || static_cast<std::size_t>(f.unit) >= machine_.rfs.size()) return;
+  if (f.index < 0 || f.index >= machine_.rfs[static_cast<std::size_t>(f.unit)].size) return;
+  const std::size_t slot =
+      rf_base_[static_cast<std::size_t>(f.unit)] + static_cast<std::uint32_t>(f.index);
+  const std::uint32_t leader = (*regs_)[slot];
+  d.set(lane, slot, d.get(lane, slot, leader) ^ fault_mask(f), leader);
+}
+
+void RegLanes::diverge(int l) {
+  if (exit_ == Exit::Resume) return resume(l);
+  LaneOutcome& lo = evict(l, now_);
+  lo.mem.emplace(*initial_mem_);
+  lo.result = run_(*lo.mem, lane_faults_[static_cast<std::size_t>(l)], nullptr);
+}
+
+void RegLanes::out_of_bounds(int l, int unit, std::uint32_t addr) {
+  if (exit_ == Exit::Resume) return resume(l);
+  // The lane traps at exactly this cycle, before any further state change,
+  // with state lockstep already holds: its standalone run needs no rerun.
+  LaneOutcome& lo = evict(l, now_);
+  lo.result.status = ExecStatus::Trapped;
+  lo.result.trap = TrapInfo{TrapReason::MemoryOutOfRange, now_, unit, addr};
+  lo.result.cycles = now_;
+  lo.result.rf_state = *regs_;
+  overlay_rf(d, l, rf_slots_, -1, lo.result);
+  lo.mem.emplace(materialize(*leader_mem_, d.delta[static_cast<std::size_t>(l)]));
+}
+
+void RegLanes::resume(int l) {
+  // Every eviction happens before the divergent instruction issues. Until
+  // then a lane's state is the leader's plus its diffs — byte-identical to a
+  // standalone hardened run — so the lane resumes on its own loop from there
+  // instead of re-simulating the shared prefix from cycle 0.
+  const auto sl = static_cast<std::size_t>(l);
+  Snapshot from;
+  from.regs = *regs_;
+  from.ready = *ready_;
+  from.cycle = now_;
+  from.pc = pc_;
+  for (std::uint32_t id = 0; id < rf_slots_; ++id) {
+    if (d.dirty(l, id)) from.regs[id] = d.value[sl * d.n_ids + id];
+  }
+  const FaultSet rest{std::vector<StateFault>(fcur[sl], fend[sl])};
+  LaneOutcome& lo = evict(l, now_);
+  lo.mem.emplace(materialize(*leader_mem_, d.delta[sl]));
+  lo.result = run_(*lo.mem, rest, &from);
+}
+
+BatchResult RegLanes::finish(ExecResult leader, ir::Memory leader_mem) {
+  if (settled_) {
+    leader = *reference_;
+    leader_mem = *reference_mem_;
+  }
+  auto overlay = [&](int l, ExecResult& r) { overlay_rf(d, l, rf_slots_, ret_id_, r); };
+  return assemble_batch(*this, std::move(leader), std::move(leader_mem), overlay);
+}
+
+// ---- Scalar and VLIW batches -------------------------------------------
+
+namespace {
+
+/// One batch on `Sim`: build the policy over `n_ids` location ids, run the
+/// leader's own hardened fast loop with it, and assemble the BatchResult.
+/// An evicted lane's own run is a hardened run on `Sim` as well.
+template <typename Sim, typename Program, typename Predecoded>
+BatchResult run_reg_batch(const Program& program, const mach::Machine& machine,
+                          const std::shared_ptr<const Predecoded>& pre,
+                          const ir::Memory& initial_mem, std::span<const FaultSet> lane_faults,
+                          std::uint64_t max_cycles, const ExecResult* reference,
+                          const ir::Memory* reference_mem, std::size_t n_ids,
+                          RegLanes::Exit exit) {
+  auto run_lane = [&](ir::Memory& mem, const FaultSet& faults, const Snapshot* from) {
+    Sim s(program, machine, mem, {.harden = true, .faults = &faults});
+    s.use_predecoded(pre);
+    return std::get<ExecResult>(s.run(max_cycles, from, kNoStop));
+  };
+  ir::Memory mem = initial_mem;
+  RegLanes lanes(lane_faults, n_ids, pre->rf_slots, pre->rf_base, machine, mem, initial_mem,
+                 reference, reference_mem, exit, run_lane);
+  Sim leader(program, machine, mem, {.harden = true});
+  leader.use_predecoded(pre);
+  ExecResult result = leader.run(max_cycles, lanes);
+  return lanes.finish(std::move(result), std::move(mem));
+}
+
+}  // namespace
 
 BatchResult run_scalar_batch(const scalar::ScalarProgram& program, const mach::Machine& machine,
-                             std::shared_ptr<const PredecodedScalar> pre_ptr,
+                             std::shared_ptr<const PredecodedScalar> pre,
                              const ir::Memory& initial_mem,
                              std::span<const FaultSet> lane_faults, std::uint64_t max_cycles,
                              const ExecResult* reference, const ir::Memory* reference_mem) {
-  TTSC_ASSERT(pre_ptr != nullptr, "run_scalar_batch needs a predecoded program");
-  TTSC_ASSERT((reference == nullptr) == (reference_mem == nullptr),
-              "reference result and memory must be passed together");
-  const PredecodedScalar& pre = *pre_ptr;
-  const mach::ScalarTiming& timing = machine.scalar;
-
-  BatchCore core;
-  core.init(pre.rf_slots, lane_faults);
-  LaneDiffs& d = core.d;
-
-  ir::Memory mem = initial_mem;
-  std::vector<std::uint32_t> regs(pre.rf_slots, 0u);
-  std::vector<std::uint64_t> ready(pre.rf_slots, 0ull);
-
-  ExecResult result;
-  std::uint64_t cycle = static_cast<std::uint64_t>(timing.pipeline_stages - 1);  // fill
-  std::uint32_t pc = 0;
-
-  // Every eviction happens before the divergent instruction issues. Until
-  // then a lane's state is the leader's plus its diffs — byte-identical to a
-  // standalone hardened run — so the lane resumes on ScalarSim's own fast
-  // loop from there instead of re-simulating the shared prefix from cycle 0.
-  auto evict = [&](int l) {
-    const auto sl = static_cast<std::size_t>(l);
-    Snapshot state;
-    state.regs = regs;
-    state.ready = ready;
-    state.cycle = cycle;
-    state.pc = pc;
-    for (std::uint32_t id = 0; id < pre.rf_slots; ++id) {
-      if (d.dirty(l, id)) state.regs[id] = d.value[sl * d.n_ids + id];
-    }
-    const FaultSet rest{std::vector<StateFault>(core.fcur[sl], core.fend[sl])};
-    LaneOutcome& lo = core.evict(l, cycle);
-    lo.mem.emplace(materialize(mem, d.delta[sl]));
-    SimOptions o;
-    o.harden = true;
-    o.faults = &rest;
-    scalar::ScalarSim s(program, machine, *lo.mem, o);
-    s.use_predecoded(pre_ptr);
-    lo.result = std::get<ExecResult>(s.run(max_cycles, &state, kNoStop));
-  };
-
-  // Halt: `ret_id` is the flat RF slot the return value was read from
-  // (-1 when immediate or when the halt carries no return value).
-  auto finish = [&](ExecResult leader, ir::Memory leader_mem, std::int64_t ret_id) {
-    auto overlay = [&](int l, ExecResult& r) { overlay_rf(d, l, pre.rf_slots, ret_id, r); };
-    return assemble_batch(core, std::move(leader), std::move(leader_mem), overlay);
-  };
-
-  auto set_trap = [&](TrapReason reason, std::uint32_t detail) {
-    result.status = ExecStatus::Trapped;
-    result.trap = TrapInfo{reason, cycle, -1, detail};
-    result.cycles = cycle;
-    result.rf_state = regs;
-  };
-
-  auto apply_lane_fault = [&](int lane, const StateFault& f) {
-    if (f.kind != FaultKind::RfBit) return;
-    if (f.unit < 0 || static_cast<std::size_t>(f.unit) >= machine.rfs.size()) return;
-    if (f.index < 0 || f.index >= machine.rfs[static_cast<std::size_t>(f.unit)].size) return;
-    const std::size_t slot =
-        pre.rf_base[static_cast<std::size_t>(f.unit)] + static_cast<std::uint32_t>(f.index);
-    const std::uint32_t lv = d.get(lane, slot, regs[slot]) ^ fault_mask(f);
-    d.set(lane, slot, lv, regs[slot]);
-  };
-
-  while (true) {
-    core.apply_due(cycle, apply_lane_fault);
-    if (reference != nullptr && core.settled()) {
-      return finish(*reference, *reference_mem, /*ret_id=*/-1);
-    }
-    // All-clean fast path: when no live lane differs anywhere (diff_mask
-    // covers dirty ids and memory deltas both), every lane hook below is a
-    // no-op — its masks intersected with `live` are zero — so the leader
-    // executes the instruction at plain fast-path cost. Evicted lanes may
-    // hold stale dirt (their clear_all is skipped too); every consumer
-    // filters with `& core.live`, so that dirt is unreachable.
-    const bool lanes_dirty = (d.diff_mask & core.live) != 0;
-    if (pc >= pre.instrs.size()) {
-      set_trap(TrapReason::PcOutOfRange, pc);
-      return finish(std::move(result), std::move(mem), -1);
-    }
-    const ScalarPInstr& in = pre.instrs[pc];
-    if (in.trap != 0) {
-      set_trap(static_cast<TrapReason>(in.trap - 1), in.trap_detail);
-      return finish(std::move(result), std::move(mem), -1);
-    }
-
-    std::uint64_t issue = cycle;
-    std::uint32_t a = in.a_val;
-    std::uint32_t b = in.b_val;
-    if (!in.a_imm) {
-      issue = std::max(issue, ready[in.a_slot]);
-      a = regs[in.a_slot];
-    }
-    if (!in.b_imm) {
-      issue = std::max(issue, ready[in.b_slot]);
-      b = regs[in.b_slot];
-    }
-    if (in.var_shift) {
-      // The shift-loop duration depends on the masked amount: a lane whose
-      // amount differs runs a different number of cycles — proven timing
-      // divergence (the result diff alone would be handled below).
-      if (lanes_dirty && !in.b_imm) {
-        for_lanes(d.mask[in.b_slot] & core.live, [&](int l) {
-          if ((d.get(l, in.b_slot, b) & 31) != (b & 31)) evict(l);
-        });
-      }
-      issue += static_cast<std::uint64_t>(timing.variable_shift_setup) +
-               static_cast<std::uint64_t>(timing.variable_shift_per_bit) * (b & 31);
-    } else {
-      issue += in.extra_words;
-    }
-    if (issue + 1 > max_cycles) {
-      result.status = ExecStatus::TimedOut;
-      result.cycles = cycle;
-      result.rf_state = regs;
-      return finish(std::move(result), std::move(mem), -1);
-    }
-    if (ir::is_memory(in.op)) {
-      const bool leader_ok = mem_in_bounds(in.op, a, mem.size());
-      if (lanes_dirty && !in.a_imm) {
-        if (ir::is_load(in.op) && leader_ok) {
-          // A dirty load address stays exact in lockstep: the operand hook
-          // below reads the lane's own address through its delta. Only a
-          // lane failing the bounds check the leader passes behaves
-          // differently (it traps) — proven divergence.
-          for_lanes(d.mask[in.a_slot] & core.live, [&](int l) {
-            if (!mem_in_bounds(in.op, d.get(l, in.a_slot, a), mem.size())) evict(l);
-          });
-        } else if (!leader_ok) {
-          // The leader traps here; any dirty-address lane's TrapInfo detail
-          // would differ — proven.
-          for_lanes(d.mask[in.a_slot] & core.live, evict);
-        } else {
-          // Dirty store addresses stay exact too: store_diverged rewrites
-          // the lane's delta over the leader's range and the lane's own.
-          // Only a lane failing the bounds check traps — proven divergence.
-          const int nbytes = mem_access_bytes(in.op);
-          for_lanes(d.mask[in.a_slot] & core.live, [&](int l) {
-            const std::uint32_t la = d.get(l, in.a_slot, a);
-            if (!mem_in_bounds(in.op, la, mem.size())) {
-              evict(l);
-              return;
-            }
-            const std::uint32_t lb = in.b_imm ? b : d.get(l, in.b_slot, b);
-            store_diverged(d, l, mem, nbytes, a, b, la, lb);
-          });
-        }
-      }
-      if (!leader_ok) {
-        set_trap(TrapReason::MemoryOutOfRange, a);
-        return finish(std::move(result), std::move(mem), -1);
-      }
-    }
-
-    switch (in.op) {
-      case Opcode::Stw:
-      case Opcode::Sth:
-      case Opcode::Stq: {
-        // Leader bytes land first; lane bytes set-or-erase against them.
-        // `a` is the (shared) address, `b` the data operand.
-        switch (in.op) {
-          case Opcode::Stw: mem.store32(a, b); break;
-          case Opcode::Sth: mem.store16(a, static_cast<std::uint16_t>(b)); break;
-          default: mem.store8(a, static_cast<std::uint8_t>(b)); break;
-        }
-        if (lanes_dirty) {
-          const int nbytes = mem_access_bytes(in.op);
-          LaneMask affected = d.delta_mask;
-          if (!in.b_imm) affected |= d.mask[in.b_slot];
-          // Dirty-address lanes were fully handled by store_diverged above.
-          if (!in.a_imm) affected &= ~d.mask[in.a_slot];
-          for_lanes(affected & core.live, [&](int l) {
-            if (in.b_imm || !d.dirty(l, in.b_slot)) {
-              // Clean data: only process lanes whose delta overlaps the range
-              // (their divergent bytes get overwritten and erased).
-              if (!d.delta[static_cast<std::size_t>(l)].overlaps(
-                      a, static_cast<std::uint32_t>(nbytes))) {
-                return;
-              }
-            }
-            const std::uint32_t lb = in.b_imm ? b : d.get(l, in.b_slot, b);
-            for (int i = 0; i < nbytes; ++i) {
-              d.mem_set(l, a + static_cast<std::uint32_t>(i),
-                        static_cast<std::uint8_t>(lb >> (8 * i)),
-                        static_cast<std::uint8_t>(b >> (8 * i)));
-            }
-          });
-        }
-        break;
-      }
-      case Opcode::Jump: {
-        cycle = issue + 1 + static_cast<std::uint64_t>(timing.branch_penalty);
-        pc = in.target_pc;
-        result.cycles = cycle;
-        continue;
-      }
-      case Opcode::Bnz: {
-        const bool taken = a != 0;
-        if (lanes_dirty && !in.a_imm) {
-          for_lanes(d.mask[in.a_slot] & core.live, [&](int l) {
-            if ((d.get(l, in.a_slot, a) != 0) != taken) evict(l);
-          });
-        }
-        cycle = issue + 1 + (taken ? static_cast<std::uint64_t>(timing.branch_penalty) : 0ull);
-        pc = taken ? in.target_pc : pc + 1;
-        result.cycles = cycle;
-        continue;
-      }
-      case Opcode::Ret: {
-        result.cycles = issue + 1;
-        result.ret = a;
-        result.rf_state = regs;
-        return finish(std::move(result), std::move(mem),
-                      in.a_imm ? -1 : static_cast<std::int32_t>(in.a_slot));
-      }
-      default: {
-        const std::uint32_t value = compute(in.op, a, b, mem);
-        if (in.dst_slot >= 0) {
-          const std::size_t slot = static_cast<std::size_t>(in.dst_slot);
-          if (lanes_dirty) {
-            LaneMask affected = d.mask[slot];
-            if (!in.a_imm) affected |= d.mask[in.a_slot];
-            if (!in.b_imm) affected |= d.mask[in.b_slot];
-            if (ir::is_load(in.op)) {
-              for_lanes(d.delta_mask & core.live, [&](int l) {
-                if (d.delta[static_cast<std::size_t>(l)].overlaps(
-                        a, static_cast<std::uint32_t>(mem_access_bytes(in.op)))) {
-                  affected |= lane_bit(l);
-                }
-              });
-            }
-            for_lanes(affected & core.live, [&](int l) {
-              const std::uint32_t la = in.a_imm ? a : d.get(l, in.a_slot, a);
-              const std::uint32_t lb = in.b_imm ? b : d.get(l, in.b_slot, b);
-              const std::uint32_t lv = compute(
-                  in.op, la, lb, LaneMemory{mem, d.delta[static_cast<std::size_t>(l)]});
-              d.set(l, slot, lv, value);
-            });
-          }
-          regs[slot] = value;
-          ready[slot] =
-              issue + 1 + static_cast<std::uint64_t>(in.stall) + (timing.forwarding ? 0 : 1);
-        }
-        break;
-      }
-    }
-
-    cycle = issue + 1;
-    ++pc;
-  }
+  TTSC_ASSERT(pre != nullptr, "run_scalar_batch needs a predecoded program");
+  return run_reg_batch<scalar::ScalarSim>(program, machine, pre, initial_mem, lane_faults,
+                                          max_cycles, reference, reference_mem, pre->rf_slots,
+                                          RegLanes::Exit::Resume);
 }
 
-// ---- VLIW engine -------------------------------------------------------
-//
-// Mirrors VliwSim::run_fast<false, true> (vliw/sim.cpp). Location ids are
-// the flat RF slots plus one id per write-back ring entry, so an in-flight
-// divergent value stays a lane diff until its commit cycle, where it is
-// folded into the destination slot's diff and the entry id is cleared for
-// reuse. Control flow (transfer_in/pc) and the ring cursor are shared;
-// a lane whose Bnz decision differs from the leader's is evicted.
-
 BatchResult run_vliw_batch(const vliw::VliwProgram& program, const mach::Machine& machine,
-                           std::shared_ptr<const PredecodedVliw> pre_ptr,
+                           std::shared_ptr<const PredecodedVliw> pre,
                            const ir::Memory& initial_mem,
                            std::span<const FaultSet> lane_faults, std::uint64_t max_cycles,
                            const ExecResult* reference, const ir::Memory* reference_mem) {
-  TTSC_ASSERT(pre_ptr != nullptr, "run_vliw_batch needs a predecoded program");
-  TTSC_ASSERT((reference == nullptr) == (reference_mem == nullptr),
-              "reference result and memory must be passed together");
-  const PredecodedVliw& pre = *pre_ptr;
-  const std::uint64_t ring = static_cast<std::uint64_t>(pre.ring);
-  const std::size_t num_bundles = pre.num_bundles();
-  const std::size_t row_cap = static_cast<std::size_t>(program.num_slots) * ring;
-  const std::size_t eid_base = pre.rf_slots;  // ring entry ids follow the RF slots
-
-  BatchCore core;
-  core.init(static_cast<std::size_t>(pre.rf_slots) + ring * row_cap, lane_faults);
-  LaneDiffs& d = core.d;
-
-  ir::Memory mem = initial_mem;
-  std::vector<std::uint32_t> regs(pre.rf_slots, 0u);
-  struct Write {
-    std::uint32_t slot;
-    std::uint32_t value;
-  };
-  std::vector<Write> wb(ring * row_cap);
-  std::vector<std::uint32_t> wb_count(ring, 0u);
-
-  ExecResult result;
-  std::uint64_t cycle = 0;
-  std::size_t pc = 0;
-  int transfer_in = -1;
-  std::size_t transfer_target = 0;
-
-  // Trap synthesis (see the TTA engine): a lane whose memory address is
-  // provably out of bounds traps at exactly this cycle with state the
-  // lockstep already holds, so its eviction needs no rerun.
-  auto evict_trap = [&](int l, int unit, std::uint32_t lane_addr) {
-    LaneOutcome& lo = core.evict(l, cycle);
-    lo.result.status = ExecStatus::Trapped;
-    lo.result.trap = TrapInfo{TrapReason::MemoryOutOfRange, cycle, unit, lane_addr};
-    lo.result.cycles = cycle;
-    lo.result.rf_state = regs;
-    overlay_rf(d, l, pre.rf_slots, -1, lo.result);
-    lo.mem.emplace(materialize(mem, d.delta[static_cast<std::size_t>(l)]));
-  };
-  // Any other divergence reruns the lane from cycle 0.
-  auto evict_rerun = [&](int l) {
-    rerun_lane<vliw::VliwSim>(program, machine, pre_ptr, initial_mem,
-                              lane_faults[static_cast<std::size_t>(l)], max_cycles,
-                              core.evict(l, cycle));
-  };
-
-  auto finish = [&](ExecResult leader, ir::Memory leader_mem, std::int64_t ret_id) {
-    auto overlay = [&](int l, ExecResult& r) { overlay_rf(d, l, pre.rf_slots, ret_id, r); };
-    return assemble_batch(core, std::move(leader), std::move(leader_mem), overlay);
-  };
-
-  auto set_trap = [&](TrapReason reason, int unit, std::uint32_t detail) {
-    result.status = ExecStatus::Trapped;
-    result.trap = TrapInfo{reason, cycle, unit, detail};
-    result.cycles = cycle;
-    result.rf_state = regs;
-  };
-
-  auto apply_lane_fault = [&](int lane, const StateFault& f) {
-    if (f.kind != FaultKind::RfBit) return;
-    if (f.unit < 0 || static_cast<std::size_t>(f.unit) >= machine.rfs.size()) return;
-    if (f.index < 0 || f.index >= machine.rfs[static_cast<std::size_t>(f.unit)].size) return;
-    const std::size_t slot =
-        pre.rf_base[static_cast<std::size_t>(f.unit)] + static_cast<std::uint32_t>(f.index);
-    const std::uint32_t lv = d.get(lane, slot, regs[slot]) ^ fault_mask(f);
-    d.set(lane, slot, lv, regs[slot]);
-  };
-
-  std::size_t wb_idx = 0;
-  while (cycle < max_cycles) {
-    core.apply_due(cycle, apply_lane_fault);
-    if (reference != nullptr && core.settled()) {
-      return finish(*reference, *reference_mem, /*ret_id=*/-1);
-    }
-    // All-clean fast path (see the scalar engine): no live lane differs, so
-    // every lane hook this cycle is a no-op and only leader state advances.
-    const bool lanes_dirty = (d.diff_mask & core.live) != 0;
-    if (wb_count[wb_idx] != 0) {
-      Write* const commits = &wb[wb_idx * row_cap];
-      const std::uint32_t n = wb_count[wb_idx];
-      for (std::uint32_t i = 0; i < n; ++i) {
-        const Write& w = commits[i];
-        if (lanes_dirty) {
-          const std::size_t eid = eid_base + wb_idx * row_cap + i;
-          for_lanes((d.mask[eid] | d.mask[w.slot]) & core.live, [&](int l) {
-            d.set(l, w.slot, d.get(l, eid, w.value), w.value);
-          });
-          d.clear_all(eid);
-        }
-        regs[w.slot] = w.value;
-      }
-      wb_count[wb_idx] = 0;
-    }
-
-    if (pc >= num_bundles && transfer_in < 0) {
-      set_trap(TrapReason::PcOutOfRange, -1, static_cast<std::uint32_t>(pc));
-      return finish(std::move(result), std::move(mem), -1);
-    }
-    if (pc < num_bundles) {
-      const std::uint32_t begin = pre.bundle_begin[pc];
-      const std::uint32_t end = pre.bundle_begin[pc + 1];
-      for (std::uint32_t i = begin; i < end; ++i) {
-        const VliwPOp& op = pre.ops[i];
-        if (op.is_control && transfer_in >= 0) continue;
-        if (op.trap != 0) {
-          set_trap(static_cast<TrapReason>(op.trap - 1), op.fu, op.trap_detail);
-          return finish(std::move(result), std::move(mem), -1);
-        }
-
-        std::uint32_t a = op.a_val;
-        std::uint32_t b = op.b_val;
-        if (!op.a_imm) a = regs[op.a_slot];
-        if (!op.b_imm) b = regs[op.b_slot];
-        if (ir::is_memory(op.op)) {
-          const bool leader_ok = mem_in_bounds(op.op, a, mem.size());
-          if (lanes_dirty && !op.a_imm) {
-            if (ir::is_load(op.op) && leader_ok) {
-              // Dirty load addresses stay exact (see the scalar engine).
-              for_lanes(d.mask[op.a_slot] & core.live, [&](int l) {
-                const std::uint32_t la = d.get(l, op.a_slot, a);
-                if (!mem_in_bounds(op.op, la, mem.size())) evict_trap(l, op.fu, la);
-              });
-            } else if (!leader_ok) {
-              for_lanes(d.mask[op.a_slot] & core.live, [&](int l) {
-                const std::uint32_t la = d.get(l, op.a_slot, a);
-                if (!mem_in_bounds(op.op, la, mem.size())) {
-                  evict_trap(l, op.fu, la);
-                } else {
-                  evict_rerun(l);
-                }
-              });
-            } else {
-              // Dirty store addresses stay exact (see the scalar engine).
-              const int nbytes = mem_access_bytes(op.op);
-              for_lanes(d.mask[op.a_slot] & core.live, [&](int l) {
-                const std::uint32_t la = d.get(l, op.a_slot, a);
-                if (!mem_in_bounds(op.op, la, mem.size())) {
-                  evict_trap(l, op.fu, la);
-                  return;
-                }
-                const std::uint32_t lb = op.b_imm ? b : d.get(l, op.b_slot, b);
-                store_diverged(d, l, mem, nbytes, a, b, la, lb);
-              });
-            }
-          }
-          if (!leader_ok) {
-            set_trap(TrapReason::MemoryOutOfRange, op.fu, a);
-            return finish(std::move(result), std::move(mem), -1);
-          }
-        }
-
-        switch (op.op) {
-          case Opcode::Stw:
-          case Opcode::Sth:
-          case Opcode::Stq: {
-            switch (op.op) {
-              case Opcode::Stw: mem.store32(a, b); break;
-              case Opcode::Sth: mem.store16(a, static_cast<std::uint16_t>(b)); break;
-              default: mem.store8(a, static_cast<std::uint8_t>(b)); break;
-            }
-            if (lanes_dirty) {
-              const int nbytes = mem_access_bytes(op.op);
-              LaneMask affected = d.delta_mask;
-              if (!op.b_imm) affected |= d.mask[op.b_slot];
-              // Dirty-address lanes were fully handled by store_diverged.
-              if (!op.a_imm) affected &= ~d.mask[op.a_slot];
-              for_lanes(affected & core.live, [&](int l) {
-                if (op.b_imm || !d.dirty(l, op.b_slot)) {
-                  if (!d.delta[static_cast<std::size_t>(l)].overlaps(
-                          a, static_cast<std::uint32_t>(nbytes))) {
-                    return;
-                  }
-                }
-                const std::uint32_t lb = op.b_imm ? b : d.get(l, op.b_slot, b);
-                for (int j = 0; j < nbytes; ++j) {
-                  d.mem_set(l, a + static_cast<std::uint32_t>(j),
-                            static_cast<std::uint8_t>(lb >> (8 * j)),
-                            static_cast<std::uint8_t>(b >> (8 * j)));
-                }
-              });
-            }
-            break;
-          }
-          case Opcode::Jump:
-            transfer_in = machine.delay_slots;
-            transfer_target = op.target_pc;
-            break;
-          case Opcode::Bnz: {
-            const bool taken = a != 0;
-            if (lanes_dirty && !op.a_imm) {
-              for_lanes(d.mask[op.a_slot] & core.live, [&](int l) {
-                if ((d.get(l, op.a_slot, a) != 0) != taken) evict_rerun(l);
-              });
-            }
-            if (taken) {
-              transfer_in = machine.delay_slots;
-              transfer_target = op.target_pc;
-            }
-            break;
-          }
-          case Opcode::Ret:
-            result.cycles = cycle + 1;
-            result.ret = a;
-            result.rf_state = regs;
-            return finish(std::move(result), std::move(mem),
-                          op.a_imm ? -1 : static_cast<std::int32_t>(op.a_slot));
-          default: {
-            const std::uint32_t value = compute(op.op, a, b, mem);
-            if (op.dst_slot >= 0) {
-              std::size_t row = wb_idx + static_cast<std::size_t>(op.latency) + 1;
-              if (row >= ring) row -= ring;  // latency + 1 < ring: one wrap at most
-              const std::uint32_t idx = wb_count[row];
-              if (lanes_dirty) {
-                const std::size_t eid = eid_base + row * row_cap + idx;
-                LaneMask affected = d.mask[eid];
-                if (!op.a_imm) affected |= d.mask[op.a_slot];
-                if (!op.b_imm) affected |= d.mask[op.b_slot];
-                if (ir::is_load(op.op)) {
-                  for_lanes(d.delta_mask & core.live, [&](int l) {
-                    if (d.delta[static_cast<std::size_t>(l)].overlaps(
-                            a, static_cast<std::uint32_t>(mem_access_bytes(op.op)))) {
-                      affected |= lane_bit(l);
-                    }
-                  });
-                }
-                for_lanes(affected & core.live, [&](int l) {
-                  const std::uint32_t la = op.a_imm ? a : d.get(l, op.a_slot, a);
-                  const std::uint32_t lb = op.b_imm ? b : d.get(l, op.b_slot, b);
-                  const std::uint32_t lv = compute(
-                      op.op, la, lb, LaneMemory{mem, d.delta[static_cast<std::size_t>(l)]});
-                  d.set(l, eid, lv, value);
-                });
-              }
-              wb[row * row_cap + idx] = Write{static_cast<std::uint32_t>(op.dst_slot), value};
-              wb_count[row] = idx + 1;
-            }
-            break;
-          }
-        }
-      }
-    }
-
-    ++cycle;
-    if (++wb_idx == ring) wb_idx = 0;
-    if (transfer_in >= 0) {
-      if (transfer_in == 0) {
-        pc = transfer_target;
-        transfer_in = -1;
-      } else {
-        --transfer_in;
-        ++pc;
-      }
-    } else {
-      ++pc;
-    }
-  }
-  result.status = ExecStatus::TimedOut;
-  result.cycles = max_cycles;
-  result.rf_state = regs;
-  return finish(std::move(result), std::move(mem), -1);
+  TTSC_ASSERT(pre != nullptr, "run_vliw_batch needs a predecoded program");
+  // Location ids: the flat RF slots, then one per write-back ring entry
+  // (VliwSim::run_fast's ring of `ring` rows of num_slots * ring entries).
+  const std::size_t ring = static_cast<std::size_t>(pre->ring);
+  const std::size_t entries = ring * static_cast<std::size_t>(program.num_slots) * ring;
+  return run_reg_batch<vliw::VliwSim>(program, machine, pre, initial_mem, lane_faults, max_cycles,
+                                      reference, reference_mem, pre->rf_slots + entries,
+                                      RegLanes::Exit::RerunOrTrap);
 }
 
 // ---- TTA engine --------------------------------------------------------
@@ -1137,7 +522,7 @@ BatchResult run_tta_batch(const tta::TtaProgram& program, const mach::Machine& m
     if (reference != nullptr && core.settled()) {
       return finish(*reference, *reference_mem, /*ret_id=*/-1);
     }
-    // All-clean fast path (see the scalar engine): no live lane differs, so
+    // All-clean fast path (see RegLanes::top): no live lane differs, so
     // every lane hook this cycle is a no-op and only leader state advances.
     const bool lanes_dirty = (d.diff_mask & core.live) != 0;
     // 1. Results whose latency elapsed land in the result registers.
@@ -1306,7 +691,7 @@ BatchResult run_tta_batch(const tta::TtaProgram& program, const mach::Machine& m
           const bool leader_ok = mem_in_bounds(mv.opcode, f.value, mem.size());
           if (lanes_dirty) {
             if (ir::is_load(mv.opcode) && leader_ok) {
-              // Dirty load addresses stay exact (see the scalar engine).
+              // Dirty load addresses stay exact (see RegLanes::mem_access).
               for_lanes(src_mask(mv) & core.live, [&](int l) {
                 const std::uint32_t la = lane_src(l, mv);
                 if (!mem_in_bounds(mv.opcode, la, mem.size())) {
@@ -1323,7 +708,7 @@ BatchResult run_tta_batch(const tta::TtaProgram& program, const mach::Machine& m
                 }
               });
             } else {
-              // Dirty store addresses stay exact (see the scalar engine).
+              // Dirty store addresses stay exact (see RegLanes::mem_access).
               const int nbytes = mem_access_bytes(mv.opcode);
               const std::uint32_t data = fu_operand[fu];
               for_lanes(src_mask(mv) & core.live, [&](int l) {

@@ -18,6 +18,12 @@
 //  * each lane's sim::FaultSet applies at the top of its cycle, exactly
 //    where the scalar simulators apply it.
 //
+// The scalar and VLIW batches run the leader on the model's own fast loop,
+// instantiated with a lane policy whose hooks keep the diffs
+// (sim/lanes.hpp), so each model's semantics is written once. The TTA batch
+// engine is still a line-for-line mirror of the TTA fast loop with the same
+// hooks written into it.
+//
 // Lanes stay in lockstep only while that sparse representation is exact.
 // The moment a lane's *behaviour* could differ from the leader's — a Bnz or
 // guard-squash decision flips, a variable-shift amount (and so the timing)
@@ -114,7 +120,7 @@ std::uint64_t checksum_with_delta(const ir::Memory& leader, const MemDelta& delt
 
 /// One lane's outcome. Exactly one of three shapes:
 ///  * evicted   — `result` and `mem` come from the lane's own hardened
-///                fast-path run (resumed or rerun, see the engines) or,
+///                fast-path run (resumed or rerun, see above) or,
 ///                for an out-of-bounds access, the trap lockstep states;
 ///                `diverge_cycle` is the leader cycle the divergence was
 ///                detected at; `delta` is empty and `mem` is engaged.
@@ -138,10 +144,8 @@ struct BatchResult {
   ExecResult leader;
   ir::Memory leader_mem{0};
   std::vector<LaneOutcome> lanes;
-  /// Lanes whose control flow / timing provably diverged from the leader.
-  std::uint64_t divergences = 0;
-  /// Lanes evicted to their own run. Every eviction is a proven divergence
-  /// today, so this equals `divergences`.
+  /// Lanes evicted to their own run: each one's control flow, timing or
+  /// trap provably diverged from the leader's.
   std::uint64_t evictions = 0;
 };
 

@@ -8,14 +8,18 @@
 //    flat array, and the write-back priority queue replaced by a circular
 //    buffer of per-cycle FIFO lists (append order reproduces the reference
 //    queue's commit-sequence tie-break). Instantiated with and without
-//    observer dispatch so a null observer is free.
+//    observer dispatch so a null observer is free, and as the leader of a
+//    lockstep batch with the lane hooks of sim/lanes.hpp.
 // The two paths are locked together cycle-for-cycle by the differential
 // suite in tests/property_test.cpp.
 #include <algorithm>
 #include <queue>
+#include <type_traits>
 
+#include "sim/compute.hpp"
 #include "sim/fault.hpp"
 #include "sim/harden.hpp"
+#include "sim/lanes.hpp"
 #include "sim/predecode.hpp"
 #include "sim/protect.hpp"
 #include "support/bits.hpp"
@@ -68,14 +72,27 @@ sim::Segment VliwSim::run(std::uint64_t max_cycles, const sim::Snapshot* from,
     predecoded_ = std::make_shared<const sim::PredecodedVliw>(sim::predecode(program_, machine_));
   }
   return sim::run_fast_loop(options_, [&]<bool kObserve, bool kHarden, bool kProfile> {
-    return run_fast<kObserve, kHarden, kProfile>(max_cycles, from, stop_at);
+    return run_fast<kObserve, kHarden, kProfile, sim::NoLanes>(max_cycles, from, stop_at);
   });
 }
 
-template <bool kObserve, bool kHarden, bool kProfile>
+ExecResult VliwSim::run(std::uint64_t max_cycles, sim::RegLanes& lanes) {
+  TTSC_ASSERT(predecoded_ != nullptr, "a lockstep leader runs a predecoded program");
+  lanes_ = &lanes;
+  ExecResult result = std::get<ExecResult>(
+      run_fast<false, true, false, sim::RegLanes>(max_cycles, nullptr, sim::kNoStop));
+  lanes_ = nullptr;
+  return result;
+}
+
+template <bool kObserve, bool kHarden, bool kProfile, typename Lanes>
 sim::Segment VliwSim::run_fast(std::uint64_t max_cycles, const sim::Snapshot* from,
                                std::uint64_t stop_at) {
   using sim::VliwPOp;
+  // Lockstep lanes (sim/lanes.hpp) ride on the hardened loop only. Their
+  // location ids are the flat RF slots, then ring entry row * row_cap + i.
+  constexpr bool kLanes = std::is_same_v<Lanes, sim::RegLanes>;
+  static_assert(!kLanes || (kHarden && !kObserve && !kProfile));
   const sim::PredecodedVliw& pre = *predecoded_;
   sim::ExecObserver* const obs = options_.observer;
   sim::ProfileCounts* const prof = options_.profile;
@@ -121,6 +138,7 @@ sim::Segment VliwSim::run_fast(std::uint64_t max_cycles, const sim::Snapshot* fr
     transfer_target = from->transfer_target;
     last_arch = from->last_arch;
   }
+  if constexpr (kLanes) lanes_->start(regs, nullptr);
 
   auto capture_state = [&] {
     if constexpr (kProfile) {
@@ -193,6 +211,10 @@ sim::Segment VliwSim::run_fast(std::uint64_t max_cycles, const sim::Snapshot* fr
         ++fault_next;
       }
     }
+    if constexpr (kLanes) {
+      // Settled: the batch takes its reference outcome instead.
+      if (lanes_->top(cycle, static_cast<std::uint32_t>(pc))) return result;
+    }
     // Writes committed in earlier cycles become visible before this cycle's
     // reads (readable one cycle after write-back).
     if (wb_count[wb_idx] != 0) {
@@ -200,6 +222,7 @@ sim::Segment VliwSim::run_fast(std::uint64_t max_cycles, const sim::Snapshot* fr
       const std::uint32_t n = wb_count[wb_idx];
       for (std::uint32_t i = 0; i < n; ++i) {
         const Write& w = commits[i];
+        if constexpr (kLanes) lanes_->commit(pre.rf_slots + wb_idx * row_cap + i, w.slot, w.value);
         regs[w.slot] = w.value;
         if constexpr (kHarden) {
           if (prot != nullptr) prot->clear_rf(w.slot);
@@ -274,6 +297,7 @@ sim::Segment VliwSim::run_fast(std::uint64_t max_cycles, const sim::Snapshot* fr
         }
         if constexpr (kHarden) {
           // `a` is the address of every memory operation.
+          if constexpr (kLanes) lanes_->mem_access(op, a, b, op.fu);
           if (ir::is_memory(op.op) && !sim::mem_in_bounds(op.op, a, mem_.size())) {
             set_trap(sim::TrapReason::MemoryOutOfRange, op.fu, a);
             return result;
@@ -283,35 +307,7 @@ sim::Segment VliwSim::run_fast(std::uint64_t max_cycles, const sim::Snapshot* fr
 
         std::uint32_t value = 0;
         switch (op.op) {
-          case Opcode::Add: value = a + b; break;
-          case Opcode::Sub: value = a - b; break;
-          case Opcode::Mul: value = a * b; break;
-          case Opcode::And: value = a & b; break;
-          case Opcode::Ior: value = a | b; break;
-          case Opcode::Xor: value = a ^ b; break;
-          case Opcode::Shl: value = a << (b & 31); break;
-          case Opcode::Shru: value = a >> (b & 31); break;
-          case Opcode::Shr:
-            value = static_cast<std::uint32_t>(static_cast<std::int32_t>(a) >> (b & 31));
-            break;
-          case Opcode::Eq: value = a == b ? 1 : 0; break;
-          case Opcode::Gt:
-            value = static_cast<std::int32_t>(a) > static_cast<std::int32_t>(b) ? 1 : 0;
-            break;
-          case Opcode::Gtu: value = a > b ? 1 : 0; break;
-          case Opcode::Sxhw: value = static_cast<std::uint32_t>(sign_extend(a, 16)); break;
-          case Opcode::Sxqw: value = static_cast<std::uint32_t>(sign_extend(a, 8)); break;
-          case Opcode::MovI:
-          case Opcode::Copy: value = a; break;
-          case Opcode::Ldw: value = mem_.load32(a); break;
-          case Opcode::Ldh:
-            value = static_cast<std::uint32_t>(sign_extend(mem_.load16(a), 16));
-            break;
-          case Opcode::Ldhu: value = mem_.load16(a); break;
-          case Opcode::Ldq:
-            value = static_cast<std::uint32_t>(sign_extend(mem_.load8(a), 8));
-            break;
-          case Opcode::Ldqu: value = mem_.load8(a); break;
+          TTSC_COMPUTE_CASES(value, a, b, mem_)
           case Opcode::Stw:
             mem_.store32(a, b);
             if constexpr (kObserve) obs->on_store(cycle, a, b, 4);
@@ -330,6 +326,7 @@ sim::Segment VliwSim::run_fast(std::uint64_t max_cycles, const sim::Snapshot* fr
             if constexpr (kProfile) ++prof->taken[i];
             break;
           case Opcode::Bnz:
+            if constexpr (kLanes) lanes_->bnz(op, a);
             if (a != 0) {
               transfer_in = machine_.delay_slots;
               transfer_target = op.target_pc;
@@ -337,6 +334,7 @@ sim::Segment VliwSim::run_fast(std::uint64_t max_cycles, const sim::Snapshot* fr
             }
             break;
           case Opcode::Ret:
+            if constexpr (kLanes) lanes_->ret(op);
             result.cycles = cycle + 1;
             result.ret = a;
             capture_state();
@@ -347,9 +345,13 @@ sim::Segment VliwSim::run_fast(std::uint64_t max_cycles, const sim::Snapshot* fr
             // marker fires above before the switch is reached.
             TTSC_UNREACHABLE("calls/selects are lowered before VLIW scheduling");
         }
+        if constexpr (kLanes) lanes_->store(op, a, b);
         if (op.dst_slot >= 0) {
           std::size_t row = wb_idx + static_cast<std::size_t>(op.latency) + 1;
           if (row >= ring) row -= ring;  // latency + 1 < ring: one wrap at most
+          if constexpr (kLanes) {
+            lanes_->write(pre.rf_slots + row * row_cap + wb_count[row], op, a, b, value);
+          }
           wb[row * row_cap + wb_count[row]++] =
               Write{static_cast<std::uint32_t>(op.dst_slot), value, op.dst_rf, op.dst_reg};
         }

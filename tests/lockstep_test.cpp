@@ -134,7 +134,7 @@ std::string check_cell_impl(const resil_util::GeneratedCell& cell, const Result&
   }
   // The eviction decisions are made lane-locally at detection time; the
   // early exit must not change them.
-  if (with_ref.divergences != no_ref.divergences || with_ref.evictions != no_ref.evictions) {
+  if (with_ref.evictions != no_ref.evictions) {
     err += format("%s: batch counters differ with/without reference\n", tag.c_str());
   }
   return err;
@@ -290,7 +290,6 @@ TEST(LockstepTiming, BnzFlipEvictsAtTriggerCycle) {
   const sim::LaneOutcome& lo = br.lanes[0];
   EXPECT_TRUE(lo.evicted);
   EXPECT_EQ(lo.diverge_cycle, 0u);
-  EXPECT_EQ(br.divergences, 1u);
   EXPECT_EQ(br.evictions, 1u);
   // The rerun takes the branch: 2 delay slots after cycle 0, ret(13) at
   // pc 5 on cycle 3.
@@ -315,7 +314,6 @@ TEST(LockstepTiming, LateFlipOfDeadRegisterConverges) {
   ASSERT_EQ(br.lanes.size(), 1u);
   EXPECT_TRUE(br.lanes[0].converged);
   EXPECT_FALSE(br.lanes[0].evicted);
-  EXPECT_EQ(br.divergences, 0u);
   EXPECT_EQ(br.evictions, 0u);
   EXPECT_TRUE(br.lanes[0].result == br.leader);
   ir::Memory ref_mem(0);
@@ -338,7 +336,6 @@ TEST(LockstepTiming, LiveFlipStaysInLockstepWithOverlay) {
   const sim::LaneOutcome& lo = br.lanes[0];
   EXPECT_FALSE(lo.evicted);
   EXPECT_FALSE(lo.converged);
-  EXPECT_EQ(br.divergences, 0u);
   EXPECT_EQ(br.evictions, 0u);
   EXPECT_EQ(lo.result.ret, 79u);
   EXPECT_EQ(lo.result.cycles, br.leader.cycles);
@@ -360,7 +357,6 @@ TEST(LockstepTiming, AllLanesDivergeWorstCase) {
   }
   const sim::TtaBatchResult br = h.run(faults);
 
-  EXPECT_EQ(br.divergences, static_cast<std::uint64_t>(sim::kMaxLanes));
   EXPECT_EQ(br.evictions, static_cast<std::uint64_t>(sim::kMaxLanes));
   ASSERT_EQ(br.lanes.size(), static_cast<std::size_t>(sim::kMaxLanes));
   std::string err;
@@ -419,7 +415,7 @@ TEST(LockstepTiming, GuardFlipEvictsAtSquashDecision) {
   ASSERT_EQ(br.lanes.size(), 1u);
   EXPECT_TRUE(br.lanes[0].evicted);
   EXPECT_EQ(br.lanes[0].diverge_cycle, 2u);
-  EXPECT_EQ(br.divergences, 1u);
+  EXPECT_EQ(br.evictions, 1u);
   EXPECT_EQ(br.lanes[0].result.ret, 222u);
   ir::Memory ref_mem(0);
   const tta::ExecResult ref =
@@ -471,7 +467,7 @@ TEST(LockstepTiming, ScalarBnzFlipEvictsAtBranchCycle) {
   // issue, no stalls on immediate moves); the decision flip is detected
   // the cycle the Bnz executes.
   EXPECT_EQ(lo.diverge_cycle, 4u);
-  EXPECT_EQ(br.divergences, 1u);
+  EXPECT_EQ(br.evictions, 1u);
   EXPECT_EQ(lo.result.ret, 13u);
   ir::Memory ref_mem(0);
   const scalar::ExecResult ref =
@@ -486,12 +482,13 @@ TEST(LockstepTiming, ScalarBnzFlipEvictsAtBranchCycle) {
 // single-cycle instructions after the 2-cycle pipeline fill on mblaze-3),
 // and the address register r1 is flipped at the top of that cycle.
 
-struct ScalarBatchHarness {
+struct BatchHarness {
   sim::Engine engine;
   ir::Memory initial{1 << 16};
 
-  explicit ScalarBatchHarness(scalar::ScalarProgram p)
-      : engine(mach::machine_by_name("mblaze-3"), std::move(p)) {}
+  template <typename Program>
+  BatchHarness(const char* machine, Program p)
+      : engine(mach::machine_by_name(machine), std::move(p)) {}
 
   sim::BatchResult run(std::span<const sim::FaultSet> lane_faults) const {
     return engine.run_batch(initial, lane_faults, kHandBudget);
@@ -530,7 +527,7 @@ TEST(LockstepTiming, ScalarDirtyLoadAddressOutOfBoundsResumes) {
   p.instrs.push_back(minstr(ir::Opcode::MovI, {0, 2}, {MOperand::immediate(5)}));
   p.instrs.push_back(minstr(ir::Opcode::Ldw, {0, 3}, {mach::PhysReg{0, 1}}));
   p.instrs.push_back(minstr(ir::Opcode::Ret, kNoDst, {mach::PhysReg{0, 3}}));
-  ScalarBatchHarness h(std::move(p));
+  BatchHarness h("mblaze-3", std::move(p));
   h.initial.store32(0x100, 0xabcd);
 
   const std::vector<sim::FaultSet> faults = r1_flips_at_cycle4({16});
@@ -541,7 +538,7 @@ TEST(LockstepTiming, ScalarDirtyLoadAddressOutOfBoundsResumes) {
   const sim::LaneOutcome& lo = br.lanes[0];
   EXPECT_TRUE(lo.evicted);
   EXPECT_EQ(lo.diverge_cycle, 4u);
-  EXPECT_EQ(br.divergences, 1u);
+  EXPECT_EQ(br.evictions, 1u);
   EXPECT_TRUE(lo.result.trapped());
   EXPECT_EQ(lo.result.trap.reason, sim::TrapReason::MemoryOutOfRange);
   EXPECT_EQ(lo.result.trap.detail, 0x10100u);
@@ -563,7 +560,7 @@ TEST(LockstepTiming, ScalarDirtyStoreAddressOutOfBoundsResumes) {
   p.instrs.push_back(
       minstr(ir::Opcode::Stw, kNoDst, {mach::PhysReg{0, 1}, mach::PhysReg{0, 2}}));
   p.instrs.push_back(minstr(ir::Opcode::Ret, kNoDst, {MOperand::immediate(7)}));
-  const ScalarBatchHarness h(std::move(p));
+  const BatchHarness h("mblaze-3", std::move(p));
 
   const std::vector<sim::FaultSet> faults = r1_flips_at_cycle4({16, 2});
   const sim::BatchResult br = h.run(faults);
@@ -577,7 +574,6 @@ TEST(LockstepTiming, ScalarDirtyStoreAddressOutOfBoundsResumes) {
   EXPECT_EQ(br.lanes[0].result.trap.detail, 0x10100u);
   EXPECT_FALSE(br.lanes[1].evicted);
   EXPECT_FALSE(br.lanes[1].delta.empty());
-  EXPECT_EQ(br.divergences, 1u);
   EXPECT_EQ(br.evictions, 1u);
   EXPECT_EQ(h.check(br, faults, "scalar-store-oob"), "");
 }
@@ -598,7 +594,7 @@ TEST(LockstepTiming, ScalarLeaderOutOfBoundsEvictsDirtyAddressLanes) {
       minstr(ir::Opcode::Add, {0, 1}, {mach::PhysReg{0, 1}, mach::PhysReg{0, 1}}));
   p.instrs.push_back(minstr(ir::Opcode::Ldw, {0, 3}, {mach::PhysReg{0, 1}}));
   p.instrs.push_back(minstr(ir::Opcode::Ret, kNoDst, {mach::PhysReg{0, 3}}));
-  ScalarBatchHarness h(std::move(p));
+  BatchHarness h("mblaze-3", std::move(p));
   h.initial.store32(0xfffc, 0x5eed);
 
   const std::vector<sim::FaultSet> faults = r1_flips_at_cycle4({1, 0});
@@ -615,8 +611,205 @@ TEST(LockstepTiming, ScalarLeaderOutOfBoundsEvictsDirtyAddressLanes) {
   EXPECT_EQ(br.lanes[0].result.status, sim::ExecStatus::Ok);
   EXPECT_EQ(br.lanes[0].result.ret, 0x5eedu);
   EXPECT_EQ(br.lanes[1].result.trap.detail, 0xffffu);
-  EXPECT_EQ(br.divergences, 2u);
+  EXPECT_EQ(br.evictions, 2u);
   EXPECT_EQ(h.check(br, faults, "scalar-leader-oob"), "");
+}
+
+TEST(LockstepTiming, ScalarVarShiftFlipEvictsAtShift) {
+  using codegen::MOperand;
+  using resil_util::kNoDst;
+  using resil_util::minstr;
+  // MovI r1 <- 1 ; MovI r2 <- 3 ; Shl r3 <- r1 << r2 ; Ret r3. mblaze-3 has
+  // no barrel shifter, so the Shl at cycle 4 runs the variable-shift loop
+  // for 4 + 2 * (r2 & 31) cycles. Lane 0 flips bit 0 of r2 (amount 2): its
+  // shift takes 4 cycles less, a timing divergence at cycle 4. Lane 1 flips
+  // bit 5 (35 & 31 == 3): same duration and result, so it stays in
+  // lockstep with only r2 differing.
+  scalar::ScalarProgram p;
+  p.block_entry = {0};
+  p.instrs.push_back(minstr(ir::Opcode::MovI, {0, 1}, {MOperand::immediate(1)}));
+  p.instrs.push_back(minstr(ir::Opcode::MovI, {0, 2}, {MOperand::immediate(3)}));
+  p.instrs.push_back(
+      minstr(ir::Opcode::Shl, {0, 3}, {mach::PhysReg{0, 1}, mach::PhysReg{0, 2}}));
+  p.instrs.push_back(minstr(ir::Opcode::Ret, kNoDst, {mach::PhysReg{0, 3}}));
+  const BatchHarness h("mblaze-3", std::move(p));
+
+  const std::vector<sim::FaultSet> faults{sim::FaultSet{{rf_flip(4, 2, 0)}},
+                                          sim::FaultSet{{rf_flip(4, 2, 5)}}};
+  const sim::BatchResult br = h.run(faults);
+
+  EXPECT_EQ(br.leader.ret, 8u);
+  EXPECT_EQ(br.leader.cycles, 16u);  // Shl issues at 4 + 10, Ret at 15
+  ASSERT_EQ(br.lanes.size(), 2u);
+  EXPECT_TRUE(br.lanes[0].evicted);
+  EXPECT_EQ(br.lanes[0].diverge_cycle, 4u);
+  EXPECT_EQ(br.lanes[0].result.ret, 4u);
+  EXPECT_EQ(br.lanes[0].result.cycles, 14u);
+  EXPECT_FALSE(br.lanes[1].evicted);
+  EXPECT_FALSE(br.lanes[1].converged);
+  EXPECT_EQ(br.lanes[1].result.ret, 8u);
+  EXPECT_EQ(br.evictions, 1u);
+  EXPECT_EQ(h.check(br, faults, "scalar-var-shift"), "");
+}
+
+// ---------------------------------------------------------------------------
+// VLIW-model timing on m-vliw-2 (slot 0 = lsu + cu, slot 1 = alu). Bundle pc
+// executes at cycle pc on straight-line code. A write issued at cycle c with
+// latency L commits at the top of cycle c + L + 1 (MovI: L = 1, loads: 3),
+// after that cycle's state faults, so each flip below goes in at the top of
+// the cycle its target op issues, past the last write to the flipped
+// register. A taken Bnz redirects after its two delay slots.
+
+/// Place `in` at bundle `pc`: memory ops on the lsu and control ops on the
+/// cu (slot 0), everything else on the alu (slot 1).
+void vliw_op(vliw::VliwProgram& p, std::size_t pc, codegen::MInstr in) {
+  p.num_slots = 2;
+  if (p.block_entry.empty()) p.block_entry = {0};
+  if (p.bundles.size() <= pc) {
+    p.bundles.resize(pc + 1, vliw::Bundle{std::vector<std::optional<vliw::SlotOp>>(2)});
+  }
+  const bool control = ir::is_branch(in.op) || in.op == ir::Opcode::Ret;
+  const int fu = ir::is_memory(in.op) ? 0 : control ? 2 : 1;
+  p.bundles[pc].slots[fu == 1 ? 1 : 0] = vliw::SlotOp{std::move(in), fu};
+}
+
+TEST(LockstepTiming, VliwBnzFlipEvictsAtBundleCycle) {
+  using codegen::MInstr;
+  using codegen::MOperand;
+  using resil_util::kNoDst;
+  using resil_util::minstr;
+  // b0: MovI r2 <- 5 ; b3: Bnz r1 -> block 1 ; b6: Ret 7 ; block 1 = b7:
+  // Ret 13. r1 is 0 in the leader, so it falls through to Ret 7 at cycle 6.
+  // The lane's r1 is flipped to 1 at cycle 1; it diverges only when the Bnz
+  // reads it at cycle 3, and its rerun takes the branch: delay slots at
+  // cycles 4 and 5, Ret 13 at cycle 6.
+  vliw::VliwProgram p;
+  vliw_op(p, 0, minstr(ir::Opcode::MovI, {0, 2}, {MOperand::immediate(5)}));
+  MInstr bnz = minstr(ir::Opcode::Bnz, kNoDst, {mach::PhysReg{0, 1}});
+  bnz.targets = {1};
+  vliw_op(p, 3, std::move(bnz));
+  vliw_op(p, 6, minstr(ir::Opcode::Ret, kNoDst, {MOperand::immediate(7)}));
+  vliw_op(p, 7, minstr(ir::Opcode::Ret, kNoDst, {MOperand::immediate(13)}));
+  p.block_entry = {0, 7};
+  const BatchHarness h("m-vliw-2", std::move(p));
+
+  const std::vector<sim::FaultSet> faults{sim::FaultSet{{rf_flip(1, 1, 0)}}};
+  const sim::BatchResult br = h.run(faults);
+
+  EXPECT_EQ(br.leader.ret, 7u);
+  EXPECT_EQ(br.leader.cycles, 7u);
+  ASSERT_EQ(br.lanes.size(), 1u);
+  const sim::LaneOutcome& lo = br.lanes[0];
+  EXPECT_TRUE(lo.evicted);
+  EXPECT_EQ(lo.diverge_cycle, 3u);
+  EXPECT_EQ(br.evictions, 1u);
+  EXPECT_EQ(lo.result.status, sim::ExecStatus::Ok);
+  EXPECT_EQ(lo.result.ret, 13u);
+  EXPECT_EQ(lo.result.cycles, 7u);
+  EXPECT_EQ(h.check(br, faults, "vliw-bnz-flip"), "");
+}
+
+TEST(LockstepTiming, VliwDirtyLoadAddressOutOfBoundsSynthesizesTrap) {
+  using codegen::MOperand;
+  using resil_util::kNoDst;
+  using resil_util::minstr;
+  // b0: MovI r1 <- 0x100 ; b3: Ldw r3 <- [r1] ; b7: Ret r3. Flipping bit 16
+  // of r1 at cycle 3 moves the lane's load to 0x10100, past the 64 KiB
+  // image: the lane traps at cycle 3 on the lsu (fu 0) while the leader
+  // loads, and lockstep states that trap without a rerun.
+  vliw::VliwProgram p;
+  vliw_op(p, 0, minstr(ir::Opcode::MovI, {0, 1}, {MOperand::immediate(0x100)}));
+  vliw_op(p, 3, minstr(ir::Opcode::Ldw, {0, 3}, {mach::PhysReg{0, 1}}));
+  vliw_op(p, 7, minstr(ir::Opcode::Ret, kNoDst, {mach::PhysReg{0, 3}}));
+  BatchHarness h("m-vliw-2", std::move(p));
+  h.initial.store32(0x100, 0xabcd);
+
+  const std::vector<sim::FaultSet> faults{sim::FaultSet{{rf_flip(3, 1, 16)}}};
+  const sim::BatchResult br = h.run(faults);
+
+  EXPECT_EQ(br.leader.status, sim::ExecStatus::Ok);
+  EXPECT_EQ(br.leader.ret, 0xabcdu);
+  ASSERT_EQ(br.lanes.size(), 1u);
+  const sim::LaneOutcome& lo = br.lanes[0];
+  EXPECT_TRUE(lo.evicted);
+  EXPECT_EQ(lo.diverge_cycle, 3u);
+  EXPECT_EQ(br.evictions, 1u);
+  EXPECT_TRUE(lo.result.trapped());
+  EXPECT_EQ(lo.result.trap.reason, sim::TrapReason::MemoryOutOfRange);
+  EXPECT_EQ(lo.result.trap.unit, 0);
+  EXPECT_EQ(lo.result.trap.detail, 0x10100u);
+  EXPECT_EQ(lo.result.trap.cycle, 3u);
+  EXPECT_EQ(h.check(br, faults, "vliw-load-oob"), "");
+}
+
+TEST(LockstepTiming, VliwLeaderOutOfBoundsRerunsInBoundsLane) {
+  using codegen::MOperand;
+  using resil_util::kNoDst;
+  using resil_util::minstr;
+  // b0: MovI r1 <- 0xfffe ; b3: Ldw r3 <- [r1] ; b7: Ret r3. The leader's
+  // word load at 0xfffe runs past the 64 KiB image and traps at cycle 3.
+  // Lane 0 flips bit 1 (0xfffc: in bounds) and reruns to Ok with the word
+  // there; lane 1 flips bit 0 (0xffff) and gets its own synthesized trap.
+  vliw::VliwProgram p;
+  vliw_op(p, 0, minstr(ir::Opcode::MovI, {0, 1}, {MOperand::immediate(0xfffe)}));
+  vliw_op(p, 3, minstr(ir::Opcode::Ldw, {0, 3}, {mach::PhysReg{0, 1}}));
+  vliw_op(p, 7, minstr(ir::Opcode::Ret, kNoDst, {mach::PhysReg{0, 3}}));
+  BatchHarness h("m-vliw-2", std::move(p));
+  h.initial.store32(0xfffc, 0x5eed);
+
+  const std::vector<sim::FaultSet> faults{sim::FaultSet{{rf_flip(3, 1, 1)}},
+                                          sim::FaultSet{{rf_flip(3, 1, 0)}}};
+  const sim::BatchResult br = h.run(faults);
+
+  EXPECT_TRUE(br.leader.trapped());
+  EXPECT_EQ(br.leader.trap.reason, sim::TrapReason::MemoryOutOfRange);
+  EXPECT_EQ(br.leader.trap.detail, 0xfffeu);
+  ASSERT_EQ(br.lanes.size(), 2u);
+  for (const sim::LaneOutcome& lo : br.lanes) {
+    EXPECT_TRUE(lo.evicted);
+    EXPECT_EQ(lo.diverge_cycle, 3u);
+  }
+  EXPECT_EQ(br.evictions, 2u);
+  EXPECT_EQ(br.lanes[0].result.status, sim::ExecStatus::Ok);
+  EXPECT_EQ(br.lanes[0].result.ret, 0x5eedu);
+  EXPECT_EQ(br.lanes[1].result.trap.reason, sim::TrapReason::MemoryOutOfRange);
+  EXPECT_EQ(br.lanes[1].result.trap.unit, 0);
+  EXPECT_EQ(br.lanes[1].result.trap.detail, 0xffffu);
+  EXPECT_EQ(h.check(br, faults, "vliw-leader-oob"), "");
+}
+
+TEST(LockstepTiming, VliwDirtyStoreAddressStaysInLockstep) {
+  using codegen::MOperand;
+  using resil_util::kNoDst;
+  using resil_util::minstr;
+  // b0: MovI r1 <- 0x100 ; b1: MovI r2 <- 42 ; b3: Stw [r1] <- r2 ; b4:
+  // Ret 7. Lane 0 flips bit 2 of r1 at cycle 3: its store lands at 0x104
+  // instead, exact in lockstep as a memory delta. Lane 1 flips bit 16: its
+  // store leaves the image and it traps at cycle 3.
+  vliw::VliwProgram p;
+  vliw_op(p, 0, minstr(ir::Opcode::MovI, {0, 1}, {MOperand::immediate(0x100)}));
+  vliw_op(p, 1, minstr(ir::Opcode::MovI, {0, 2}, {MOperand::immediate(42)}));
+  vliw_op(p, 3, minstr(ir::Opcode::Stw, kNoDst, {mach::PhysReg{0, 1}, mach::PhysReg{0, 2}}));
+  vliw_op(p, 4, minstr(ir::Opcode::Ret, kNoDst, {MOperand::immediate(7)}));
+  const BatchHarness h("m-vliw-2", std::move(p));
+
+  const std::vector<sim::FaultSet> faults{sim::FaultSet{{rf_flip(3, 1, 2)}},
+                                          sim::FaultSet{{rf_flip(3, 1, 16)}}};
+  const sim::BatchResult br = h.run(faults);
+
+  EXPECT_EQ(br.leader.ret, 7u);
+  EXPECT_EQ(br.leader_mem.load32(0x100), 42u);
+  ASSERT_EQ(br.lanes.size(), 2u);
+  EXPECT_FALSE(br.lanes[0].evicted);
+  EXPECT_FALSE(br.lanes[0].converged);
+  EXPECT_EQ(br.lanes[0].diverge_cycle, 0u);
+  EXPECT_FALSE(br.lanes[0].delta.empty());
+  EXPECT_TRUE(br.lanes[1].evicted);
+  EXPECT_EQ(br.lanes[1].diverge_cycle, 3u);
+  EXPECT_EQ(br.lanes[1].result.trap.reason, sim::TrapReason::MemoryOutOfRange);
+  EXPECT_EQ(br.lanes[1].result.trap.detail, 0x10100u);
+  EXPECT_EQ(br.evictions, 1u);
+  EXPECT_EQ(h.check(br, faults, "vliw-store-delta"), "");
 }
 
 }  // namespace

@@ -395,12 +395,10 @@ TEST(Campaign, TalliesAreCompleteAndInfraClean) {
   }
   EXPECT_EQ(injections, 96u);
   // Batching is on by default: every non-imem injection ran as a lockstep
-  // lane, and the divergence/eviction tallies are bounded by the lane count.
+  // lane, and the eviction tally is bounded by the lane count.
   const std::uint64_t lanes = registry.counter("resil.batch.lanes");
   EXPECT_EQ(lanes, 96u - registry.counter("resil.imem.injections"));
   EXPECT_GT(lanes, 0u);
-  EXPECT_LE(registry.counter("resil.batch.divergences"),
-            registry.counter("resil.batch.evictions"));
   EXPECT_LE(registry.counter("resil.batch.evictions"), lanes);
 }
 
@@ -454,9 +452,6 @@ TEST(Campaign, BatchedInvariantAcrossLaneGroupSizes) {
     const resil::CampaignReport r = resil::run_campaign(opt);
     EXPECT_EQ(resil::render_resil_report_json(r), json) << lanes << " lanes";
     EXPECT_EQ(registry.counter("resil.batch.lanes"), base_registry.counter("resil.batch.lanes"))
-        << lanes << " lanes";
-    EXPECT_EQ(registry.counter("resil.batch.divergences"),
-              base_registry.counter("resil.batch.divergences"))
         << lanes << " lanes";
     EXPECT_EQ(registry.counter("resil.batch.evictions"),
               base_registry.counter("resil.batch.evictions"))
