@@ -112,11 +112,12 @@ inline const std::vector<CounterDoc>& counter_docs() {
     d.push_back({"resil.batch.lanes", "lockstep lanes simulated"});
     d.push_back({"resil.batch.evictions", "lanes evicted to scalar replay"});
     for (const char* path : {"scalar", "batched-converged", "batched-in-diff", "evicted",
-                             "imem-analytic", "resumed"}) {
+                             "imem-analytic", "resumed", "repeated"}) {
       // One path per injection (resil::InjectionPath): its own engine run
       // from cycle 0, a lockstep lane that reconverged / finished in its
       // diff / was evicted, a protected imem fault resolved from the golden
-      // fetch table, or its own engine run resumed from a golden snapshot.
+      // fetch table, its own engine run resumed from a golden snapshot, or
+      // an imem fault that repeats an earlier injection's flipped bits.
       d.push_back({std::string("resil.path.") + path, "injections served by this path"});
     }
     d.push_back({"resil.resume.cycles_skipped", "golden-prefix cycles resumed runs skipped"});

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <fstream>
+#include <map>
 #include <optional>
 
 #include "fpga/model.hpp"
@@ -272,22 +273,26 @@ std::uint64_t delta_output_checksum(const PreparedCell& cell, const ir::Memory& 
   return h;
 }
 
-/// classify() for a lockstep lane. Equivalent to running the scalar path's
-/// classify on the lane's materialized result/memory, but without paying
-/// for a full memory image per lane: `leader_mem` is the fault-free final
-/// image (== cell.golden_mem), so "lane memory differs from golden" is
-/// exactly "delta non-empty".
-Outcome classify_lane(const PreparedCell& cell, const sim::LaneOutcome& lo,
-                      const ir::Memory& leader_mem, bool& latent) {
+/// classify() for lane `k` of `br`. An evicted lane's pages are restored
+/// into `image`, the worker's reused image, and classified like a
+/// standalone run. Any other lane is classified without building its image:
+/// the leader's final image is the golden one, so "lane memory differs from
+/// golden" is exactly "delta non-empty".
+Outcome classify_lane(const PreparedCell& cell, const sim::BatchResult& br, std::size_t k,
+                      ir::Memory& image, bool& latent) {
   latent = false;
-  if (lo.evicted) return classify(cell, lo.result, *lo.mem, latent);
+  const sim::LaneOutcome& lo = br.lanes[k];
+  if (lo.evicted) {
+    br.lane_image(k, image);
+    return classify(cell, lo.result, image, latent);
+  }
   if (lo.converged) return Outcome::Masked;  // bit-identical to golden throughout
   switch (lo.result.status) {
     case sim::ExecStatus::Trapped: return Outcome::Trap;
     case sim::ExecStatus::TimedOut: return Outcome::Timeout;
     case sim::ExecStatus::Ok: break;
   }
-  const std::uint64_t checksum = delta_output_checksum(cell, leader_mem, lo.delta);
+  const std::uint64_t checksum = delta_output_checksum(cell, br.leader_mem, lo.delta);
   if (lo.result.ret != cell.golden.ret || checksum != cell.golden_checksum) {
     return Outcome::Sdc;
   }
@@ -326,12 +331,13 @@ struct BatchStats {
 };
 
 /// Run one lockstep lane group (state faults only — `idxs` indexes into the
-/// cell's pre-sampled spec table) and classify each lane into its slot.
-/// Throws only on infrastructure failure (the caller retries, then records
-/// Err for the whole group).
+/// cell's pre-sampled spec table) and classify each lane into its slot,
+/// evicted lanes on `image`. Throws only on infrastructure failure (the
+/// caller retries, then records Err for the whole group).
 BatchStats run_lane_group(const PreparedCell& cell, const std::vector<FaultSpec>& specs,
                           const std::vector<std::size_t>& idxs, std::size_t begin,
-                          std::size_t count, std::uint64_t budget, std::vector<Slot>& slots) {
+                          std::size_t count, std::uint64_t budget, ir::Memory& image,
+                          std::vector<Slot>& slots) {
   TTSC_ASSERT(budget == timeout_budget(cell.golden.cycles),
               "lockstep lanes in one batch must share the cell's timeout budget");
   std::vector<sim::FaultSet> lane_faults(count);
@@ -347,7 +353,7 @@ BatchStats run_lane_group(const PreparedCell& cell, const std::vector<FaultSpec>
     const sim::LaneOutcome& lane = br.lanes[k];
     Slot s;
     s.target = specs[i].target;
-    s.outcome = classify_lane(cell, lane, br.leader_mem, s.latent);
+    s.outcome = classify_lane(cell, br, k, image, s.latent);
     s.path = lane.evicted     ? InjectionPath::Evicted
              : lane.converged ? InjectionPath::BatchedConverged
                               : InjectionPath::BatchedInDiff;
@@ -486,8 +492,9 @@ CampaignReport run_campaign(const CampaignOptions& options) {
   std::optional<support::ThreadPool> pool;
   if (!options.serial) pool.emplace(options.threads);
   // One memory image per pool worker (one for a serial campaign), reused
-  // by every standalone run: resetting it copies the few pages a run wrote
-  // instead of the whole image.
+  // by every standalone run and every evicted lane's classification:
+  // resetting it copies the few pages a run wrote instead of the whole
+  // image.
   std::vector<std::optional<ir::Memory>> images(pool ? static_cast<std::size_t>(pool->size()) : 1);
   auto image_for = [&](const PreparedCell& cell) -> ir::Memory& {
     const int worker = pool ? support::ThreadPool::current_worker_id() : 0;
@@ -555,6 +562,18 @@ CampaignReport run_campaign(const CampaignOptions& options) {
         const std::size_t n = static_cast<std::size_t>(options.injections_per_cell);
         std::vector<FaultSpec> specs(n);
         for (std::size_t i = 0; i < n; ++i) specs[i] = plan.sample(mix_seed(cell_seed, i));
+        // An imem fault's run is a pure function of the bits it flips: each
+        // (bit, width) draw runs once, at its first index, and its repeats
+        // take that slot after the parallel phase.
+        std::vector<std::size_t> first_draw(n);
+        std::map<std::pair<std::uint64_t, std::uint8_t>, std::size_t> imem_draws;
+        for (std::size_t i = 0; i < n; ++i) {
+          first_draw[i] =
+              specs[i].target != TargetKind::Imem
+                  ? i
+                  : imem_draws.try_emplace({specs[i].imem_bit, specs[i].imem_width}, i)
+                        .first->second;
+        }
 
         // Index-addressed result table: the reduction below reads it in
         // order, so tallies are thread-count independent.
@@ -575,6 +594,7 @@ CampaignReport run_campaign(const CampaignOptions& options) {
         };
 
         auto scalar_injection = [&](std::size_t i) {
+          if (first_draw[i] != i) return;  // a repeat: filled in below
           if (expired()) {
             slots[i] = Slot{specs[i].target, Outcome::Err, false};
             return;
@@ -648,8 +668,8 @@ CampaignReport run_campaign(const CampaignOptions& options) {
               }
               attempt_twice(
                   [&] {
-                    group_stats[item] =
-                        run_lane_group(cell, specs, state_idx, begin, count, budget, slots);
+                    group_stats[item] = run_lane_group(cell, specs, state_idx, begin, count,
+                                                       budget, image_for(cell), slots);
                   },
                   [&] {
                     group_stats[item] = BatchStats{};
@@ -673,6 +693,14 @@ CampaignReport run_campaign(const CampaignOptions& options) {
             cr.batch_lanes += gs.lanes;
             cr.batch_evictions += gs.evictions;
           }
+        }
+
+        for (std::size_t i = 0; i < n; ++i) {
+          if (first_draw[i] == i) continue;
+          Slot s = slots[first_draw[i]];
+          if (s.path != InjectionPath::ImemAnalytic) s.path = InjectionPath::Repeated;
+          s.resumed_at = 0;
+          slots[i] = s;
         }
 
         if (cell_expired.load(std::memory_order_relaxed)) {

@@ -87,7 +87,12 @@ constexpr const char* outcome_name(Outcome o) {
 ///                       resolved from the golden run's fetch table with no
 ///                       engine run;
 ///  * Resumed          — its own engine run, started past cycle 0 from a
-///                       golden snapshot (resil/cell.hpp).
+///                       golden snapshot (resil/cell.hpp);
+///  * Repeated         — an imem fault flipping the same bits as an earlier
+///                       injection of the cell: no run of its own, it takes
+///                       that injection's outcome (a run, and so its
+///                       classification, is a pure function of the flipped
+///                       bits). An analytic one stays ImemAnalytic.
 enum class InjectionPath : std::uint8_t {
   Scalar,
   BatchedConverged,
@@ -95,8 +100,9 @@ enum class InjectionPath : std::uint8_t {
   Evicted,
   ImemAnalytic,
   Resumed,
+  Repeated,
 };
-constexpr int kNumInjectionPaths = 6;
+constexpr int kNumInjectionPaths = 7;
 
 constexpr const char* injection_path_name(InjectionPath p) {
   switch (p) {
@@ -106,6 +112,7 @@ constexpr const char* injection_path_name(InjectionPath p) {
     case InjectionPath::Evicted: return "evicted";
     case InjectionPath::ImemAnalytic: return "imem-analytic";
     case InjectionPath::Resumed: return "resumed";
+    case InjectionPath::Repeated: return "repeated";
   }
   return "?";
 }

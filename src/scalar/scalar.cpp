@@ -106,27 +106,30 @@ sim::Segment ScalarSim::run(std::uint64_t max_cycles, const sim::Snapshot* from,
     predecoded_ =
         std::make_shared<const sim::PredecodedScalar>(sim::predecode(program_, machine_));
   }
-  return sim::run_fast_loop(options_, [&]<bool kObserve, bool kHarden, bool kProfile> {
-    return run_fast<kObserve, kHarden, kProfile, sim::NoLanes>(max_cycles, from, stop_at);
+  return sim::run_fast_loop(options_, [&]<bool kObserve, sim::Check kCheck, bool kProfile> {
+    return run_fast<kObserve, kCheck, kProfile, sim::NoLanes>(max_cycles, from, stop_at);
   });
 }
 
 ExecResult ScalarSim::run(std::uint64_t max_cycles, sim::RegLanes& lanes) {
   TTSC_ASSERT(predecoded_ != nullptr, "a lockstep leader runs a predecoded program");
+  TTSC_ASSERT(options_.protect == nullptr, "a lockstep leader runs unprotected");
   lanes_ = &lanes;
   ExecResult result = std::get<ExecResult>(
-      run_fast<false, true, false, sim::RegLanes>(max_cycles, nullptr, sim::kNoStop));
+      run_fast<false, sim::Check::Harden, false, sim::RegLanes>(max_cycles, nullptr, sim::kNoStop));
   lanes_ = nullptr;
   return result;
 }
 
-template <bool kObserve, bool kHarden, bool kProfile, typename Lanes>
+template <bool kObserve, sim::Check kCheck, bool kProfile, typename Lanes>
 sim::Segment ScalarSim::run_fast(std::uint64_t max_cycles, const sim::Snapshot* from,
                                  std::uint64_t stop_at) {
   using sim::ScalarPInstr;
-  // Lockstep lanes (sim/lanes.hpp) ride on the hardened loop only.
+  constexpr bool kHarden = kCheck != sim::Check::None;
+  constexpr bool kProtect = kCheck == sim::Check::Protect;
+  // Lockstep lanes (sim/lanes.hpp) ride on the unprotected hardened loop.
   constexpr bool kLanes = std::is_same_v<Lanes, sim::RegLanes>;
-  static_assert(!kLanes || (kHarden && !kObserve && !kProfile));
+  static_assert(!kLanes || (kCheck == sim::Check::Harden && !kObserve && !kProfile));
   const sim::PredecodedScalar& pre = *predecoded_;
   sim::ExecObserver* const obs = options_.observer;
   sim::ProfileCounts* const prof = options_.profile;
@@ -179,7 +182,9 @@ sim::Segment ScalarSim::run_fast(std::uint64_t max_cycles, const sim::Snapshot* 
         pre.rf_base[static_cast<std::size_t>(f.unit)] + static_cast<std::uint32_t>(f.index);
     const std::uint32_t mask = sim::fault_mask(f);
     regs[slot] ^= mask;
-    if (prot != nullptr) prot->on_rf_flip(slot, mask);
+    if constexpr (kProtect) {
+      if (prot != nullptr) prot->on_rf_flip(slot, mask);
+    }
   };
 
   // Block-entry lookup for on_block_enter: entry pc -> block id, last block
@@ -223,7 +228,7 @@ sim::Segment ScalarSim::run_fast(std::uint64_t max_cycles, const sim::Snapshot* 
       set_trap(sim::TrapReason::PcOutOfRange, pc);
       return result;
     }
-    if constexpr (kHarden) {
+    if constexpr (kProtect) {
       if (prot != nullptr &&
           prot->check_imem_fetch(pc) == sim::ProtectState::ImemAction::Detected) {
         set_trap(sim::TrapReason::ProtectionDetected, pc);
@@ -248,7 +253,7 @@ sim::Segment ScalarSim::run_fast(std::uint64_t max_cycles, const sim::Snapshot* 
     std::uint32_t b = in.b_val;
     if (!in.a_imm) {
       issue = std::max(issue, ready[in.a_slot]);
-      if constexpr (kHarden) {
+      if constexpr (kProtect) {
         if (prot != nullptr && prot->check_rf_read(in.a_slot, &regs[in.a_slot])) {
           set_trap(sim::TrapReason::ProtectionDetected, in.a_slot);
           return result;
@@ -259,7 +264,7 @@ sim::Segment ScalarSim::run_fast(std::uint64_t max_cycles, const sim::Snapshot* 
     }
     if (!in.b_imm) {
       issue = std::max(issue, ready[in.b_slot]);
-      if constexpr (kHarden) {
+      if constexpr (kProtect) {
         if (prot != nullptr && prot->check_rf_read(in.b_slot, &regs[in.b_slot])) {
           set_trap(sim::TrapReason::ProtectionDetected, in.b_slot);
           return result;
@@ -391,7 +396,7 @@ sim::Segment ScalarSim::run_fast(std::uint64_t max_cycles, const sim::Snapshot* 
       const std::size_t slot = static_cast<std::size_t>(in.dst_slot);
       if constexpr (kLanes) lanes_->write(slot, in, a, b, value);
       regs[slot] = value;
-      if constexpr (kHarden) {
+      if constexpr (kProtect) {
         if (prot != nullptr) prot->clear_rf(static_cast<std::uint32_t>(slot));
       }
       ready[slot] =

@@ -45,6 +45,7 @@
 #include <bit>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -151,10 +152,10 @@ struct LaneDiffs {
 
 // ---- Batch bookkeeping -------------------------------------------------
 
-/// Live mask, per-lane fault cursors and one outcome slot per lane. Fault
-/// application is pointer-gated exactly like the plain loops: every head
-/// entry whose cycle has been reached applies, in FaultSet array order per
-/// lane.
+/// Live mask, per-lane fault cursors, one outcome slot per lane and the
+/// scratch image evicted lanes run on. Fault application is pointer-gated
+/// exactly like the plain loops: every head entry whose cycle has been
+/// reached applies, in FaultSet array order per lane.
 struct BatchCore {
   LaneDiffs d;
   int n_lanes = 0;
@@ -167,8 +168,14 @@ struct BatchCore {
   /// others are filled from the leader's at halt (assemble_batch).
   std::vector<LaneOutcome> lanes;
   std::uint64_t evictions = 0;
+  /// The batch's initial image as pages, and the one scratch image every
+  /// evicted lane's own run uses (made at the first eviction).
+  ir::PageSet initial_pages;
+  std::optional<ir::Memory> scratch;
 
-  void init(std::size_t n_ids, std::span<const FaultSet> lane_faults) {
+  void init(std::size_t n_ids, std::span<const FaultSet> lane_faults,
+            const ir::Memory& initial_mem) {
+    initial_pages = initial_mem.written_pages();
     n_lanes = static_cast<int>(lane_faults.size());
     TTSC_ASSERT(n_lanes >= 1 && n_lanes <= kMaxLanes, "lockstep: 1..kMaxLanes lanes per batch");
     d.init(n_ids, n_lanes);
@@ -218,6 +225,15 @@ struct BatchCore {
     lo.evicted = true;
     lo.diverge_cycle = cycle;
     return lo;
+  }
+
+  /// The scratch image reset to `base`, with a lane's `delta` over it when
+  /// given.
+  ir::Memory& scratch_image(const ir::Memory& base, const MemDelta* delta = nullptr);
+
+  /// Keep the scratch image in evicted lane `lo` as its pages.
+  void keep_scratch(LaneOutcome& lo) const {
+    lo.pages = scratch->pages_differing_from(initial_pages);
   }
 
   /// True when no live lane can ever diverge from the leader again: no

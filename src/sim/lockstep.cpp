@@ -3,7 +3,7 @@
 // The scalar and VLIW batches run the leader on the model's own fast loop
 // with the RegLanes policy (sim/lanes.hpp); this file holds the policy's
 // eviction and result assembly. The TTA engine below is still a mirror of
-// TtaSim::run_fast<kObserve=false, kHarden=true> (tta/sim.cpp) with the
+// TtaSim::run_fast<false, Check::Harden, false> (tta/sim.cpp) with the
 // lane hooks written into it, following the same hook discipline. Any
 // drift from the plain loop's semantics is caught by the differential
 // fleet in tests/lockstep_test.cpp, which locks every lane's ExecResult and
@@ -87,10 +87,30 @@ bool MemDelta::overlaps(std::uint32_t addr, std::uint32_t len) const {
          static_cast<std::uint64_t>(it->first) < static_cast<std::uint64_t>(addr) + len;
 }
 
-ir::Memory materialize(const ir::Memory& leader, const MemDelta& delta) {
-  ir::Memory out = leader;
-  for (const auto& [addr, byte] : delta.entries()) out.store8(addr, byte);
-  return out;
+namespace {
+
+/// Lay `delta` over `image`, which holds the leader's bytes.
+void apply_delta(ir::Memory& image, const MemDelta& delta) {
+  for (const auto& [addr, byte] : delta.entries()) image.store8(addr, byte);
+}
+
+}  // namespace
+
+void BatchResult::lane_image(std::size_t lane, ir::Memory& image) const {
+  const LaneOutcome& lo = lanes[lane];
+  if (lo.evicted) return image.restore(initial, lo.pages);
+  image.restore_from(leader_mem);
+  apply_delta(image, lo.delta);
+}
+
+ir::Memory& BatchCore::scratch_image(const ir::Memory& base, const MemDelta* delta) {
+  if (!scratch) {
+    scratch.emplace(base);
+  } else {
+    scratch->restore_from(base);
+  }
+  if (delta != nullptr) apply_delta(*scratch, *delta);
+  return *scratch;
 }
 
 std::uint64_t checksum_with_delta(const ir::Memory& leader, const MemDelta& delta,
@@ -142,21 +162,6 @@ namespace {
 
 // ---- Result assembly ---------------------------------------------------
 
-/// An evicted lane's from-scratch hardened single run on `Sim`'s fast path.
-template <typename Sim, typename Program, typename Predecoded>
-void rerun_lane(const Program& program, const mach::Machine& machine,
-                const std::shared_ptr<const Predecoded>& pre, const ir::Memory& initial_mem,
-                const FaultSet& faults, std::uint64_t max_cycles, LaneOutcome& lo) {
-  ir::Memory m = initial_mem;
-  SimOptions o;
-  o.harden = true;
-  o.faults = &faults;
-  Sim s(program, machine, m, o);
-  s.use_predecoded(pre);
-  lo.result = s.run(max_cycles);
-  lo.mem.emplace(std::move(m));
-}
-
 /// Apply lane `l`'s dirty RF slots — and its return value, when the halt
 /// read it from dirty slot `ret_id` (-1: immediate or none) — to `r`, a copy
 /// of the leader's result.
@@ -179,6 +184,7 @@ BatchResult assemble_batch(BatchCore& core, ExecResult leader_result, ir::Memory
   BatchResult out;
   out.leader = std::move(leader_result);
   out.leader_mem = std::move(leader_mem);
+  out.initial = std::move(core.initial_pages);
   out.evictions = core.evictions;
   out.lanes = std::move(core.lanes);
   for (int l = 0; l < core.n_lanes; ++l) {
@@ -214,7 +220,7 @@ RegLanes::RegLanes(std::span<const FaultSet> lane_faults, std::size_t n_ids,
       run_(std::move(run)) {
   TTSC_ASSERT((reference == nullptr) == (reference_mem == nullptr),
               "reference result and memory must be passed together");
-  init(n_ids, lane_faults);
+  init(n_ids, lane_faults, initial_mem);
 }
 
 void RegLanes::apply_fault(int lane, const StateFault& f) {
@@ -230,8 +236,9 @@ void RegLanes::apply_fault(int lane, const StateFault& f) {
 void RegLanes::diverge(int l) {
   if (exit_ == Exit::Resume) return resume(l);
   LaneOutcome& lo = evict(l, now_);
-  lo.mem.emplace(*initial_mem_);
-  lo.result = run_(*lo.mem, lane_faults_[static_cast<std::size_t>(l)], nullptr);
+  lo.result = run_(scratch_image(*initial_mem_), lane_faults_[static_cast<std::size_t>(l)],
+                   nullptr);
+  keep_scratch(lo);
 }
 
 void RegLanes::out_of_bounds(int l, int unit, std::uint32_t addr) {
@@ -244,7 +251,8 @@ void RegLanes::out_of_bounds(int l, int unit, std::uint32_t addr) {
   lo.result.cycles = now_;
   lo.result.rf_state = *regs_;
   overlay_rf(d, l, rf_slots_, -1, lo.result);
-  lo.mem.emplace(materialize(*leader_mem_, d.delta[static_cast<std::size_t>(l)]));
+  scratch_image(*leader_mem_, &d.delta[static_cast<std::size_t>(l)]);
+  keep_scratch(lo);
 }
 
 void RegLanes::resume(int l) {
@@ -263,14 +271,16 @@ void RegLanes::resume(int l) {
   }
   const FaultSet rest{std::vector<StateFault>(fcur[sl], fend[sl])};
   LaneOutcome& lo = evict(l, now_);
-  lo.mem.emplace(materialize(*leader_mem_, d.delta[sl]));
-  lo.result = run_(*lo.mem, rest, &from);
+  lo.result = run_(scratch_image(*leader_mem_, &d.delta[sl]), rest, &from);
+  keep_scratch(lo);
 }
 
 BatchResult RegLanes::finish(ExecResult leader, ir::Memory leader_mem) {
   if (settled_) {
+    // The leader stopped early: its image becomes the reference's by
+    // copying only the pages either wrote.
     leader = *reference_;
-    leader_mem = *reference_mem_;
+    leader_mem.restore_from(*reference_mem_);
   }
   auto overlay = [&](int l, ExecResult& r) { overlay_rf(d, l, rf_slots_, ret_id_, r); };
   return assemble_batch(*this, std::move(leader), std::move(leader_mem), overlay);
@@ -334,16 +344,17 @@ BatchResult run_vliw_batch(const vliw::VliwProgram& program, const mach::Machine
 
 // ---- TTA engine --------------------------------------------------------
 //
-// Mirrors TtaSim::run_fast<false, true> (tta/sim.cpp). Location ids cover
-// every piece of leader state a lane can diverge in: flat RF slots, guard
-// registers, FU operand and result ports, the in-flight result ring
-// (one id per (column, entry)) and the double-buffered RF/guard pending
-// lists (one id per list position). Pending/ring diffs fold into their
-// destination's diff at the commit phase that consumes them, mirroring the
-// leader's data flow; guard values are stored as 0/1 words. A lane whose
-// guard-squash or Bnz decision differs from the leader's is evicted as a
-// proven divergence, and so is one whose memory address is out of bounds
-// on one side only.
+// Mirrors TtaSim::run_fast<false, Check::Harden, false> (tta/sim.cpp), with
+// a source and a destination switch per move where the fast loop switches
+// on the move's kind. Location ids cover every piece of leader state a lane
+// can diverge in: flat RF slots, guard registers, FU operand and result
+// ports, the in-flight result ring (one id per (column, entry)) and the
+// double-buffered RF/guard pending lists (one id per list position).
+// Pending/ring diffs fold into their destination's diff at the commit phase
+// that consumes them, mirroring the leader's data flow; guard values are
+// stored as 0/1 words. A lane whose guard-squash or Bnz decision differs
+// from the leader's is evicted as a proven divergence, and so is one whose
+// memory address is out of bounds on one side only.
 
 BatchResult run_tta_batch(const tta::TtaProgram& program, const mach::Machine& machine,
                           std::shared_ptr<const PredecodedTta> pre_ptr,
@@ -375,7 +386,7 @@ BatchResult run_tta_batch(const tta::TtaProgram& program, const mach::Machine& m
   const std::size_t n_ids = gpbase + 2 * max_moves;
 
   BatchCore core;
-  core.init(n_ids, lane_faults);
+  core.init(n_ids, lane_faults, initial_mem);
   LaneDiffs& d = core.d;
 
   ir::Memory mem = initial_mem;
@@ -444,13 +455,18 @@ BatchResult run_tta_batch(const tta::TtaProgram& program, const mach::Machine& m
     lo.result.rf_state = rf;
     lo.result.guard_state = guard_regs;
     overlay(l, lo.result, -1);
-    lo.mem.emplace(materialize(mem, d.delta[static_cast<std::size_t>(l)]));
+    core.scratch_image(mem, &d.delta[static_cast<std::size_t>(l)]);
+    core.keep_scratch(lo);
   };
-  // Any other divergence reruns the lane from cycle 0.
+  // Any other divergence reruns the lane from cycle 0 on its own hardened
+  // fast loop.
   auto evict_rerun = [&](int l) {
-    rerun_lane<tta::TtaSim>(program, machine, pre_ptr, initial_mem,
-                            lane_faults[static_cast<std::size_t>(l)], max_cycles,
-                            core.evict(l, cycle));
+    LaneOutcome& lo = core.evict(l, cycle);
+    tta::TtaSim s(program, machine, core.scratch_image(initial_mem),
+                  {.harden = true, .faults = &lane_faults[static_cast<std::size_t>(l)]});
+    s.use_predecoded(pre_ptr);
+    lo.result = s.run(max_cycles);
+    core.keep_scratch(lo);
   };
 
   auto finish = [&](ExecResult leader, ir::Memory leader_mem, std::int64_t ret_id) {
@@ -520,7 +536,8 @@ BatchResult run_tta_batch(const tta::TtaProgram& program, const mach::Machine& m
     // diverge again.
     core.apply_due(cycle, apply_lane_fault);
     if (reference != nullptr && core.settled()) {
-      return finish(*reference, *reference_mem, /*ret_id=*/-1);
+      mem.restore_from(*reference_mem);  // see RegLanes::finish
+      return finish(*reference, std::move(mem), /*ret_id=*/-1);
     }
     // All-clean fast path (see RegLanes::top): no live lane differs, so
     // every lane hook this cycle is a no-op and only leader state advances.

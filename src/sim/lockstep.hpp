@@ -35,7 +35,9 @@
 // happens at the eviction, into the lane's outcome slot: a scalar lane
 // resumes from its state at that point (a sim::Snapshot); VLIW and TTA
 // lanes rerun from cycle 0 unless the eviction is a trap lockstep can
-// state exactly. Eviction is the universal correctness escape hatch:
+// state exactly. A batch's evicted lanes run on one scratch image, and each
+// keeps its final image as the pages where it differs from the batch's
+// initial image. Eviction is the universal correctness escape hatch:
 // lockstep only ever handles the cases it can represent exactly.
 //
 // Conversely a lane whose diffs all cancel (the flip was masked) converges:
@@ -53,7 +55,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -110,20 +111,17 @@ class MemDelta {
   std::uint64_t pages_ = 0;
 };
 
-/// The lane's full memory image: leader image with the delta applied.
-ir::Memory materialize(const ir::Memory& leader, const MemDelta& delta);
-
-/// FNV-1a checksum over [addr, addr + len) of the lane's image without
-/// materializing it; bit-identical to ir::Memory::checksum on materialize().
+/// FNV-1a checksum over [addr, addr + len) of the lane's image (`leader`
+/// with `delta` laid over it) without building that image.
 std::uint64_t checksum_with_delta(const ir::Memory& leader, const MemDelta& delta,
                                   std::uint32_t addr, std::uint32_t len);
 
 /// One lane's outcome. Exactly one of three shapes:
-///  * evicted   — `result` and `mem` come from the lane's own hardened
+///  * evicted   — `result` and `pages` come from the lane's own hardened
 ///                fast-path run (resumed or rerun, see above) or,
 ///                for an out-of-bounds access, the trap lockstep states;
 ///                `diverge_cycle` is the leader cycle the divergence was
-///                detected at; `delta` is empty and `mem` is engaged.
+///                detected at; `delta` is empty.
 ///  * converged — the fault was fully masked: `result` is the leader's
 ///                verbatim and `delta` is empty (lane memory == leader_mem).
 ///  * in-diff   — the lane halted with the leader but carries live state
@@ -135,7 +133,9 @@ struct LaneOutcome {
   bool converged = false;
   std::uint64_t diverge_cycle = 0;
   MemDelta delta;
-  std::optional<ir::Memory> mem;  // engaged iff evicted
+  /// Evicted: the pages where the lane's final image differs from the
+  /// batch's initial image (BatchResult::initial).
+  ir::PageSet pages;
 };
 
 struct BatchResult {
@@ -143,10 +143,18 @@ struct BatchResult {
   /// batch settled early). leader_mem is always the fault-free final image.
   ExecResult leader;
   ir::Memory leader_mem{0};
+  /// The batch's initial image as a sparse image, under evicted lanes'
+  /// pages.
+  ir::PageSet initial;
   std::vector<LaneOutcome> lanes;
   /// Lanes evicted to their own run: each one's control flow, timing or
   /// trap provably diverged from the leader's.
   std::uint64_t evictions = 0;
+
+  /// Make `image`, any image of the batch's size, lane `lane`'s final
+  /// image: the initial image with its pages (evicted), or the leader's
+  /// with its delta.
+  void lane_image(std::size_t lane, ir::Memory& image) const;
 };
 
 using ScalarBatchResult = BatchResult;

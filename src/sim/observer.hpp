@@ -2,10 +2,10 @@
 // simulators (TTA, VLIW, scalar).
 //
 // An ExecObserver receives cycle-level execution events. The fast-path run
-// loops are instantiated twice — once with observer dispatch compiled in,
-// once without — so a null observer costs nothing per cycle (no branch, no
-// virtual call). The reference loops use plain null checks (they are the
-// differential baseline, not a hot path).
+// loops are instantiated with and without observer dispatch compiled in
+// (run_fast_loop below), so a null observer costs nothing per cycle (no
+// branch, no virtual call). The reference loops use plain null checks
+// (they are the differential baseline, not a hot path).
 //
 // Event semantics (identical on the fast and reference paths, so observer
 // counts can be differentially tested too):
@@ -309,25 +309,46 @@ struct SimOptions {
   ProtectState* protect = nullptr;
 };
 
-/// Runs `loop.template operator()<kObserve, kHarden, kProfile>()` — a
+/// How much checking a fast-loop instantiation compiles in.
+enum class Check : std::uint8_t {
+  /// The trusted no-fault run: no bounds checks, no faults.
+  None,
+  /// Fail-closed execution (SimOptions::harden, implied by faults): memory
+  /// bounds checks and SimOptions::faults, but no protection hook.
+  Harden,
+  /// Harden plus every sim::ProtectState hook (SimOptions::protect set).
+  Protect,
+};
+
+/// Runs `loop.template operator()<kObserve, kCheck, kProfile>()` — a
 /// simulator's predecoded fast loop — instantiated for what `options`
-/// attaches: observer dispatch, fail-closed execution (asked for, or
-/// implied by faults or protection) and profile counting. The one place
-/// options pick a loop instantiation, so an unused feature costs nothing
-/// per cycle.
+/// attaches: observer dispatch, the check level and profile counting. Only
+/// a run with a ProtectState gets the Protect level: every other hardened
+/// run (unprotected imem faults, state faults, lockstep leaders) carries
+/// no protection code at all. The one place options pick a loop
+/// instantiation, so an unused feature costs nothing per cycle.
 template <typename Loop>
 decltype(auto) run_fast_loop(const SimOptions& options, Loop&& loop) {
-  const bool harden = options.harden || options.faults != nullptr || options.protect != nullptr;
-  switch ((options.observer != nullptr ? 4 : 0) | (harden ? 2 : 0) |
+  Check check = Check::None;
+  if (options.protect != nullptr) {
+    check = Check::Protect;
+  } else if (options.harden || options.faults != nullptr) {
+    check = Check::Harden;
+  }
+  switch ((options.observer != nullptr ? 6 : 0) + 2 * static_cast<int>(check) +
           (options.profile != nullptr ? 1 : 0)) {
-    case 0: return loop.template operator()<false, false, false>();
-    case 1: return loop.template operator()<false, false, true>();
-    case 2: return loop.template operator()<false, true, false>();
-    case 3: return loop.template operator()<false, true, true>();
-    case 4: return loop.template operator()<true, false, false>();
-    case 5: return loop.template operator()<true, false, true>();
-    case 6: return loop.template operator()<true, true, false>();
-    default: return loop.template operator()<true, true, true>();
+    case 0: return loop.template operator()<false, Check::None, false>();
+    case 1: return loop.template operator()<false, Check::None, true>();
+    case 2: return loop.template operator()<false, Check::Harden, false>();
+    case 3: return loop.template operator()<false, Check::Harden, true>();
+    case 4: return loop.template operator()<false, Check::Protect, false>();
+    case 5: return loop.template operator()<false, Check::Protect, true>();
+    case 6: return loop.template operator()<true, Check::None, false>();
+    case 7: return loop.template operator()<true, Check::None, true>();
+    case 8: return loop.template operator()<true, Check::Harden, false>();
+    case 9: return loop.template operator()<true, Check::Harden, true>();
+    case 10: return loop.template operator()<true, Check::Protect, false>();
+    default: return loop.template operator()<true, Check::Protect, true>();
   }
 }
 

@@ -22,6 +22,24 @@ std::vector<std::uint32_t> rf_bases(const mach::Machine& machine, std::uint32_t*
   return base;
 }
 
+TtaPMove::Sink sink_of(TtaPMove::Dst dst) {
+  switch (dst) {
+    case TtaPMove::Dst::FuOperand: return TtaPMove::Sink::Operand;
+    case TtaPMove::Dst::FuTrigger:
+    case TtaPMove::Dst::ControlTrigger: return TtaPMove::Sink::Fire;
+    case TtaPMove::Dst::RfWrite: return TtaPMove::Sink::Rf;
+    case TtaPMove::Dst::GuardWrite: return TtaPMove::Sink::Guard;
+  }
+  TTSC_UNREACHABLE("predecode: bad move destination");
+}
+
+/// The move's kind (TtaPMove::kind) from its decoded fields.
+std::uint8_t move_kind(const TtaPMove& p) {
+  const std::uint8_t base =
+      p.trap != 0 ? TtaPMove::kTrapKind : TtaPMove::transport_kind(p.src, sink_of(p.dst));
+  return static_cast<std::uint8_t>(base + (p.guard >= 0 ? TtaPMove::kGuarded : 0));
+}
+
 int max_result_latency(const mach::Machine& machine) {
   int lat = 1;
   for (const mach::FunctionUnit& fu : machine.fus) {
@@ -60,6 +78,7 @@ PredecodedTta predecode(const tta::TtaProgram& program, const mach::Machine& mac
           p.guard = static_cast<std::int16_t>(mv.guard);
           p.guard_negate = mv.guard_negate;
         }
+        p.kind = move_kind(p);
         out.moves.push_back(p);
         continue;
       }
@@ -131,6 +150,7 @@ PredecodedTta predecode(const tta::TtaProgram& program, const mach::Machine& mac
           break;
         }
       }
+      p.kind = move_kind(p);
       out.moves.push_back(p);
     }
   }

@@ -36,6 +36,19 @@ namespace ttsc::sim {
 struct TtaPMove {
   enum class Src : std::uint8_t { Imm, FuResult, RfRead };
   enum class Dst : std::uint8_t { FuOperand, FuTrigger, ControlTrigger, RfWrite, GuardWrite };
+  /// Where the move loop sends a value: both trigger kinds queue the move
+  /// for the fire pass.
+  enum class Sink : std::uint8_t { Operand, Fire, Rf, Guard };
+  static constexpr int kSinks = 4;
+  /// The transport kind of a legal move: its source × sink.
+  static constexpr std::uint8_t transport_kind(Src src, Sink sink) {
+    return static_cast<std::uint8_t>(static_cast<int>(src) * kSinks + static_cast<int>(sink));
+  }
+  /// The kind of a trap marker, after the twelve transport kinds.
+  static constexpr std::uint8_t kTrapKind = 3 * kSinks;
+  /// Added to the kind of a guarded move: the same kinds again, each
+  /// testing the guard first.
+  static constexpr std::uint8_t kGuarded = kTrapKind + 1;
   /// Trigger dispatch, resolved at decode time: Binary ops read
   /// (operand port, moved value); Input ops (loads, sign-extends) read only
   /// the moved value; Store commits to memory in the trigger cycle.
@@ -60,6 +73,10 @@ struct TtaPMove {
   /// suppresses it, matching execute-time validation in the reference loop).
   std::uint8_t trap = 0;
   std::uint32_t trap_detail = 0;
+  /// The move loop's one dispatch, folded at predecode from the guard, the
+  /// trap marker, `src` and `dst`: transport_kind(src, sink) or kTrapKind,
+  /// plus kGuarded when a guard can squash the move.
+  std::uint8_t kind = 0;
 
   bool operator==(const TtaPMove&) const = default;
 };

@@ -101,11 +101,15 @@ struct ProtectState {
 
   // ---- read-site checks -------------------------------------------------
 
+  // The two read checks run at every register and FU-result read of a
+  // protected fast loop, and the TTA loop reads at one site per transport
+  // kind: always inlined, so no site pays a call for the empty poison test.
+
   /// RF read of flat slot `slot`. SEC-DED corrects a single-bit poison by
   /// scrubbing `*stored` in place (the read then sees the corrected value);
   /// returns true when the code *detects* — the caller raises
   /// ProtectionDetected with detail = slot.
-  bool check_rf_read(std::uint32_t slot, std::uint32_t* stored) {
+  [[gnu::always_inline]] bool check_rf_read(std::uint32_t slot, std::uint32_t* stored) {
     if (rf_poison_.empty()) return false;
     for (std::size_t i = 0; i < rf_poison_.size(); ++i) {
       if (rf_poison_[i].key != slot) continue;
@@ -131,7 +135,7 @@ struct ProtectState {
   /// detects only when the flip changed the value mod 3 (otherwise the
   /// poison silently escapes the checker and is dropped). Returns true on
   /// detection — detail = fu.
-  bool check_fu_read(std::uint32_t fu, std::uint32_t stored) {
+  [[gnu::always_inline]] bool check_fu_read(std::uint32_t fu, std::uint32_t stored) {
     if (fu_poison_.empty()) return false;
     for (std::size_t i = 0; i < fu_poison_.size(); ++i) {
       if (fu_poison_[i].key != fu) continue;

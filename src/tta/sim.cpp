@@ -11,11 +11,14 @@
 // Two implementations of the same semantics live here:
 //  * run_reference — the original interpretive loop over TtaProgram; the
 //    differential baseline the tests compare against.
-//  * run_fast<kObserve> — executes the predecoded flat form
-//    (sim/predecode.hpp): no per-cycle allocation, no latency lookups, FU
-//    in-flight results in a circular buffer instead of a priority queue,
-//    RF/guard write delays as fixed-capacity double buffers. Instantiated
-//    with and without observer dispatch so a null observer is free.
+//  * run_fast<kObserve, kCheck, kProfile> — executes the predecoded flat
+//    form (sim/predecode.hpp): no per-cycle allocation, no latency
+//    lookups, FU in-flight results in a circular buffer instead of a
+//    priority queue, RF/guard write delays as fixed-capacity double
+//    buffers, and one switch per move on its predecoded kind (guard, trap
+//    marker, source and sink folded into a byte). Instantiated per
+//    observer, check level and profile (sim::run_fast_loop), so what a run
+//    does not attach costs nothing.
 // The two paths are locked together cycle-for-cycle (ExecResult including
 // halt-time RF/guard state) by the differential suite in
 // tests/property_test.cpp.
@@ -75,15 +78,19 @@ sim::Segment TtaSim::run(std::uint64_t max_cycles, const sim::Snapshot* from,
   if (predecoded_ == nullptr) {
     predecoded_ = std::make_shared<const sim::PredecodedTta>(sim::predecode(program_, machine_));
   }
-  return sim::run_fast_loop(options_, [&]<bool kObserve, bool kHarden, bool kProfile> {
-    return run_fast<kObserve, kHarden, kProfile>(max_cycles, from, stop_at);
+  return sim::run_fast_loop(options_, [&]<bool kObserve, sim::Check kCheck, bool kProfile> {
+    return run_fast<kObserve, kCheck, kProfile>(max_cycles, from, stop_at);
   });
 }
 
-template <bool kObserve, bool kHarden, bool kProfile>
+template <bool kObserve, sim::Check kCheck, bool kProfile>
 sim::Segment TtaSim::run_fast(std::uint64_t max_cycles, const sim::Snapshot* from,
                               std::uint64_t stop_at) {
   using sim::TtaPMove;
+  using Src = TtaPMove::Src;
+  using Sink = TtaPMove::Sink;
+  constexpr bool kHarden = kCheck != sim::Check::None;
+  constexpr bool kProtect = kCheck == sim::Check::Protect;
   const sim::PredecodedTta& pre = *predecoded_;
   sim::ExecObserver* const obs = options_.observer;
   sim::ProfileCounts* const prof = options_.profile;
@@ -235,22 +242,27 @@ sim::Segment TtaSim::run_fast(std::uint64_t max_cycles, const sim::Snapshot* fro
         const std::uint32_t slot =
             pre.rf_base[static_cast<std::size_t>(f.unit)] + static_cast<std::uint32_t>(f.index);
         const std::uint32_t mask = sim::fault_mask(f);
-        if (prot != nullptr) prot->on_rf_flip(slot, mask);
+        if constexpr (kProtect) {
+          if (prot != nullptr) prot->on_rf_flip(slot, mask);
+        }
         rf[slot] ^= mask;
         break;
       }
       case sim::FaultKind::FuResultBit: {
         if (f.unit < 0 || static_cast<std::size_t>(f.unit) >= nfus) return;
         const std::uint32_t mask = sim::fault_mask(f);
-        if (prot != nullptr) prot->on_fu_flip(static_cast<std::uint32_t>(f.unit), mask);
+        if constexpr (kProtect) {
+          if (prot != nullptr) prot->on_fu_flip(static_cast<std::uint32_t>(f.unit), mask);
+        }
         fu_result[static_cast<std::size_t>(f.unit)] ^= mask;
         break;
       }
       case sim::FaultKind::GuardBit:
         if (f.unit < 0 || f.unit >= machine_.guard_regs) return;
-        if (prot == nullptr || prot->on_guard_flip()) {
-          guard_regs[static_cast<std::size_t>(f.unit)] ^= 1u;
+        if constexpr (kProtect) {
+          if (prot != nullptr && !prot->on_guard_flip()) break;
         }
+        guard_regs[static_cast<std::size_t>(f.unit)] ^= 1u;
         break;
     }
   };
@@ -284,7 +296,7 @@ sim::Segment TtaSim::run_fast(std::uint64_t max_cycles, const sim::Snapshot* fro
       const std::uint32_t n = ring_count[ring_idx];
       for (std::uint32_t e = 0; e < n; ++e) {
         fu_result[col[e].fu] = col[e].value;
-        if constexpr (kHarden) {
+        if constexpr (kProtect) {
           if (prot != nullptr) prot->clear_fu(col[e].fu);
         }
       }
@@ -297,7 +309,7 @@ sim::Segment TtaSim::run_fast(std::uint64_t max_cycles, const sim::Snapshot* fro
     for (std::uint32_t i = 0, n = rf_pend_n[now]; i < n; ++i) {
       const RfWrite& w = commits[i];
       rf[w.slot] = w.value;
-      if constexpr (kHarden) {
+      if constexpr (kProtect) {
         if (prot != nullptr) prot->clear_rf(w.slot);
       }
       if constexpr (kObserve) obs->on_rf_write(cycle, w.rf, w.reg, w.value);
@@ -318,7 +330,7 @@ sim::Segment TtaSim::run_fast(std::uint64_t max_cycles, const sim::Snapshot* fro
       return result;
     }
     if (pc < num_instrs) {
-      if constexpr (kHarden) {
+      if constexpr (kProtect) {
         // Protected imem: the fetch either scrubs a correctable codeword
         // (counted once) or detects an uncorrectable one and fails closed.
         if (prot != nullptr &&
@@ -349,67 +361,102 @@ sim::Segment TtaSim::run_fast(std::uint64_t max_cycles, const sim::Snapshot* fro
       std::uint32_t n_rf = 0;
       std::uint32_t n_guard = 0;
       std::size_t nfires = 0;
-      // 3+4a. Sample sources and write non-trigger destinations (RF and
-      // guard writes are deferred a cycle; sources never read a state this
-      // pass mutates, so sampling and writing interleave exactly).
-      for (std::uint32_t m = begin; m < end; ++m) {
-        const TtaPMove& mv = moves[m];
-        if (mv.guard >= 0) {
-          const bool g = guard_regs[static_cast<std::size_t>(mv.guard)] != 0;
-          if (g == mv.guard_negate) {  // squashed
-            if constexpr (kObserve) obs->on_guard_squash(cycle, mv.bus);
-            if constexpr (kProfile) {
-              ++prof->squash[2 * static_cast<std::size_t>(m) + (transfer_in >= 0 ? 1u : 0u)];
+      // A guarded move whose guard disagrees occupies its bus with no
+      // effect. Both helpers are always inlined: called out of line from
+      // the switch's 26 cases (GCC does so in the Protect loop), their
+      // captured locals would live in memory. GCC ignores [[gnu::...]] in
+      // this position, where it applies to the lambda's type.
+      auto squashed = [&](const TtaPMove& mv, std::uint32_t m) __attribute__((always_inline)) {
+        if ((guard_regs[static_cast<std::size_t>(mv.guard)] != 0) != mv.guard_negate) {
+          return false;
+        }
+        if constexpr (kObserve) obs->on_guard_squash(cycle, mv.bus);
+        if constexpr (kProfile) {
+          ++prof->squash[2 * static_cast<std::size_t>(m) + (transfer_in >= 0 ? 1u : 0u)];
+        }
+        return true;
+      };
+      // One transport: sample the source and write a non-trigger sink (RF
+      // and guard writes are deferred a cycle) or queue a trigger. False
+      // when a protection check trapped the run.
+      auto transport = [&]<Src kSrc, Sink kSink>(const TtaPMove& mv)
+                           __attribute__((always_inline)) {
+        std::uint32_t value;
+        if constexpr (kSrc == Src::Imm) {
+          value = mv.imm;
+        } else if constexpr (kSrc == Src::FuResult) {
+          if constexpr (kProtect) {
+            // DMR/residue checkers compare when the result is consumed.
+            if (prot != nullptr && prot->check_fu_read(mv.src_slot, fu_result[mv.src_slot])) {
+              rf_pend_n[next] = n_rf;
+              set_trap(sim::TrapReason::ProtectionDetected, -1, mv.src_slot);
+              return false;
             }
-            continue;
           }
-        }
-        // Fail-closed: an illegal move (decode-time trap marker) traps when
-        // it executes; a squashed guard suppressed it above. Valid programs
-        // never carry trap moves, so this branch never fires for them.
-        if (mv.trap != 0) {
-          rf_pend_n[next] = n_rf;
-          set_trap(static_cast<sim::TrapReason>(mv.trap - 1), mv.bus, mv.trap_detail);
-          return result;
-        }
-        std::uint32_t value = mv.imm;
-        switch (mv.src) {
-          case TtaPMove::Src::Imm: break;
-          case TtaPMove::Src::FuResult:
-            if constexpr (kHarden) {
-              // DMR/residue checkers compare when the result is consumed.
-              if (prot != nullptr && prot->check_fu_read(mv.src_slot, fu_result[mv.src_slot])) {
-                rf_pend_n[next] = n_rf;
-                set_trap(sim::TrapReason::ProtectionDetected, -1, mv.src_slot);
-                return result;
-              }
+          value = fu_result[mv.src_slot];
+        } else if constexpr (kSrc == Src::RfRead) {
+          if constexpr (kProtect) {
+            // Storage codes check (and SEC-DED scrubs) on read.
+            if (prot != nullptr && prot->check_rf_read(mv.src_slot, &rf[mv.src_slot])) {
+              rf_pend_n[next] = n_rf;
+              set_trap(sim::TrapReason::ProtectionDetected, -1, mv.src_slot);
+              return false;
             }
-            value = fu_result[mv.src_slot];
-            break;
-          case TtaPMove::Src::RfRead:
-            if constexpr (kHarden) {
-              // Storage codes check (and SEC-DED scrubs) on read.
-              if (prot != nullptr && prot->check_rf_read(mv.src_slot, &rf[mv.src_slot])) {
-                rf_pend_n[next] = n_rf;
-                set_trap(sim::TrapReason::ProtectionDetected, -1, mv.src_slot);
-                return result;
-              }
-            }
-            value = rf[mv.src_slot];
-            if constexpr (kObserve) obs->on_rf_read(cycle, mv.src_rf, mv.src_reg);
-            break;
+          }
+          value = rf[mv.src_slot];
+          if constexpr (kObserve) obs->on_rf_read(cycle, mv.src_rf, mv.src_reg);
         }
         if constexpr (kObserve) obs->on_move(cycle, mv.bus);
-        switch (mv.dst) {
-          case TtaPMove::Dst::FuOperand: fu_operand[mv.dst_slot] = value; break;
-          case TtaPMove::Dst::RfWrite:
-            rf_queue[n_rf++] = RfWrite{mv.dst_slot, value, mv.dst_rf, mv.dst_reg};
-            break;
-          case TtaPMove::Dst::GuardWrite:
-            guard_queue[n_guard++] = GuardWrite{mv.dst_slot, static_cast<std::uint8_t>(value != 0)};
-            break;
-          case TtaPMove::Dst::FuTrigger:
-          case TtaPMove::Dst::ControlTrigger: fires[nfires++] = Fire{&mv, value}; break;
+        if constexpr (kSink == Sink::Operand) {
+          fu_operand[mv.dst_slot] = value;
+        } else if constexpr (kSink == Sink::Fire) {
+          fires[nfires++] = Fire{&mv, value};
+        } else if constexpr (kSink == Sink::Rf) {
+          rf_queue[n_rf++] = RfWrite{mv.dst_slot, value, mv.dst_rf, mv.dst_reg};
+        } else {
+          guard_queue[n_guard++] = GuardWrite{mv.dst_slot, static_cast<std::uint8_t>(value != 0)};
+        }
+        return true;
+      };
+      // 3+4a. Sample sources and write non-trigger destinations: one switch
+      // on the move's kind per move. Sources never read a state this pass
+      // mutates, so sampling and writing interleave exactly.
+      for (std::uint32_t m = begin; m < end; ++m) {
+        const TtaPMove& mv = moves[m];
+        switch (mv.kind) {
+#define TTSC_TTA_TRANSPORT(SRC, SINK)                                                   \
+  case TtaPMove::transport_kind(Src::SRC, Sink::SINK):                                  \
+    if (!transport.template operator()<Src::SRC, Sink::SINK>(mv)) return result;        \
+    break;                                                                              \
+  case TtaPMove::transport_kind(Src::SRC, Sink::SINK) + TtaPMove::kGuarded:             \
+    if (!squashed(mv, m) && !transport.template operator()<Src::SRC, Sink::SINK>(mv)) { \
+      return result;                                                                    \
+    }                                                                                   \
+    break;
+          TTSC_TTA_TRANSPORT(Imm, Operand)
+          TTSC_TTA_TRANSPORT(Imm, Fire)
+          TTSC_TTA_TRANSPORT(Imm, Rf)
+          TTSC_TTA_TRANSPORT(Imm, Guard)
+          TTSC_TTA_TRANSPORT(FuResult, Operand)
+          TTSC_TTA_TRANSPORT(FuResult, Fire)
+          TTSC_TTA_TRANSPORT(FuResult, Rf)
+          TTSC_TTA_TRANSPORT(FuResult, Guard)
+          TTSC_TTA_TRANSPORT(RfRead, Operand)
+          TTSC_TTA_TRANSPORT(RfRead, Fire)
+          TTSC_TTA_TRANSPORT(RfRead, Rf)
+          TTSC_TTA_TRANSPORT(RfRead, Guard)
+#undef TTSC_TTA_TRANSPORT
+          // Fail-closed: an illegal move (decode-time trap marker) traps
+          // when it executes; a squashed guard suppresses it. Valid
+          // programs never carry trap moves.
+          case TtaPMove::kTrapKind + TtaPMove::kGuarded:
+            if (squashed(mv, m)) break;
+            [[fallthrough]];
+          case TtaPMove::kTrapKind:
+            rf_pend_n[next] = n_rf;
+            set_trap(static_cast<sim::TrapReason>(mv.trap - 1), mv.bus, mv.trap_detail);
+            return result;
+          default: TTSC_UNREACHABLE("bad TTA move kind");
         }
       }
       rf_pend_n[next] = n_rf;

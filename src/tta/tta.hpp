@@ -186,7 +186,7 @@ class TtaSim {
   ExecResult run_reference(std::uint64_t max_cycles = 2'000'000'000ull);
 
  private:
-  template <bool kObserve, bool kHarden, bool kProfile>
+  template <bool kObserve, sim::Check kCheck, bool kProfile>
   sim::Segment run_fast(std::uint64_t max_cycles, const sim::Snapshot* from,
                         std::uint64_t stop_at);
 

@@ -3,13 +3,14 @@
 // Two implementations of the same semantics live here:
 //  * run_reference — the original interpretive loop over VliwProgram; the
 //    differential baseline the tests compare against.
-//  * run_fast<kObserve> — executes the predecoded flat form
-//    (sim/predecode.hpp): no per-cycle FU-latency scans, registers in one
-//    flat array, and the write-back priority queue replaced by a circular
-//    buffer of per-cycle FIFO lists (append order reproduces the reference
-//    queue's commit-sequence tie-break). Instantiated with and without
-//    observer dispatch so a null observer is free, and as the leader of a
-//    lockstep batch with the lane hooks of sim/lanes.hpp.
+//  * run_fast — executes the predecoded flat form (sim/predecode.hpp): no
+//    per-cycle FU-latency scans, registers in one flat array, and the
+//    write-back priority queue replaced by a circular buffer of per-cycle
+//    FIFO lists (append order reproduces the reference queue's
+//    commit-sequence tie-break). Instantiated per observer, check level
+//    and profile (sim::run_fast_loop), so what a run does not attach costs
+//    nothing, and as the leader of a lockstep batch with the lane hooks of
+//    sim/lanes.hpp.
 // The two paths are locked together cycle-for-cycle by the differential
 // suite in tests/property_test.cpp.
 #include <algorithm>
@@ -71,28 +72,32 @@ sim::Segment VliwSim::run(std::uint64_t max_cycles, const sim::Snapshot* from,
   if (predecoded_ == nullptr) {
     predecoded_ = std::make_shared<const sim::PredecodedVliw>(sim::predecode(program_, machine_));
   }
-  return sim::run_fast_loop(options_, [&]<bool kObserve, bool kHarden, bool kProfile> {
-    return run_fast<kObserve, kHarden, kProfile, sim::NoLanes>(max_cycles, from, stop_at);
+  return sim::run_fast_loop(options_, [&]<bool kObserve, sim::Check kCheck, bool kProfile> {
+    return run_fast<kObserve, kCheck, kProfile, sim::NoLanes>(max_cycles, from, stop_at);
   });
 }
 
 ExecResult VliwSim::run(std::uint64_t max_cycles, sim::RegLanes& lanes) {
   TTSC_ASSERT(predecoded_ != nullptr, "a lockstep leader runs a predecoded program");
+  TTSC_ASSERT(options_.protect == nullptr, "a lockstep leader runs unprotected");
   lanes_ = &lanes;
   ExecResult result = std::get<ExecResult>(
-      run_fast<false, true, false, sim::RegLanes>(max_cycles, nullptr, sim::kNoStop));
+      run_fast<false, sim::Check::Harden, false, sim::RegLanes>(max_cycles, nullptr, sim::kNoStop));
   lanes_ = nullptr;
   return result;
 }
 
-template <bool kObserve, bool kHarden, bool kProfile, typename Lanes>
+template <bool kObserve, sim::Check kCheck, bool kProfile, typename Lanes>
 sim::Segment VliwSim::run_fast(std::uint64_t max_cycles, const sim::Snapshot* from,
                                std::uint64_t stop_at) {
   using sim::VliwPOp;
-  // Lockstep lanes (sim/lanes.hpp) ride on the hardened loop only. Their
-  // location ids are the flat RF slots, then ring entry row * row_cap + i.
+  constexpr bool kHarden = kCheck != sim::Check::None;
+  constexpr bool kProtect = kCheck == sim::Check::Protect;
+  // Lockstep lanes (sim/lanes.hpp) ride on the unprotected hardened loop.
+  // Their location ids are the flat RF slots, then ring entry
+  // row * row_cap + i.
   constexpr bool kLanes = std::is_same_v<Lanes, sim::RegLanes>;
-  static_assert(!kLanes || (kHarden && !kObserve && !kProfile));
+  static_assert(!kLanes || (kCheck == sim::Check::Harden && !kObserve && !kProfile));
   const sim::PredecodedVliw& pre = *predecoded_;
   sim::ExecObserver* const obs = options_.observer;
   sim::ProfileCounts* const prof = options_.profile;
@@ -186,7 +191,9 @@ sim::Segment VliwSim::run_fast(std::uint64_t max_cycles, const sim::Snapshot* fr
     const std::uint32_t slot =
         pre.rf_base[static_cast<std::size_t>(f.unit)] + static_cast<std::uint32_t>(f.index);
     const std::uint32_t mask = sim::fault_mask(f);
-    if (prot != nullptr) prot->on_rf_flip(slot, mask);
+    if constexpr (kProtect) {
+      if (prot != nullptr) prot->on_rf_flip(slot, mask);
+    }
     regs[slot] ^= mask;
   };
 
@@ -224,7 +231,7 @@ sim::Segment VliwSim::run_fast(std::uint64_t max_cycles, const sim::Snapshot* fr
         const Write& w = commits[i];
         if constexpr (kLanes) lanes_->commit(pre.rf_slots + wb_idx * row_cap + i, w.slot, w.value);
         regs[w.slot] = w.value;
-        if constexpr (kHarden) {
+        if constexpr (kProtect) {
           if (prot != nullptr) prot->clear_rf(w.slot);
         }
         if constexpr (kObserve) obs->on_rf_write(cycle, w.rf, w.reg, w.value);
@@ -238,7 +245,7 @@ sim::Segment VliwSim::run_fast(std::uint64_t max_cycles, const sim::Snapshot* fr
       return result;
     }
     if (pc < num_bundles) {
-      if constexpr (kHarden) {
+      if constexpr (kProtect) {
         // Protected imem: scrub or detect the bundle's codeword at fetch.
         if (prot != nullptr &&
             prot->check_imem_fetch(static_cast<std::uint32_t>(pc)) ==
@@ -276,7 +283,7 @@ sim::Segment VliwSim::run_fast(std::uint64_t max_cycles, const sim::Snapshot* fr
         std::uint32_t a = op.a_val;
         std::uint32_t b = op.b_val;
         if (!op.a_imm) {
-          if constexpr (kHarden) {
+          if constexpr (kProtect) {
             if (prot != nullptr && prot->check_rf_read(op.a_slot, &regs[op.a_slot])) {
               set_trap(sim::TrapReason::ProtectionDetected, -1, op.a_slot);
               return result;
@@ -286,7 +293,7 @@ sim::Segment VliwSim::run_fast(std::uint64_t max_cycles, const sim::Snapshot* fr
           if constexpr (kObserve) obs->on_rf_read(cycle, op.a_rf, op.a_reg);
         }
         if (!op.b_imm) {
-          if constexpr (kHarden) {
+          if constexpr (kProtect) {
             if (prot != nullptr && prot->check_rf_read(op.b_slot, &regs[op.b_slot])) {
               set_trap(sim::TrapReason::ProtectionDetected, -1, op.b_slot);
               return result;

@@ -145,7 +145,7 @@ class VliwSim {
  private:
   /// The fast loop. With Lanes = sim::RegLanes it leads the lockstep batch
   /// at lanes_; sim::NoLanes is the plain run.
-  template <bool kObserve, bool kHarden, bool kProfile, typename Lanes>
+  template <bool kObserve, sim::Check kCheck, bool kProfile, typename Lanes>
   sim::Segment run_fast(std::uint64_t max_cycles, const sim::Snapshot* from,
                         std::uint64_t stop_at);
 

@@ -43,12 +43,15 @@ using tta::MoveSrc;
 // ---------------------------------------------------------------------------
 // Lane-vs-scalar byte-identity check, shared by the corpus and hand tests.
 //
-// `leader_mem` is the batch's fault-free final image; an in-diff lane's
-// memory is leader_mem + delta, an evicted lane carries its own image.
+// BatchResult::lane_image builds lane `k`'s final image: the batch's initial
+// image with an evicted lane's pages, or the leader's fault-free final image
+// with an in-diff lane's delta. Like the campaign, each thread builds every
+// lane it checks on one reused image, so pages a previous lane left behind
+// must not leak into the next.
 
-std::string check_lane(const sim::LaneOutcome& lo, const sim::ExecResult& ref,
-                       const ir::Memory& ref_mem, const ir::Memory& leader_mem,
-                       const char* what) {
+std::string check_lane(const sim::BatchResult& br, std::size_t k, const sim::ExecResult& ref,
+                       const ir::Memory& ref_mem, const char* what) {
+  const sim::LaneOutcome& lo = br.lanes[k];
   std::string err;
   if (!(lo.result == ref)) {
     err += format("%s: lane ExecResult differs from scalar hardened run "
@@ -57,28 +60,24 @@ std::string check_lane(const sim::LaneOutcome& lo, const sim::ExecResult& ref,
                   static_cast<unsigned long long>(lo.result.cycles),
                   static_cast<unsigned long long>(ref.cycles), lo.result.ret, ref.ret);
   }
+  thread_local std::optional<ir::Memory> image;
+  if (!image || image->size() != br.leader_mem.size()) image.emplace(br.leader_mem.size());
+  br.lane_image(k, *image);
+  if (!(*image == ref_mem)) err += format("%s: lane memory differs from scalar run\n", what);
   if (lo.evicted) {
-    if (!lo.mem.has_value()) {
-      err += format("%s: evicted lane has no memory image\n", what);
-    } else if (!(*lo.mem == ref_mem)) {
-      err += format("%s: evicted lane memory differs from scalar run\n", what);
-    }
     if (!lo.delta.empty()) err += format("%s: evicted lane carries a delta\n", what);
     if (lo.converged) err += format("%s: lane both evicted and converged\n", what);
   } else {
-    if (lo.mem.has_value()) err += format("%s: in-lockstep lane carries an image\n", what);
+    if (!lo.pages.index.empty()) err += format("%s: in-lockstep lane carries pages\n", what);
     if (lo.converged && !lo.delta.empty()) {
       err += format("%s: converged lane has a non-empty delta\n", what);
     }
-    const ir::Memory lane_mem = sim::materialize(leader_mem, lo.delta);
-    if (!(lane_mem == ref_mem)) {
-      err += format("%s: materialized lane memory differs from scalar run\n", what);
-    }
-    // checksum_with_delta must agree with checksumming the materialized
-    // image (classify_lane depends on this shortcut).
-    const std::uint32_t size = static_cast<std::uint32_t>(lane_mem.size());
-    if (sim::checksum_with_delta(leader_mem, lo.delta, 0, size) != lane_mem.checksum(0, size)) {
-      err += format("%s: checksum_with_delta != materialized checksum\n", what);
+    // checksum_with_delta must agree with checksumming the lane's image
+    // (classify_lane depends on this shortcut).
+    const std::uint32_t size = static_cast<std::uint32_t>(image->size());
+    if (sim::checksum_with_delta(br.leader_mem, lo.delta, 0, size) !=
+        image->checksum(0, size)) {
+      err += format("%s: checksum_with_delta != lane image checksum\n", what);
     }
   }
   return err;
@@ -128,7 +127,7 @@ std::string check_cell_impl(const resil_util::GeneratedCell& cell, const Result&
       continue;
     }
     for (std::size_t k = 0; k < br->lanes.size(); ++k) {
-      err += check_lane(br->lanes[k], refs[k], ref_mems[k], br->leader_mem,
+      err += check_lane(*br, k, refs[k], ref_mems[k],
                         format("%s %s lane %zu", tag.c_str(), mode, k).c_str());
     }
   }
@@ -297,7 +296,7 @@ TEST(LockstepTiming, BnzFlipEvictsAtTriggerCycle) {
   EXPECT_EQ(lo.result.cycles, 4u);
   ir::Memory ref_mem(0);
   const tta::ExecResult ref = h.scalar(faults[0], &ref_mem);
-  EXPECT_EQ(check_lane(lo, ref, ref_mem, br.leader_mem, "bnz-flip"), "");
+  EXPECT_EQ(check_lane(br, 0, ref, ref_mem, "bnz-flip"), "");
 }
 
 TEST(LockstepTiming, LateFlipOfDeadRegisterConverges) {
@@ -318,7 +317,7 @@ TEST(LockstepTiming, LateFlipOfDeadRegisterConverges) {
   EXPECT_TRUE(br.lanes[0].result == br.leader);
   ir::Memory ref_mem(0);
   const tta::ExecResult ref = h.scalar(faults[0], &ref_mem);
-  EXPECT_EQ(check_lane(br.lanes[0], ref, ref_mem, br.leader_mem, "dead-flip"), "");
+  EXPECT_EQ(check_lane(br, 0, ref, ref_mem, "dead-flip"), "");
 }
 
 TEST(LockstepTiming, LiveFlipStaysInLockstepWithOverlay) {
@@ -341,7 +340,7 @@ TEST(LockstepTiming, LiveFlipStaysInLockstepWithOverlay) {
   EXPECT_EQ(lo.result.cycles, br.leader.cycles);
   ir::Memory ref_mem(0);
   const tta::ExecResult ref = h.scalar(faults[0], &ref_mem);
-  EXPECT_EQ(check_lane(lo, ref, ref_mem, br.leader_mem, "live-flip"), "");
+  EXPECT_EQ(check_lane(br, 0, ref, ref_mem, "live-flip"), "");
 }
 
 TEST(LockstepTiming, AllLanesDivergeWorstCase) {
@@ -366,8 +365,7 @@ TEST(LockstepTiming, AllLanesDivergeWorstCase) {
     EXPECT_EQ(br.lanes[l].result.ret, 13u) << "lane " << l;
     ir::Memory ref_mem(0);
     const tta::ExecResult ref = h.scalar(faults[l], &ref_mem);
-    err += check_lane(br.lanes[l], ref, ref_mem, br.leader_mem,
-                      format("worst-case lane %zu", l).c_str());
+    err += check_lane(br, l, ref, ref_mem, format("worst-case lane %zu", l).c_str());
   }
   EXPECT_EQ(err, "");
 }
@@ -420,7 +418,7 @@ TEST(LockstepTiming, GuardFlipEvictsAtSquashDecision) {
   ir::Memory ref_mem(0);
   const tta::ExecResult ref =
       resil_util::run_tta(a.prog, machine, &faults[0], /*fast_path=*/true, &ref_mem);
-  EXPECT_EQ(check_lane(br.lanes[0], ref, ref_mem, br.leader_mem, "guard-flip"), "");
+  EXPECT_EQ(check_lane(br, 0, ref, ref_mem, "guard-flip"), "");
 }
 
 // ---------------------------------------------------------------------------
@@ -472,7 +470,7 @@ TEST(LockstepTiming, ScalarBnzFlipEvictsAtBranchCycle) {
   ir::Memory ref_mem(0);
   const scalar::ExecResult ref =
       resil_util::run_scalar(p, machine, /*fast_path=*/true, &faults[0], &ref_mem);
-  EXPECT_EQ(check_lane(lo, ref, ref_mem, br.leader_mem, "scalar-bnz-flip"), "");
+  EXPECT_EQ(check_lane(br, 0, ref, ref_mem, "scalar-bnz-flip"), "");
 }
 
 // The memory-address evictions of the scalar engine. Each evicted lane
@@ -501,8 +499,7 @@ struct BatchHarness {
       ir::Memory ref_mem = initial;
       const sim::ExecResult ref =
           engine.run(ref_mem, {.harden = true, .faults = &lane_faults[l]}, kHandBudget);
-      err += check_lane(br.lanes[l], ref, ref_mem, br.leader_mem,
-                        format("%s lane %zu", what, l).c_str());
+      err += check_lane(br, l, ref, ref_mem, format("%s lane %zu", what, l).c_str());
     }
     return err;
   }

@@ -992,8 +992,9 @@ TEST(InjectionPaths, EveryInjectionCountsUnderExactlyOnePath) {
       EXPECT_EQ(lanes, c.batch_lanes) << where;
       EXPECT_EQ(path(resil::InjectionPath::Evicted), c.batch_evictions) << where;
       const std::uint64_t imem = c.targets[static_cast<std::size_t>(resil::TargetKind::Imem)].injections;
-      const std::uint64_t standalone =
-          path(resil::InjectionPath::Scalar) + path(resil::InjectionPath::Resumed);
+      const std::uint64_t standalone = path(resil::InjectionPath::Scalar) +
+                                       path(resil::InjectionPath::Resumed) +
+                                       path(resil::InjectionPath::Repeated);
       if (!c.protected_machine) {
         EXPECT_EQ(path(resil::InjectionPath::ImemAnalytic), 0u) << where;
         EXPECT_EQ(standalone, run.batch ? imem : c.total().injections) << where;

@@ -7,6 +7,7 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -19,6 +20,7 @@
 #include "scalar/scalar.hpp"
 #include "sim/fault.hpp"
 #include "sim/lockstep.hpp"
+#include "sim/protect.hpp"
 #include "tta/tta.hpp"
 #include "tta/verify.hpp"
 #include "vliw/vliw.hpp"
@@ -265,26 +267,111 @@ TEST(Inject, FlipIsInvolutive) {
   }
 }
 
-TEST(Inject, EveryScalarImemFlipFailsClosed) {
-  // Exhaustive single-bit sweep of a tiny program: every flip must resolve
-  // to a structured status (never an abort), on both paths, identically.
-  scalar::ScalarProgram p;
-  p.block_entry = {0};
-  p.instrs.push_back(minstr(ir::Opcode::MovI, {0, 1}, {MOperand::immediate(42)}));
-  p.instrs.push_back(
-      minstr(ir::Opcode::Add, {0, 2}, {mach::PhysReg{0, 1}, MOperand::immediate(1)}));
-  p.instrs.push_back(minstr(ir::Opcode::Ret, kNoDst, {mach::PhysReg{0, 2}}));
-  const mach::Machine m = mach::make_mblaze3();
-  for (std::uint64_t bit = 0; bit < resil::imem_bits(p); ++bit) {
-    const auto flipped = resil::flip_bit(p, bit);
-    const auto fast = run_scalar(flipped, m, true);
-    const auto ref = run_scalar(flipped, m, false);
-    EXPECT_EQ(fast.status, ref.status) << "bit " << bit;
-    if (fast.status == sim::ExecStatus::Trapped) {
-      EXPECT_EQ(fast.trap, ref.trap) << "bit " << bit;
+// ---------------------------------------------------------------------------
+// Every fast-loop instantiation agrees on corrupted programs. For every
+// single-bit imem flip of a (machine, program) cell, four hardened runs end
+// with the same ExecResult (status, trap, cycles, ret, RF/guard state) and
+// the same final image: the plain run (check level Harden), the run with an
+// inert sim::ProtectState (level Protect), the run with a no-op observer,
+// and the reference loop. Every flip resolves to a structured status, never
+// an abort.
+
+/// The four runs of every single-bit flip of `program` from `initial`;
+/// "" or the first disagreements and their count.
+template <typename Sim, typename Program>
+std::string sweep_imem_flips(const Program& program, const mach::Machine& machine,
+                             const ir::Memory& initial, std::uint64_t budget) {
+  static constexpr const char* kRuns[] = {"plain", "inert-protect", "observed", "reference"};
+  const mach::Protection inert;  // every code None
+  sim::ExecObserver noop;
+  std::vector<ir::Memory> images(std::size(kRuns), initial);
+  std::string err;
+  std::uint64_t disagreements = 0;
+  for (std::uint64_t bit = 0; bit < resil::imem_bits(program); ++bit) {
+    const Program flipped = resil::flip_bit(program, bit);
+    const auto pre = std::make_shared<const decltype(sim::predecode(flipped, machine))>(
+        sim::predecode(flipped, machine));
+    sim::ProtectState prot(inert);
+    const sim::SimOptions options[] = {{.harden = true},
+                                       {.harden = true, .protect = &prot},
+                                       {.observer = &noop, .harden = true},
+                                       {.harden = true}};
+    std::vector<sim::ExecResult> results;
+    for (std::size_t k = 0; k < std::size(kRuns); ++k) {
+      images[k].restore_from(initial);
+      Sim s(flipped, machine, images[k], options[k]);
+      s.use_predecoded(pre);
+      results.push_back(k + 1 < std::size(kRuns) ? s.run(budget) : s.run_reference(budget));
+    }
+    for (std::size_t k = 1; k < std::size(kRuns); ++k) {
+      if (!(results[k] == results[0]) || !(images[k] == images[0])) {
+        if (++disagreements > 8) continue;
+        err += format("bit %llu: %s run (%s, cycle %llu) differs from plain (%s, cycle %llu)\n",
+                      static_cast<unsigned long long>(bit), kRuns[k],
+                      sim::exec_status_name(results[k].status),
+                      static_cast<unsigned long long>(results[k].cycles),
+                      sim::exec_status_name(results[0].status),
+                      static_cast<unsigned long long>(results[0].cycles));
+      }
     }
   }
+  if (disagreements > 0) {
+    err += format("%llu disagreements over %llu flips\n",
+                  static_cast<unsigned long long>(disagreements),
+                  static_cast<unsigned long long>(resil::imem_bits(program)));
+  }
+  return err;
 }
+
+/// The generated program of the non-scalar cells.
+constexpr std::uint64_t kImemFlipSeed = 7;
+
+class ImemFlips : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(ImemFlips, EveryInstantiationAgrees) {
+  const std::string machine = GetParam().substr(0, GetParam().find(':'));
+  if (GetParam() == "mblaze-3:tiny") {
+    scalar::ScalarProgram p;
+    p.block_entry = {0};
+    p.instrs.push_back(minstr(ir::Opcode::MovI, {0, 1}, {MOperand::immediate(42)}));
+    p.instrs.push_back(
+        minstr(ir::Opcode::Add, {0, 2}, {mach::PhysReg{0, 1}, MOperand::immediate(1)}));
+    p.instrs.push_back(minstr(ir::Opcode::Ret, kNoDst, {mach::PhysReg{0, 2}}));
+    const mach::Machine m = mach::machine_by_name(machine);
+    const std::uint64_t budget = resil::timeout_budget(run_scalar(p, m, true).cycles);
+    EXPECT_EQ(sweep_imem_flips<scalar::ScalarSim>(p, m, ir::Memory(1 << 16), budget), "");
+    return;
+  }
+  // A generated program (tests/program_generator.hpp), scheduled for the
+  // machine; on g-tta-2 its selects become guarded moves.
+  const GeneratedCell cell = make_generated_cell(kImemFlipSeed, machine);
+  std::string err;
+  if (cell.vliw_prog) {
+    err = sweep_imem_flips<vliw::VliwSim>(*cell.vliw_prog, cell.machine, cell.initial_mem,
+                                          cell.budget);
+  } else {
+    ASSERT_TRUE(cell.tta_prog.has_value());
+    if (cell.machine.has_guards()) {
+      std::size_t guarded = 0;
+      for (const sim::TtaPMove& mv : cell.tta_pre->moves) guarded += mv.guard >= 0 ? 1 : 0;
+      EXPECT_GT(guarded, 0u) << "no guarded move: the guarded kinds go untested";
+    }
+    err = sweep_imem_flips<tta::TtaSim>(*cell.tta_prog, cell.machine, cell.initial_mem,
+                                        cell.budget);
+  }
+  EXPECT_EQ(err, "");
+}
+
+INSTANTIATE_TEST_SUITE_P(Cells, ImemFlips,
+                         ::testing::Values("mblaze-3:tiny", "m-vliw-2:generated",
+                                           "m-tta-2:generated", "g-tta-2:generated"),
+                         [](const ::testing::TestParamInfo<std::string>& info) {
+                           std::string name = info.param;
+                           for (char& ch : name) {
+                             if (ch == '-' || ch == ':') ch = '_';
+                           }
+                           return name;
+                         });
 
 TEST(Inject, TtaGuardEncodingRoundTrips) {
   // The TTA walk encodes guard as guard+1 so flips can add/remove

@@ -74,7 +74,7 @@ struct Asm {
 // ---------------------------------------------------------------------------
 // Hardened single-run harnesses over a fixed 64 KiB zero image. `final_mem`
 // (optional) receives the halt-time memory image — the lockstep differential
-// compares it against materialized lane deltas.
+// compares it against each lane's final image.
 
 inline tta::ExecResult run_tta(const TtaProgram& prog, const mach::Machine& machine,
                                const sim::FaultSet* faults, bool fast_path,
