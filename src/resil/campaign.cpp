@@ -331,9 +331,10 @@ struct BatchStats {
 };
 
 /// Run one lockstep lane group (state faults only — `idxs` indexes into the
-/// cell's pre-sampled spec table) and classify each lane into its slot,
-/// evicted lanes on `image`. Throws only on infrastructure failure (the
-/// caller retries, then records Err for the whole group).
+/// cell's pre-sampled spec table) and classify each lane into its slot.
+/// Evicted lanes run and are classified on `image`, the worker's reused
+/// image. Throws only on infrastructure failure (the caller retries, then
+/// records Err for the whole group).
 BatchStats run_lane_group(const PreparedCell& cell, const std::vector<FaultSpec>& specs,
                           const std::vector<std::size_t>& idxs, std::size_t begin,
                           std::size_t count, std::uint64_t budget, ir::Memory& image,
@@ -346,8 +347,8 @@ BatchStats run_lane_group(const PreparedCell& cell, const std::vector<FaultSpec>
     TTSC_ASSERT(spec.target != TargetKind::Imem, "imem faults are never batchable");
     lane_faults[k].faults.push_back(spec.state);
   }
-  const sim::BatchResult br =
-      cell.engine.run_batch(cell.initial_mem, lane_faults, budget, &cell.golden, &cell.golden_mem);
+  const sim::BatchResult br = cell.engine.run_batch(cell.initial_mem, lane_faults, budget, image,
+                                                    &cell.golden, &cell.golden_mem);
   for (std::size_t k = 0; k < count; ++k) {
     const std::size_t i = idxs[begin + k];
     const sim::LaneOutcome& lane = br.lanes[k];
@@ -492,9 +493,9 @@ CampaignReport run_campaign(const CampaignOptions& options) {
   std::optional<support::ThreadPool> pool;
   if (!options.serial) pool.emplace(options.threads);
   // One memory image per pool worker (one for a serial campaign), reused
-  // by every standalone run and every evicted lane's classification:
-  // resetting it copies the few pages a run wrote instead of the whole
-  // image.
+  // by every standalone run and every evicted lane's run and
+  // classification: resetting it copies the few pages a run wrote instead
+  // of the whole image.
   std::vector<std::optional<ir::Memory>> images(pool ? static_cast<std::size_t>(pool->size()) : 1);
   auto image_for = [&](const PreparedCell& cell) -> ir::Memory& {
     const int worker = pool ? support::ThreadPool::current_worker_id() : 0;

@@ -75,9 +75,12 @@ class Engine {
   /// them. When the programs differ in length, every index counts.
   std::vector<std::uint32_t> differing_pcs(const Engine& other) const;
 
-  /// One lockstep fault batch (sim/lockstep.hpp) over the predecoded program.
+  /// One lockstep fault batch (sim/lockstep.hpp) over the predecoded
+  /// program; evicted lanes run on `image`, any image of `initial_mem`'s
+  /// size.
   BatchResult run_batch(const ir::Memory& initial_mem, std::span<const FaultSet> lane_faults,
-                        std::uint64_t max_cycles, const ExecResult* reference = nullptr,
+                        std::uint64_t max_cycles, ir::Memory& image,
+                        const ExecResult* reference = nullptr,
                         const ir::Memory* reference_mem = nullptr) const;
 
   /// f(program) with the scheduled program; f must return one type for all

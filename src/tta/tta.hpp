@@ -35,6 +35,7 @@
 
 namespace ttsc::sim {
 struct PredecodedTta;
+class RegLanes;
 }
 
 namespace ttsc::opt {
@@ -182,11 +183,17 @@ class TtaSim {
   /// fills them).
   sim::Segment run(std::uint64_t max_cycles, const sim::Snapshot* from, std::uint64_t stop_at);
 
+  /// A hardened run() from cycle 0 as the leader of a lockstep batch
+  /// (sim/lanes.hpp): `lanes` follows every state change it makes.
+  ExecResult run(std::uint64_t max_cycles, sim::RegLanes& lanes);
+
   /// The interpretive reference loop: the oracle the tests hold run() to.
   ExecResult run_reference(std::uint64_t max_cycles = 2'000'000'000ull);
 
  private:
-  template <bool kObserve, sim::Check kCheck, bool kProfile>
+  /// The fast loop. With Lanes = sim::RegLanes it leads the lockstep batch
+  /// at lanes_; sim::NoLanes is the plain run.
+  template <bool kObserve, sim::Check kCheck, bool kProfile, typename Lanes>
   sim::Segment run_fast(std::uint64_t max_cycles, const sim::Snapshot* from,
                         std::uint64_t stop_at);
 
@@ -195,6 +202,7 @@ class TtaSim {
   ir::Memory& mem_;
   sim::SimOptions options_;
   std::shared_ptr<const sim::PredecodedTta> predecoded_;
+  sim::RegLanes* lanes_ = nullptr;  // during run(max_cycles, lanes)
 };
 
 }  // namespace ttsc::tta
