@@ -9,7 +9,9 @@
 //  * enabling observability (--metrics, --trace-out, --report-json) leaves
 //    the stdout bytes identical to a plain run;
 //  * --trace-out writes a parseable Chrome trace; --report-json writes a
-//    parseable versioned run report.
+//    parseable versioned run report;
+//  * the CI resilience campaigns reproduce their stdout and report goldens
+//    (tests/golden/resil_*.txt and resil_*.json).
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -113,6 +115,42 @@ TEST(BenchOutput, ReportJsonIsValidVersionedReport) {
   EXPECT_EQ(doc.at("version").as_uint(), 1u);
   EXPECT_EQ(doc.at("machines").items.size(), 13u);
   EXPECT_EQ(doc.at("metrics").at("counters").at("cells.run").as_uint(), 104u);
+}
+
+// The six table_resilience campaigns CI gates, end to end: each report
+// equals its JSON golden byte for byte, and stdout (the AVF table, plus the
+// protection-efficiency or forensics table when enabled) its text golden.
+// A --no-batch run reproduces its batched campaign's goldens.
+TEST(BenchOutput, ResilienceCampaignsMatchGoldens) {
+  const std::string smoke =
+      " --machines=mblaze-3,m-vliw-2,m-tta-2 --workloads=sha --injections 64 --seed 7715 "
+      "--threads 4";
+  const std::string guarded =
+      " --machines=g-tta-2 --workloads=sha,blowfish --injections 64 --seed 7715 --threads 4";
+  const std::string protect =
+      " --machines=mblaze-3,m-tta-1 --workloads=sha --protect=parity,eccdmr,full "
+      "--double-bit 250 --injections 48 --seed 99 --threads 4";
+  struct Case {
+    std::string args;
+    const char* golden;
+  };
+  const Case cases[] = {
+      {smoke, "resil_smoke"},
+      {smoke + " --no-batch", "resil_smoke"},
+      {guarded, "resil_smoke_guarded"},
+      {guarded + " --no-batch", "resil_smoke_guarded"},
+      {protect, "resil_protect"},
+      {smoke + " --forensics --forensics-budget 8", "resil_forensics"},
+  };
+  const std::string json = tmp("resil.json");
+  for (const Case& c : cases) {
+    const std::string cmd = std::string(TTSC_RESIL_BIN) + c.args + " --report-json=" + json;
+    const RunResult r = run(cmd);
+    ASSERT_EQ(r.status, 0) << cmd;
+    const std::string golden = std::string(TTSC_GOLDEN_DIR) + "/" + c.golden;
+    EXPECT_EQ(r.out, slurp(golden + ".txt")) << cmd;
+    EXPECT_EQ(slurp(json), slurp(golden + ".json")) << cmd;
+  }
 }
 
 TEST(BenchOutput, UnknownFlagFailsWithUsage) {

@@ -955,18 +955,27 @@ TEST(ProtectImemAnalytic, CampaignMatchesExecutedReference) {
 }
 
 // Every injection of a cell counts under exactly one serving path, on the
-// batched, the per-injection and the protected campaign, and the registry's
-// "resil.path.*" counters are the per-cell counts summed. A standalone run
-// counts as `resumed` exactly when it skipped part of the golden prefix, and
-// the resume counters are the per-cell figures summed too.
+// batched, the per-injection and the protected campaign and on the CI smoke
+// and guarded smoke cells, and the registry's "resil.path.*" counters are
+// the per-cell counts summed. A standalone run counts as `resumed` exactly
+// when it skipped part of the golden prefix, and the resume counters are the
+// per-cell figures summed too.
 TEST(InjectionPaths, EveryInjectionCountsUnderExactlyOnePath) {
   resil::CampaignOptions batched = small_campaign();
   resil::CampaignOptions scalar = small_campaign();
   scalar.batch = false;
   resil::CampaignOptions protected_cells = protect_campaign();
   protected_cells.serial = false;
+  resil::CampaignOptions smoke = small_campaign();
+  smoke.machines = {"mblaze-3", "m-vliw-2", "m-tta-2"};
+  smoke.injections_per_cell = 64;
+  smoke.seed = 7715;
+  resil::CampaignOptions guarded = smoke;
+  guarded.machines = {"g-tta-2"};
+  guarded.workloads = {"sha", "blowfish"};
   std::vector<std::array<std::uint64_t, resil::kNumInjectionPaths>> sums_of;
-  for (const resil::CampaignOptions* opt : {&batched, &scalar, &protected_cells}) {
+  for (const resil::CampaignOptions* opt :
+       {&batched, &scalar, &protected_cells, &smoke, &guarded}) {
     resil::CampaignOptions run = *opt;
     obs::Registry registry;
     run.registry = &registry;
@@ -1020,12 +1029,15 @@ TEST(InjectionPaths, EveryInjectionCountsUnderExactlyOnePath) {
       EXPECT_EQ(registry.counter(name), sums[static_cast<std::size_t>(p)]) << name;
     }
   }
-  // The batched campaign exercises the lockstep paths; the protected one the
-  // analytic path.
-  EXPECT_GT(sums_of[0][static_cast<std::size_t>(resil::InjectionPath::BatchedConverged)], 0u);
-  EXPECT_GT(sums_of[0][static_cast<std::size_t>(resil::InjectionPath::BatchedInDiff)], 0u);
-  EXPECT_GT(sums_of[2][static_cast<std::size_t>(resil::InjectionPath::ImemAnalytic)], 0u);
-  // All three resume standalone runs: imem faults, --no-batch state faults,
+  // The rows serve every path between them: the smoke cells evict lanes,
+  // the guarded cells repeat an imem draw, and only protected cells resolve
+  // imem faults analytically.
+  for (int p = 0; p < resil::kNumInjectionPaths; ++p) {
+    std::uint64_t served = 0;
+    for (const auto& sums : sums_of) served += sums[static_cast<std::size_t>(p)];
+    EXPECT_GT(served, 0u) << resil::injection_path_name(static_cast<resil::InjectionPath>(p));
+  }
+  // Every row resumes standalone runs: imem faults, --no-batch state faults,
   // protected state faults.
   for (const auto& sums : sums_of) {
     EXPECT_GT(sums[static_cast<std::size_t>(resil::InjectionPath::Resumed)], 0u);
