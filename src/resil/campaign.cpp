@@ -1,15 +1,29 @@
+// run_campaign: per cell, plan → route → run → reduce.
+//
+//  * plan   — sample every injection's fault by index, and route each one
+//             once: a lane of a lockstep group, a standalone run, or a
+//             repeat of an earlier imem draw of the same bits. Lane groups
+//             and standalone injections form one work list.
+//  * run    — execute the work list into an index-addressed slot table: one
+//             serial loop or one parallel_for, one watchdog check and one
+//             retry-then-Err site per work item. Execution refines each
+//             route into the InjectionPath that served it.
+//  * reduce — fill the repeats and tally the slots into the CellReport in
+//             index order, so the report is thread-count and
+//             lane-grouping independent.
+//
+// Forensic replays and the metrics export follow reduce; the text and JSON
+// renderings live in resil/report.cpp.
 #include "resil/campaign.hpp"
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <fstream>
 #include <map>
 #include <optional>
+#include <span>
 
-#include "fpga/model.hpp"
 #include "mach/configs.hpp"
-#include "obs/json.hpp"
 #include "report/driver.hpp"
 #include "report/module_cache.hpp"
 #include "resil/cell.hpp"
@@ -29,19 +43,80 @@ const workloads::Workload& workload_by_name(const std::string& name) {
   throw Error("resil: unknown workload " + name);
 }
 
-Outcome classify(const PreparedCell& cell, const sim::ExecResult& r, const ir::Memory& mem,
-                 bool& latent) {
-  switch (r.status) {
-    case sim::ExecStatus::Trapped: return Outcome::Trap;
-    case sim::ExecStatus::TimedOut: return Outcome::Timeout;
-    case sim::ExecStatus::Ok: break;
+/// How the plan sends an injection (see InjectionPath for how each route
+/// refines into paths).
+enum class Route : std::uint8_t { Lane, Standalone, Repeat };
+
+/// One cell's injections, sampled and routed, and the work list that runs
+/// them: the lane groups, then the standalone injections.
+struct CellPlan {
+  std::vector<FaultSpec> specs;
+  std::vector<Route> routes;
+  /// A repeat's earlier injection flipping the same bits; otherwise the
+  /// injection itself.
+  std::vector<std::size_t> first_draw;
+  /// The injections of every work item back to back: the lanes, stably
+  /// sorted by fault cycle, then the standalone injections in index order.
+  std::vector<std::size_t> order;
+  /// Work item k runs order[items[k].first, items[k].second): up to
+  /// batch_lanes lanes, or one standalone injection.
+  std::vector<std::pair<std::size_t, std::size_t>> items;
+
+  /// The injections of work item `k`.
+  std::span<const std::size_t> injections(std::size_t k) const {
+    return {order.data() + items[k].first, order.data() + items[k].second};
   }
-  const std::uint64_t checksum =
-      report::workload_output_checksum(cell.module, *cell.workload, mem);
-  if (r.ret != cell.golden.ret || checksum != cell.golden_checksum) return Outcome::Sdc;
-  latent = r.rf_state != cell.golden.rf_state || r.guard_state != cell.golden.guard_state ||
-           !(mem == cell.golden_mem);
-  return Outcome::Masked;
+};
+
+/// Sample the cell's injections and route each once. With `batch` off (the
+/// `--no-batch` path, and every protected cell: each injection owns a
+/// private sim::ProtectState, and detection traps are per-lane control flow
+/// the lockstep batcher does not model) the plan has no lane groups.
+CellPlan plan_cell(const PreparedCell& cell, const CampaignOptions& options,
+                   std::uint64_t cell_seed, bool batch) {
+  const FaultPlan faults(cell.machine(), cell.machine().model == mach::Model::Tta, cell.imem_bits,
+                         cell.golden.cycles, options.double_bit_permille);
+  const std::size_t n = static_cast<std::size_t>(options.injections_per_cell);
+  CellPlan plan;
+  plan.specs.resize(n);
+  plan.routes.resize(n);
+  plan.first_draw.resize(n);
+  // An imem fault's run is a pure function of the bits it flips: each
+  // (bit, width) draw runs once, at its first index.
+  std::map<std::pair<std::uint64_t, std::uint8_t>, std::size_t> imem_draws;
+  std::vector<std::size_t> standalone;
+  for (std::size_t i = 0; i < n; ++i) {
+    // The spec stream is a pure function of (seed, cell, index) regardless
+    // of batching, thread count or lane grouping.
+    const FaultSpec& spec = plan.specs[i] = faults.sample(mix_seed(cell_seed, i));
+    plan.first_draw[i] = i;
+    if (spec.target != TargetKind::Imem) {
+      plan.routes[i] = batch ? Route::Lane : Route::Standalone;
+    } else {
+      plan.first_draw[i] = imem_draws.try_emplace({spec.imem_bit, spec.imem_width}, i).first->second;
+      plan.routes[i] = plan.first_draw[i] == i ? Route::Standalone : Route::Repeat;
+    }
+    if (plan.routes[i] == Route::Lane) plan.order.push_back(i);
+    if (plan.routes[i] == Route::Standalone) standalone.push_back(i);
+  }
+  // Group lanes by fault cycle: a batch whose faults all land early can
+  // settle (or evict) early and take the leader's settled exit, instead of
+  // every batch carrying one late fault to the end. Lane results are
+  // grouping-invariant, so the report is unchanged; the stable sort keeps
+  // the grouping deterministic.
+  std::stable_sort(plan.order.begin(), plan.order.end(), [&](std::size_t a, std::size_t b) {
+    return plan.specs[a].state.cycle < plan.specs[b].state.cycle;
+  });
+  const std::size_t lanes = plan.order.size();
+  const auto group = static_cast<std::size_t>(options.batch_lanes);
+  for (std::size_t begin = 0; begin < lanes; begin += group) {
+    plan.items.emplace_back(begin, std::min(begin + group, lanes));
+  }
+  for (const std::size_t i : standalone) {
+    plan.items.emplace_back(plan.order.size(), plan.order.size() + 1);
+    plan.order.push_back(i);
+  }
+  return plan;
 }
 
 /// Index-addressed injection outcome: the reduction reads slots in order,
@@ -58,21 +133,42 @@ struct Slot {
   std::uint64_t resumed_at = 0;
 };
 
-/// A standalone run of `spec`, from its resume point, on `image`; counted
-/// under InjectionPath::Resumed when it started past cycle 0.
-sim::ExecResult run_standalone_into(const PreparedCell& cell, const FaultSpec& spec,
-                                    sim::ProtectState* prot, std::uint64_t budget,
-                                    ir::Memory& image, Slot& s) {
-  StandaloneRun run = run_standalone(cell, spec, prot, budget, image);
-  s.resumed_at = run.resumed_at;
-  if (run.resumed_at > 0) s.path = InjectionPath::Resumed;
-  return std::move(run.result);
+/// Output checksum of a lockstep lane's image without materializing it:
+/// report::workload_output_checksum with each global's region checksummed
+/// through the lane's sparse delta over the leader image.
+std::uint64_t delta_output_checksum(const PreparedCell& cell, const ir::Memory& leader_mem,
+                                    const sim::MemDelta& delta) {
+  const ir::DataLayout layout = cell.module.layout();
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const std::string& name : cell.workload->output_globals) {
+    const ir::Global* g = cell.module.find_global(name);
+    TTSC_ASSERT(g != nullptr, "workload output global missing: " + name);
+    h ^= sim::checksum_with_delta(leader_mem, delta, layout.address_of(name),
+                                  static_cast<std::uint32_t>(g->size));
+    h *= 0x100000001b3ull;
+  }
+  return h;
 }
 
-void run_injection(const PreparedCell& cell, const FaultSpec& spec, std::uint64_t budget,
-                   ir::Memory& image, Slot& s) {
-  const sim::ExecResult r = run_standalone_into(cell, spec, nullptr, budget, image, s);
-  s.outcome = classify(cell, r, image, s.latent);
+/// The outcome of a run that ended as `r` on image `mem` — or, for a
+/// lockstep lane that finished as a sparse diff, on the leader's final
+/// image `mem` overlaid with `delta`. The leader's final image is the
+/// golden one, so such a lane's memory differs from golden exactly when
+/// its delta is non-empty.
+Outcome classify(const PreparedCell& cell, const sim::ExecResult& r, const ir::Memory& mem,
+                 const sim::MemDelta* delta, bool& latent) {
+  switch (r.status) {
+    case sim::ExecStatus::Trapped: return Outcome::Trap;
+    case sim::ExecStatus::TimedOut: return Outcome::Timeout;
+    case sim::ExecStatus::Ok: break;
+  }
+  const std::uint64_t checksum =
+      delta != nullptr ? delta_output_checksum(cell, mem, *delta)
+                       : report::workload_output_checksum(cell.module, *cell.workload, mem);
+  if (r.ret != cell.golden.ret || checksum != cell.golden_checksum) return Outcome::Sdc;
+  latent = r.rf_state != cell.golden.rf_state || r.guard_state != cell.golden.guard_state ||
+           (delta != nullptr ? !delta->empty() : !(mem == cell.golden_mem));
+  return Outcome::Masked;
 }
 
 /// Decide what the imem code does with the corrupted codeword(s) and poison
@@ -167,65 +263,146 @@ std::optional<std::uint64_t> resolve_imem_fetches(const sim::FetchTable& fetches
   return std::nullopt;
 }
 
-/// run_injection for a protected machine, into `s`: the same hardened
-/// simulators with a sim::ProtectState attached, plus campaign-side imem
-/// codeword decisions and analytic checkpoint-rollback resolution of
-/// detections.
-void run_protected_injection(const PreparedCell& cell, const FaultSpec& spec,
-                             std::uint64_t budget, const mach::Protection& cfg,
-                             ir::Memory& image, Slot& s) {
-  sim::ProtectState prot(cfg);
+/// One standalone injection: the hardened run of `spec` from its resume
+/// point on `image`, classified. On a protected cell (`cfg` given) the run
+/// carries a sim::ProtectState; an imem fault the code does not let escape
+/// resolves from the golden fetch table with no engine run (never-fetched
+/// corruption stays masked exactly like the unprotected model), and a
+/// detection resolves through analytic checkpoint rollback. Unprotected
+/// runs attach no ProtectState, so they execute the Harden loops.
+Slot run_standalone_injection(const PreparedCell& cell, const FaultSpec& spec,
+                              const mach::Protection* cfg, ir::Memory& image) {
+  Slot s{spec.target};
+  std::optional<sim::ProtectState> prot;
+  if (cfg != nullptr) prot.emplace(*cfg);
   std::optional<std::uint64_t> detect_cycle;  // of a ProtectionDetected trap
-
-  // Imem faults: locate the corrupted codeword(s) and let the declared code
-  // decide. An escape runs the mutated program. A correctable or detectable
-  // poison leaves the pristine program, whose run the golden fetch table
-  // resolves without an engine: never-fetched corruption stays masked
-  // exactly like the unprotected model.
-  if (spec.target == TargetKind::Imem) {
+  if (prot && spec.target == TargetKind::Imem) {
     const auto [pc0, pc1] = cell.engine.visit([&](const auto& program) {
       const std::uint32_t first = imem_instr_of_bit(program, spec.imem_bit);
       return std::pair{first, spec.imem_width >= 2
                                   ? imem_instr_of_bit(program, spec.imem_bit + 1)
                                   : first};
     });
-    if (!poison_imem(cfg.imem, spec.imem_width, pc0, pc1, prot)) {
+    if (!poison_imem(cfg->imem, spec.imem_width, pc0, pc1, *prot)) {
       s.path = InjectionPath::ImemAnalytic;
       s.outcome = Outcome::Masked;  // unless detected: the golden run itself
-      detect_cycle = resolve_imem_fetches(cell.fetches, pc0, pc1, prot);
+      detect_cycle = resolve_imem_fetches(cell.fetches, pc0, pc1, *prot);
     }
   }
   if (s.path == InjectionPath::Scalar) {
-    const sim::ExecResult r = run_standalone_into(cell, spec, &prot, budget, image, s);
-    if (r.status == sim::ExecStatus::Trapped &&
+    const StandaloneRun run = run_standalone(cell, spec, prot ? &*prot : nullptr,
+                                             timeout_budget(cell.golden.cycles), image);
+    s.resumed_at = run.resumed_at;
+    if (run.resumed_at > 0) s.path = InjectionPath::Resumed;
+    const sim::ExecResult& r = run.result;
+    if (prot && r.status == sim::ExecStatus::Trapped &&
         r.trap.reason == sim::TrapReason::ProtectionDetected) {
       detect_cycle = r.trap.cycle;
     } else {
-      s.outcome = classify(cell, r, image, s.latent);
+      s.outcome = classify(cell, r, image, nullptr, s.latent);
     }
   }
-
-  s.prot.rf_corrected = prot.rf_corrected;
-  s.prot.rf_detected = prot.rf_detected;
-  s.prot.fu_detected = prot.fu_detected;
-  s.prot.guard_corrected = prot.guard_corrected;
-  s.prot.imem_corrected = prot.imem_corrected;
-  s.prot.imem_detected = prot.imem_detected;
+  if (!prot) return s;
+  s.prot.rf_corrected = prot->rf_corrected;
+  s.prot.rf_detected = prot->rf_detected;
+  s.prot.fu_detected = prot->fu_detected;
+  s.prot.guard_corrected = prot->guard_corrected;
+  s.prot.imem_corrected = prot->imem_corrected;
+  s.prot.imem_detected = prot->imem_detected;
   if (detect_cycle) {
-    s.outcome = resolve_detection(spec, cfg, *detect_cycle, s.prot);
-  } else if (s.outcome == Outcome::Masked && !s.latent && prot.corrections() > 0) {
+    s.outcome = resolve_detection(spec, *cfg, *detect_cycle, s.prot);
+  } else if (s.outcome == Outcome::Masked && !s.latent && prot->corrections() > 0) {
     s.outcome = Outcome::Corrected;
+  }
+  return s;
+}
+
+/// Run work item `item` of `plan` — one lockstep lane group, or one
+/// standalone injection — on `image`, the worker's reused image, and fill
+/// its injections' slots. Evicted lanes are restored into `image` and
+/// classified like standalone runs. Throws only on infrastructure failure.
+void run_item(const PreparedCell& cell, const CellPlan& plan, std::size_t item,
+              const mach::Protection* cfg, ir::Memory& image, std::vector<Slot>& slots) {
+  const std::span<const std::size_t> idxs = plan.injections(item);
+  if (plan.routes[idxs[0]] == Route::Standalone) {
+    slots[idxs[0]] = run_standalone_injection(cell, plan.specs[idxs[0]], cfg, image);
+    return;
+  }
+  std::vector<sim::FaultSet> lane_faults(idxs.size());
+  for (std::size_t k = 0; k < idxs.size(); ++k) {
+    lane_faults[k].faults.push_back(plan.specs[idxs[k]].state);
+  }
+  const sim::BatchResult br =
+      cell.engine.run_batch(cell.initial_mem, lane_faults, timeout_budget(cell.golden.cycles),
+                            image, &cell.golden, &cell.golden_mem);
+  for (std::size_t k = 0; k < idxs.size(); ++k) {
+    const sim::LaneOutcome& lane = br.lanes[k];
+    Slot s{plan.specs[idxs[k]].target};
+    if (lane.evicted) {
+      s.path = InjectionPath::Evicted;
+      br.lane_image(k, image);
+      s.outcome = classify(cell, lane.result, image, nullptr, s.latent);
+    } else if (lane.converged) {
+      s.path = InjectionPath::BatchedConverged;
+      s.outcome = Outcome::Masked;  // bit-identical to golden throughout
+    } else {
+      s.path = InjectionPath::BatchedInDiff;
+      s.outcome = classify(cell, lane.result, br.leader_mem, &lane.delta, s.latent);
+    }
+    slots[idxs[k]] = s;
+  }
+}
+
+/// Run `work`, retrying once; false when both attempts threw. The fault
+/// model itself never throws — simulators fail closed — so a throw is an
+/// infrastructure failure.
+template <typename Work>
+bool attempt_twice(Work&& work) {
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    try {
+      work();
+      return true;
+    } catch (const std::exception&) {
+    }
+  }
+  return false;
+}
+
+/// Fill each repeat from its first draw and tally the slots into `cr`, in
+/// index order.
+void reduce(const CellPlan& plan, std::vector<Slot>& slots, CellReport& cr) {
+  // Indexed by Outcome.
+  static constexpr std::uint64_t TargetTally::*kOutcomeCounts[kNumOutcomes] = {
+      &TargetTally::masked,   &TargetTally::corrected, &TargetTally::recovered,
+      &TargetTally::detected, &TargetTally::sdc,       &TargetTally::timeout,
+      &TargetTally::trap,     &TargetTally::err};
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    Slot& s = slots[i];
+    if (plan.routes[i] == Route::Repeat) {
+      s = slots[plan.first_draw[i]];
+      if (s.path != InjectionPath::ImemAnalytic) s.path = InjectionPath::Repeated;
+      s.resumed_at = 0;
+    }
+    TargetTally& tt = cr.targets[static_cast<std::size_t>(s.target)];
+    ++tt.injections;
+    ++(tt.*kOutcomeCounts[static_cast<std::size_t>(s.outcome)]);
+    if (s.outcome == Outcome::Masked && s.latent) ++tt.latent;
+    cr.protect.accumulate(s.prot);
+    ++cr.paths[static_cast<std::size_t>(s.path)];
+    cr.resume_cycles_skipped += s.resumed_at;
+    // A lane group that failed twice ran no lanes.
+    if (plan.routes[i] == Route::Lane && s.outcome != Outcome::Err) ++cr.batch_lanes;
+    if (s.path == InjectionPath::Evicted) ++cr.batch_evictions;
   }
 }
 
 /// One forensic replay pair: the fault-free and the faulted run, both
-/// hardened and predecoded exactly like run_injection, each with a
+/// hardened and predecoded exactly like a standalone injection, each with a
 /// CommitRecorder attached from the fault cycle (cycle 0 for imem faults,
 /// which corrupt the program before it starts). Faults apply at the top of
 /// their cycle, before that cycle's commits, so starting the window at the
 /// fault cycle loses nothing (see resil/forensics.hpp).
-DivergenceRecord run_forensic_replay(const PreparedCell& cell, const FaultSpec& spec,
-                                     std::uint64_t budget) {
+DivergenceRecord run_forensic_replay(const PreparedCell& cell, const FaultSpec& spec) {
   ForensicsWindow window;
   window.start_cycle = spec.target == TargetKind::Imem ? 0 : spec.state.cycle;
   CommitRecorder golden_rec(window);
@@ -238,8 +415,8 @@ DivergenceRecord run_forensic_replay(const PreparedCell& cell, const FaultSpec& 
   // reads "beyond window", never "no divergence". This cap is what keeps a
   // forensic analysis a small fixed multiple of one injection instead of
   // two full program runs.
-  const std::uint64_t replay_budget =
-      std::min(budget, window.start_cycle + window.window_cycles + 1);
+  const std::uint64_t replay_budget = std::min(timeout_budget(cell.golden.cycles),
+                                               window.start_cycle + window.window_cycles + 1);
   const auto replay = [&](const sim::Engine& engine, sim::SimOptions opts, CommitRecorder& rec) {
     ir::Memory mem = cell.initial_mem;
     opts.observer = &rec;
@@ -256,146 +433,52 @@ DivergenceRecord run_forensic_replay(const PreparedCell& cell, const FaultSpec& 
   return first_divergence(golden_rec, faulty_rec);
 }
 
-/// Output checksum of a lockstep lane's image without materializing it:
-/// report::workload_output_checksum with each global's region checksummed
-/// through the lane's sparse delta over the leader image.
-std::uint64_t delta_output_checksum(const PreparedCell& cell, const ir::Memory& leader_mem,
-                                    const sim::MemDelta& delta) {
-  const ir::DataLayout layout = cell.module.layout();
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const std::string& name : cell.workload->output_globals) {
-    const ir::Global* g = cell.module.find_global(name);
-    TTSC_ASSERT(g != nullptr, "workload output global missing: " + name);
-    h ^= sim::checksum_with_delta(leader_mem, delta, layout.address_of(name),
-                                  static_cast<std::uint32_t>(g->size));
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
-/// classify() for lane `k` of `br`. An evicted lane's pages are restored
-/// into `image`, the worker's reused image, and classified like a
-/// standalone run. Any other lane is classified without building its image:
-/// the leader's final image is the golden one, so "lane memory differs from
-/// golden" is exactly "delta non-empty".
-Outcome classify_lane(const PreparedCell& cell, const sim::BatchResult& br, std::size_t k,
-                      ir::Memory& image, bool& latent) {
-  latent = false;
-  const sim::LaneOutcome& lo = br.lanes[k];
-  if (lo.evicted) {
-    br.lane_image(k, image);
-    return classify(cell, lo.result, image, latent);
-  }
-  if (lo.converged) return Outcome::Masked;  // bit-identical to golden throughout
-  switch (lo.result.status) {
-    case sim::ExecStatus::Trapped: return Outcome::Trap;
-    case sim::ExecStatus::TimedOut: return Outcome::Timeout;
-    case sim::ExecStatus::Ok: break;
-  }
-  const std::uint64_t checksum = delta_output_checksum(cell, br.leader_mem, lo.delta);
-  if (lo.result.ret != cell.golden.ret || checksum != cell.golden_checksum) {
-    return Outcome::Sdc;
-  }
-  latent = lo.result.rf_state != cell.golden.rf_state ||
-           lo.result.guard_state != cell.golden.guard_state || !lo.delta.empty();
-  return Outcome::Masked;
-}
-
-void accumulate(ProtectStats& into, const ProtectStats& s) {
-  into.rf_corrected += s.rf_corrected;
-  into.rf_detected += s.rf_detected;
-  into.fu_detected += s.fu_detected;
-  into.guard_corrected += s.guard_corrected;
-  into.imem_corrected += s.imem_corrected;
-  into.imem_detected += s.imem_detected;
-  into.rollbacks += s.rollbacks;
-  into.retries += s.retries;
-  into.recovered += s.recovered;
-  into.unrecoverable += s.unrecoverable;
-  into.recovery_cycles += s.recovery_cycles;
-  if (s.recovery_cycles_max > into.recovery_cycles_max) {
-    into.recovery_cycles_max = s.recovery_cycles_max;
+/// First-divergence pass: serially replay the SDC/latent slots in
+/// injection-index order (deterministic regardless of thread count) up to
+/// the replay budget. Candidates past the budget are counted but not
+/// replayed, bounding the pass at 2*budget hardened runs.
+void replay_forensics(const PreparedCell& cell, const CellPlan& plan,
+                      const std::vector<Slot>& slots, int budget, CellReport& cr) {
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    const Slot& s = slots[i];
+    if (s.outcome != Outcome::Sdc && !(s.outcome == Outcome::Masked && s.latent)) continue;
+    ++cr.forensics_candidates;
+    if (cr.forensics.size() >= static_cast<std::size_t>(budget)) {
+      ++cr.forensics_skipped;
+      continue;
+    }
+    const FaultSpec& spec = plan.specs[i];
+    ForensicRecord rec;
+    rec.injection = i;
+    rec.target = s.target;
+    rec.outcome = s.outcome;
+    rec.latent = s.latent;
+    rec.fault_cycle = spec.target == TargetKind::Imem ? 0 : spec.state.cycle;
+    if (!attempt_twice([&] { rec.divergence = run_forensic_replay(cell, spec); })) {
+      rec.divergence = DivergenceRecord{};
+    }
+    cr.forensics.push_back(rec);
   }
 }
 
-/// Per-cell watchdog expiry (CampaignOptions::cell_timeout_seconds).
-/// Distinct from Error so run_campaign can honor keep_going for watchdog
-/// hits specifically while configuration errors still abort.
-struct CellTimeoutError : Error {
-  using Error::Error;
-};
-
-struct BatchStats {
-  std::uint64_t lanes = 0;
-  std::uint64_t evictions = 0;
-};
-
-/// Run one lockstep lane group (state faults only — `idxs` indexes into the
-/// cell's pre-sampled spec table) and classify each lane into its slot.
-/// Evicted lanes run and are classified on `image`, the worker's reused
-/// image. Throws only on infrastructure failure (the caller retries, then
-/// records Err for the whole group).
-BatchStats run_lane_group(const PreparedCell& cell, const std::vector<FaultSpec>& specs,
-                          const std::vector<std::size_t>& idxs, std::size_t begin,
-                          std::size_t count, std::uint64_t budget, ir::Memory& image,
-                          std::vector<Slot>& slots) {
-  TTSC_ASSERT(budget == timeout_budget(cell.golden.cycles),
-              "lockstep lanes in one batch must share the cell's timeout budget");
-  std::vector<sim::FaultSet> lane_faults(count);
-  for (std::size_t k = 0; k < count; ++k) {
-    const FaultSpec& spec = specs[idxs[begin + k]];
-    TTSC_ASSERT(spec.target != TargetKind::Imem, "imem faults are never batchable");
-    lane_faults[k].faults.push_back(spec.state);
-  }
-  const sim::BatchResult br = cell.engine.run_batch(cell.initial_mem, lane_faults, budget, image,
-                                                    &cell.golden, &cell.golden_mem);
-  for (std::size_t k = 0; k < count; ++k) {
-    const std::size_t i = idxs[begin + k];
-    const sim::LaneOutcome& lane = br.lanes[k];
-    Slot s;
-    s.target = specs[i].target;
-    s.outcome = classify_lane(cell, br, k, image, s.latent);
-    s.path = lane.evicted     ? InjectionPath::Evicted
-             : lane.converged ? InjectionPath::BatchedConverged
-                              : InjectionPath::BatchedInDiff;
-    slots[i] = s;
-  }
-  return BatchStats{count, br.evictions};
-}
-
-void export_cell_metrics(obs::Registry* registry, const CellReport& cr) {
-  if (registry == nullptr) return;
-  // One shard, one merge per cell (the obs::Registry concurrency contract).
+/// The cell's CampaignOptions::registry counters, in one shard and one merge
+/// per cell (the obs::Registry concurrency contract).
+void export_cell_metrics(obs::Registry& registry, const CellReport& cr) {
   obs::Registry shard;
   for (int t = 0; t < kNumTargetKinds; ++t) {
     const TargetTally& tt = cr.targets[static_cast<std::size_t>(t)];
     if (tt.injections == 0) continue;
     const char* tn = target_kind_name(static_cast<TargetKind>(t));
-    shard.add(format("resil.%s.injections", tn), tt.injections);
-    shard.add(format("resil.%s.masked", tn), tt.masked);
-    shard.add(format("resil.%s.sdc", tn), tt.sdc);
-    shard.add(format("resil.%s.timeout", tn), tt.timeout);
-    shard.add(format("resil.%s.trap", tn), tt.trap);
-    shard.add(format("resil.%s.err", tn), tt.err);
-    shard.add(format("resil.%s.latent", tn), tt.latent);
-    if (cr.protected_machine) {
-      shard.add(format("resil.%s.corrected", tn), tt.corrected);
-      shard.add(format("resil.%s.recovered", tn), tt.recovered);
-      shard.add(format("resil.%s.detected", tn), tt.detected);
+    for (const TallyField& f : kTallyFields) {
+      if (!f.protection || cr.protected_machine) {
+        shard.add(format("resil.%s.%s", tn, f.key), tt.*f.count);
+      }
     }
   }
   if (cr.protected_machine) {
-    shard.add("protect.rf.corrected", cr.protect.rf_corrected);
-    shard.add("protect.rf.detected", cr.protect.rf_detected);
-    shard.add("protect.fu.detected", cr.protect.fu_detected);
-    shard.add("protect.guard.corrected", cr.protect.guard_corrected);
-    shard.add("protect.imem.corrected", cr.protect.imem_corrected);
-    shard.add("protect.imem.detected", cr.protect.imem_detected);
-    shard.add("recovery.rollbacks", cr.protect.rollbacks);
-    shard.add("recovery.retries", cr.protect.retries);
-    shard.add("recovery.recovered", cr.protect.recovered);
-    shard.add("recovery.unrecoverable", cr.protect.unrecoverable);
-    shard.add("recovery.cycles", cr.protect.recovery_cycles);
+    for (const ProtectField& f : kProtectFields) {
+      if (f.metric != nullptr) shard.add(f.metric, cr.protect.*f.value);
+    }
   }
   for (int p = 0; p < kNumInjectionPaths; ++p) {
     shard.add(format("resil.path.%s", injection_path_name(static_cast<InjectionPath>(p))),
@@ -422,48 +505,17 @@ void export_cell_metrics(obs::Registry* registry, const CellReport& cr) {
   }
   shard.add("resil.cells.run");
   if (!cr.ok) shard.add("resil.cells.err");
-  registry->merge(shard);
+  registry.merge(shard);
 }
+
+/// Per-cell watchdog expiry (CampaignOptions::cell_timeout_seconds).
+/// Distinct from Error so run_campaign can honor keep_going for watchdog
+/// hits specifically while configuration errors still abort.
+struct CellTimeoutError : Error {
+  using Error::Error;
+};
 
 }  // namespace
-
-void TargetTally::accumulate(const TargetTally& other) {
-  injections += other.injections;
-  masked += other.masked;
-  sdc += other.sdc;
-  timeout += other.timeout;
-  trap += other.trap;
-  err += other.err;
-  latent += other.latent;
-  corrected += other.corrected;
-  recovered += other.recovered;
-  detected += other.detected;
-}
-
-TargetTally CellReport::total() const {
-  TargetTally t;
-  for (const TargetTally& tt : targets) t.accumulate(tt);
-  return t;
-}
-
-bool CampaignReport::all_ok() const {
-  for (const CellReport& c : cells) {
-    if (!c.ok || c.total().err != 0) return false;
-  }
-  return true;
-}
-
-std::uint64_t CampaignReport::infra_failures() const {
-  std::uint64_t n = 0;
-  for (const CellReport& c : cells) {
-    if (!c.ok) {
-      n += static_cast<std::uint64_t>(injections_per_cell);
-    } else {
-      n += c.total().err;
-    }
-  }
-  return n;
-}
 
 CampaignReport run_campaign(const CampaignOptions& options) {
   if (options.injections_per_cell <= 0) {
@@ -471,6 +523,9 @@ CampaignReport run_campaign(const CampaignOptions& options) {
   }
   if (options.batch && (options.batch_lanes < 1 || options.batch_lanes > sim::kMaxLanes)) {
     throw Error(format("resil: batch_lanes must be in 1..%d", sim::kMaxLanes));
+  }
+  if (options.double_bit_permille < 0 || options.double_bit_permille > 1000) {
+    throw Error("resil: double_bit_permille must be in 0..1000");
   }
   // Configuration errors (unknown names) throw up front; anything that
   // fails later degrades to an ERR cell.
@@ -531,12 +586,9 @@ CampaignReport run_campaign(const CampaignOptions& options) {
           prot_cfg.checkpoint_interval = static_cast<std::uint32_t>(options.checkpoint_override);
         }
         cr.protected_machine = prot_cfg.any();
-        const FaultPlan plan(cell.machine(), cell.machine().model == mach::Model::Tta,
-                             cell.imem_bits, cell.golden.cycles, options.double_bit_permille);
-        const std::uint64_t cell_seed =
-            mix_seed(options.seed, hash_name(machine_name + "/" + w->name));
-
-        const std::uint64_t budget = timeout_budget(cell.golden.cycles);
+        const CellPlan plan =
+            plan_cell(cell, options, mix_seed(options.seed, hash_name(machine_name + "/" + w->name)),
+                      options.batch && !cr.protected_machine);
 
         // Per-cell wall-clock watchdog. Checked at the top of every work
         // item; once tripped the remaining items record Err without running
@@ -557,210 +609,33 @@ CampaignReport run_campaign(const CampaignOptions& options) {
           return false;
         };
 
-        // Pre-sample every injection by index: the spec stream is a pure
-        // function of (seed, cell, index) regardless of batching, thread
-        // count or lane grouping.
-        const std::size_t n = static_cast<std::size_t>(options.injections_per_cell);
-        std::vector<FaultSpec> specs(n);
-        for (std::size_t i = 0; i < n; ++i) specs[i] = plan.sample(mix_seed(cell_seed, i));
-        // An imem fault's run is a pure function of the bits it flips: each
-        // (bit, width) draw runs once, at its first index, and its repeats
-        // take that slot after the parallel phase.
-        std::vector<std::size_t> first_draw(n);
-        std::map<std::pair<std::uint64_t, std::uint8_t>, std::size_t> imem_draws;
-        for (std::size_t i = 0; i < n; ++i) {
-          first_draw[i] =
-              specs[i].target != TargetKind::Imem
-                  ? i
-                  : imem_draws.try_emplace({specs[i].imem_bit, specs[i].imem_width}, i)
-                        .first->second;
-        }
-
-        // Index-addressed result table: the reduction below reads it in
-        // order, so tallies are thread-count independent.
-        std::vector<Slot> slots(n);
-
-        // Retry-once-then-Err wrapper shared by both execution paths. The
-        // fault model itself never throws — simulators fail closed — so a
-        // throw is an infrastructure failure.
-        auto attempt_twice = [](auto&& work, auto&& on_err) {
-          for (int attempt = 0; attempt < 2; ++attempt) {
-            try {
-              work();
-              return;
-            } catch (const std::exception&) {
-            }
-          }
-          on_err();
-        };
-
-        auto scalar_injection = [&](std::size_t i) {
-          if (first_draw[i] != i) return;  // a repeat: filled in below
-          if (expired()) {
-            slots[i] = Slot{specs[i].target, Outcome::Err, false};
+        std::vector<Slot> slots(plan.specs.size());
+        const mach::Protection* cfg = cr.protected_machine ? &prot_cfg : nullptr;
+        auto run = [&](std::size_t item) {
+          if (!expired() &&
+              attempt_twice([&] { run_item(cell, plan, item, cfg, image_for(cell), slots); })) {
             return;
           }
-          Slot s;
-          s.target = specs[i].target;
-          if (cr.protected_machine) {
-            attempt_twice(
-                [&] {
-                  // Retry hygiene: a second attempt must not inherit the
-                  // first attempt's partial protection stats.
-                  s = Slot{specs[i].target};
-                  run_protected_injection(cell, specs[i], budget, prot_cfg, image_for(cell), s);
-                },
-                [&] { s = Slot{specs[i].target, Outcome::Err, false}; });
-          } else {
-            attempt_twice(
-                [&] {
-                  s = Slot{specs[i].target};
-                  run_injection(cell, specs[i], budget, image_for(cell), s);
-                },
-                [&] { s = Slot{specs[i].target, Outcome::Err, false}; });
+          for (const std::size_t i : plan.injections(item)) {
+            slots[i] = Slot{plan.specs[i].target, Outcome::Err, false,
+                            plan.routes[i] == Route::Lane ? InjectionPath::BatchedInDiff
+                                                          : InjectionPath::Scalar};
           }
-          slots[i] = s;
         };
-
-        // Protected cells never batch: each injection owns a private
-        // sim::ProtectState (thread safety) and detection traps are per-lane
-        // control flow the lockstep batcher does not model. Their imem
-        // faults mostly resolve without an engine run (resolve_imem_fetches).
-        // The unprotected report is unaffected.
-        const bool use_batch = options.batch && !cr.protected_machine;
-        if (!use_batch) {
-          auto body = [&](std::size_t i) { scalar_injection(i); };
-          if (options.serial) {
-            for (std::size_t i = 0; i < n; ++i) body(i);
-          } else {
-            support::parallel_for(*pool, n, body);
-          }
+        if (pool) {
+          support::parallel_for(*pool, plan.items.size(), run);
         } else {
-          // Partition by index order: state faults (rf / fu-result / guard)
-          // pack into lockstep lane groups; imem faults mutate the program
-          // itself, so they stay on the per-injection scalar path.
-          std::vector<std::size_t> state_idx;
-          std::vector<std::size_t> imem_idx;
-          for (std::size_t i = 0; i < n; ++i) {
-            (specs[i].target == TargetKind::Imem ? imem_idx : state_idx).push_back(i);
-          }
-          // Group lanes by fault cycle: a batch whose faults all land early
-          // can settle (or evict) early and take the leader's settled exit,
-          // instead of every batch carrying one late fault to the end. Lane
-          // results are grouping-invariant, so the report is unchanged; the
-          // stable sort keeps the grouping deterministic.
-          std::stable_sort(state_idx.begin(), state_idx.end(),
-                           [&](std::size_t a, std::size_t b) {
-                             return specs[a].state.cycle < specs[b].state.cycle;
-                           });
-          const std::size_t lanes = static_cast<std::size_t>(options.batch_lanes);
-          const std::size_t num_groups = (state_idx.size() + lanes - 1) / lanes;
-          std::vector<BatchStats> group_stats(num_groups);
-          auto body = [&](std::size_t item) {
-            if (item < num_groups) {
-              const std::size_t begin = item * lanes;
-              const std::size_t count = std::min(lanes, state_idx.size() - begin);
-              if (expired()) {
-                for (std::size_t k = 0; k < count; ++k) {
-                  const std::size_t i = state_idx[begin + k];
-                  slots[i] = Slot{specs[i].target, Outcome::Err, false};
-                }
-                return;
-              }
-              attempt_twice(
-                  [&] {
-                    group_stats[item] = run_lane_group(cell, specs, state_idx, begin, count,
-                                                       budget, image_for(cell), slots);
-                  },
-                  [&] {
-                    group_stats[item] = BatchStats{};
-                    for (std::size_t k = 0; k < count; ++k) {
-                      const std::size_t i = state_idx[begin + k];
-                      slots[i] = Slot{specs[i].target, Outcome::Err, false,
-                                      InjectionPath::BatchedInDiff};
-                    }
-                  });
-            } else {
-              scalar_injection(imem_idx[item - num_groups]);
-            }
-          };
-          const std::size_t items = num_groups + imem_idx.size();
-          if (options.serial) {
-            for (std::size_t item = 0; item < items; ++item) body(item);
-          } else {
-            support::parallel_for(*pool, items, body);
-          }
-          for (const BatchStats& gs : group_stats) {
-            cr.batch_lanes += gs.lanes;
-            cr.batch_evictions += gs.evictions;
-          }
+          for (std::size_t item = 0; item < plan.items.size(); ++item) run(item);
         }
-
-        for (std::size_t i = 0; i < n; ++i) {
-          if (first_draw[i] == i) continue;
-          Slot s = slots[first_draw[i]];
-          if (s.path != InjectionPath::ImemAnalytic) s.path = InjectionPath::Repeated;
-          s.resumed_at = 0;
-          slots[i] = s;
-        }
-
         if (cell_expired.load(std::memory_order_relaxed)) {
           throw CellTimeoutError(
               format("cell watchdog expired after %.1fs (%s/%s)", options.cell_timeout_seconds,
                      machine_name.c_str(), w->name.c_str()));
         }
 
-        for (const Slot& s : slots) {
-          TargetTally& tt = cr.targets[static_cast<std::size_t>(s.target)];
-          ++tt.injections;
-          ++cr.paths[static_cast<std::size_t>(s.path)];
-          cr.resume_cycles_skipped += s.resumed_at;
-          switch (s.outcome) {
-            case Outcome::Masked:
-              ++tt.masked;
-              if (s.latent) ++tt.latent;
-              break;
-            case Outcome::Corrected: ++tt.corrected; break;
-            case Outcome::Recovered: ++tt.recovered; break;
-            case Outcome::Detected: ++tt.detected; break;
-            case Outcome::Sdc: ++tt.sdc; break;
-            case Outcome::Timeout: ++tt.timeout; break;
-            case Outcome::Trap: ++tt.trap; break;
-            case Outcome::Err: ++tt.err; break;
-          }
-          accumulate(cr.protect, s.prot);
-        }
-
+        reduce(plan, slots, cr);
         if (options.forensics) {
-          // First-divergence pass: serially replay the SDC/latent slots in
-          // injection-index order (deterministic regardless of thread count)
-          // up to the replay budget. Candidates past the budget are counted
-          // but not replayed, bounding the pass at 2*budget hardened runs.
-          const int fbudget = options.effective_forensics_budget();
-          for (std::size_t i = 0; i < n; ++i) {
-            const Slot& s = slots[i];
-            if (s.outcome != Outcome::Sdc && !(s.outcome == Outcome::Masked && s.latent)) {
-              continue;
-            }
-            ++cr.forensics_candidates;
-            if (cr.forensics.size() >= static_cast<std::size_t>(fbudget)) {
-              ++cr.forensics_skipped;
-              continue;
-            }
-            ForensicRecord rec;
-            rec.injection = i;
-            rec.target = s.target;
-            rec.outcome = s.outcome;
-            rec.latent = s.latent;
-            rec.fault_cycle =
-                specs[i].target == TargetKind::Imem ? 0 : specs[i].state.cycle;
-            attempt_twice(
-                [&] {
-                  rec.divergence = run_forensic_replay(cell, specs[i], budget);
-                },
-                [&] { rec.divergence = DivergenceRecord{}; });
-            cr.forensics.push_back(rec);
-          }
+          replay_forensics(cell, plan, slots, options.effective_forensics_budget(), cr);
         }
       } catch (const CellTimeoutError& e) {
         // Watchdog expiry aborts the campaign by default; --keep-going
@@ -772,416 +647,11 @@ CampaignReport run_campaign(const CampaignOptions& options) {
         cr.ok = false;
         cr.error = e.what();
       }
-      export_cell_metrics(options.registry, cr);
+      if (options.registry != nullptr) export_cell_metrics(*options.registry, cr);
       report.cells.push_back(std::move(cr));
     }
   }
   return report;
-}
-
-std::string render_resilience(const CampaignReport& report) {
-  if (!report.protection) {
-    // Unprotected campaigns keep the historical table byte-for-byte.
-    std::string out = format(
-        "SEU resilience (AVF-style): %d single-bit injections per cell, seed 0x%llx.\n"
-        "Targets: rf = register-file bits, fu-result = TTA result/bypass registers,\n"
-        "guard = predicate registers, imem = instruction encodings (through the\n"
-        "decoder). vuln%% = (sdc + timeout + trap) / injections.\n\n",
-        report.injections_per_cell, static_cast<unsigned long long>(report.seed));
-    out += format("%-10s %-9s %-10s %8s %8s %8s %8s %8s %8s %7s\n", "machine", "workload",
-                  "target", "inj", "masked", "sdc", "timeout", "trap", "err", "vuln%");
-    auto row = [&](const CellReport& c, const char* name, const TargetTally& t, bool lead) {
-      const double vuln =
-          t.injections == 0 ? 0.0
-                            : 100.0 * static_cast<double>(t.vulnerable()) /
-                                  static_cast<double>(t.injections);
-      out += format("%-10s %-9s %-10s %8llu %8llu %8llu %8llu %8llu %8llu %7.1f\n",
-                    lead ? c.machine.c_str() : "", lead ? c.workload.c_str() : "", name,
-                    static_cast<unsigned long long>(t.injections),
-                    static_cast<unsigned long long>(t.masked),
-                    static_cast<unsigned long long>(t.sdc),
-                    static_cast<unsigned long long>(t.timeout),
-                    static_cast<unsigned long long>(t.trap),
-                    static_cast<unsigned long long>(t.err), vuln);
-    };
-    for (const CellReport& c : report.cells) {
-      if (!c.ok) {
-        out += format("%-10s %-9s ERR: %s\n", c.machine.c_str(), c.workload.c_str(),
-                      c.error.c_str());
-        continue;
-      }
-      bool lead = true;
-      for (int t = 0; t < kNumTargetKinds; ++t) {
-        const TargetTally& tt = c.targets[static_cast<std::size_t>(t)];
-        if (tt.injections == 0) continue;
-        row(c, target_kind_name(static_cast<TargetKind>(t)), tt, lead);
-        lead = false;
-      }
-      row(c, "total", c.total(), false);
-    }
-    if (report.truncated) out += "\n(campaign truncated by cancellation — partial report)\n";
-    return out;
-  }
-
-  // Protected variant: wider machine column ("+profile" suffixes) and the
-  // three protection outcome columns. corr/recov end with the golden
-  // outcome; detect is the safe detected-unrecoverable stop — none count
-  // as vulnerable.
-  std::string out = format(
-      "SEU resilience (AVF-style): %d injections per cell, seed 0x%llx.\n"
-      "Targets: rf = register-file bits, fu-result = TTA result/bypass registers,\n"
-      "guard = predicate registers, imem = instruction encodings (through the\n"
-      "decoder). corr = code-corrected, recov = rollback-recovered, detect =\n"
-      "detected-unrecoverable stop. vuln%% = (sdc + timeout + trap) / injections.\n\n",
-      report.injections_per_cell, static_cast<unsigned long long>(report.seed));
-  out += format("%-16s %-9s %-10s %7s %7s %7s %7s %7s %7s %7s %6s %5s %7s\n", "machine",
-                "workload", "target", "inj", "masked", "corr", "recov", "detect", "sdc",
-                "timeout", "trap", "err", "vuln%");
-  auto row = [&](const CellReport& c, const char* name, const TargetTally& t, bool lead) {
-    const double vuln =
-        t.injections == 0 ? 0.0
-                          : 100.0 * static_cast<double>(t.vulnerable()) /
-                                static_cast<double>(t.injections);
-    out += format("%-16s %-9s %-10s %7llu %7llu %7llu %7llu %7llu %7llu %7llu %6llu %5llu %7.1f\n",
-                  lead ? c.machine.c_str() : "", lead ? c.workload.c_str() : "", name,
-                  static_cast<unsigned long long>(t.injections),
-                  static_cast<unsigned long long>(t.masked),
-                  static_cast<unsigned long long>(t.corrected),
-                  static_cast<unsigned long long>(t.recovered),
-                  static_cast<unsigned long long>(t.detected),
-                  static_cast<unsigned long long>(t.sdc),
-                  static_cast<unsigned long long>(t.timeout),
-                  static_cast<unsigned long long>(t.trap),
-                  static_cast<unsigned long long>(t.err), vuln);
-  };
-  for (const CellReport& c : report.cells) {
-    if (!c.ok) {
-      out += format("%-16s %-9s ERR: %s\n", c.machine.c_str(), c.workload.c_str(),
-                    c.error.c_str());
-      continue;
-    }
-    bool lead = true;
-    for (int t = 0; t < kNumTargetKinds; ++t) {
-      const TargetTally& tt = c.targets[static_cast<std::size_t>(t)];
-      if (tt.injections == 0) continue;
-      row(c, target_kind_name(static_cast<TargetKind>(t)), tt, lead);
-      lead = false;
-    }
-    row(c, "total", c.total(), false);
-  }
-  if (report.truncated) out += "\n(campaign truncated by cancellation — partial report)\n";
-  return out;
-}
-
-std::string render_protection_efficiency(const CampaignReport& report) {
-  if (!report.protection) return {};
-  std::string out =
-      "Protection efficiency: each protected machine against its unprotected\n"
-      "base (same name before '+', same workload). d-avf = vulnerability drop in\n"
-      "percentage points; lut+ = protection hardware (fpga model); the figure of\n"
-      "merit is d-avf per 1000 extra LUTs. recov-avg/max = detection-to-restore\n"
-      "latency in cycles over rollback-recovered injections.\n\n";
-  out += format("%-16s %-9s %7s %7s %7s %7s %7s %9s %9s %9s\n", "machine", "workload", "lut+",
-                "fmax-d%", "base-v%", "vuln%", "d-avf", "davf/kLUT", "recov-avg", "recov-max");
-  auto vuln_pct = [](const TargetTally& t) {
-    return t.injections == 0 ? 0.0
-                             : 100.0 * static_cast<double>(t.vulnerable()) /
-                                   static_cast<double>(t.injections);
-  };
-  for (const CellReport& c : report.cells) {
-    if (!c.ok || !c.protected_machine) continue;
-    const std::size_t plus = c.machine.find('+');
-    const std::string base_name = plus == std::string::npos ? c.machine : c.machine.substr(0, plus);
-    const CellReport* base = nullptr;
-    for (const CellReport& b : report.cells) {
-      if (b.ok && !b.protected_machine && b.machine == base_name && b.workload == c.workload) {
-        base = &b;
-        break;
-      }
-    }
-    const mach::Machine m = mach::machine_by_name(c.machine);
-    const mach::Machine bm = mach::machine_by_name(base_name);
-    const fpga::AreaReport area = fpga::estimate_area(m);
-    const double fmax = fpga::estimate_timing(m).fmax_mhz;
-    const double base_fmax = fpga::estimate_timing(bm).fmax_mhz;
-    const double fmax_drop = base_fmax > 0.0 ? 100.0 * (base_fmax - fmax) / base_fmax : 0.0;
-    const double vuln = vuln_pct(c.total());
-    const double recov_avg =
-        c.protect.recovered > 0 ? static_cast<double>(c.protect.recovery_cycles) /
-                                      static_cast<double>(c.protect.recovered)
-                                : 0.0;
-    if (base == nullptr) {
-      out += format("%-16s %-9s %7d %7.1f %7s %7.1f %7s %9s %9.1f %9llu\n", c.machine.c_str(),
-                    c.workload.c_str(), area.protect_lut, fmax_drop, "-", vuln, "-", "-",
-                    recov_avg, static_cast<unsigned long long>(c.protect.recovery_cycles_max));
-      continue;
-    }
-    const double base_vuln = vuln_pct(base->total());
-    const double davf = base_vuln - vuln;
-    const double davf_per_klut =
-        area.protect_lut > 0 ? davf / (static_cast<double>(area.protect_lut) / 1000.0) : 0.0;
-    out += format("%-16s %-9s %7d %7.1f %7.1f %7.1f %7.2f %9.2f %9.1f %9llu\n", c.machine.c_str(),
-                  c.workload.c_str(), area.protect_lut, fmax_drop, base_vuln, vuln, davf,
-                  davf_per_klut, recov_avg,
-                  static_cast<unsigned long long>(c.protect.recovery_cycles_max));
-  }
-  return out;
-}
-
-std::string render_forensics(const CampaignReport& report) {
-  if (!report.forensics) return {};
-  std::string out =
-      "First-divergence forensics: SDC/latent injections replayed golden-vs-\n"
-      "faulty with paired commit recorders (budgeted per cell). cycle = first\n"
-      "architecturally divergent commit; elem = diverging state element\n"
-      "(pc / rf cell / guard / memory byte / early halt).\n\n";
-  out += format("%-10s %-9s %6s %-9s %-7s %10s %-6s %-14s %-10s %-10s\n", "machine", "workload",
-                "inj", "target", "outcome", "cycle", "elem", "coord", "golden", "faulty");
-  auto coord_text = [](const DivergenceRecord& d) -> std::string {
-    switch (d.element) {
-      case DivergedElement::RfCell: return format("rf%d[%d]", d.unit, d.index);
-      case DivergedElement::Guard: return format("g%d", d.unit);
-      case DivergedElement::MemByte: return format("@0x%x", d.addr);
-      case DivergedElement::Pc:
-      case DivergedElement::Halt: return "-";
-    }
-    return "-";
-  };
-  for (const CellReport& c : report.cells) {
-    if (!c.ok) continue;
-    for (const ForensicRecord& r : c.forensics) {
-      const DivergenceRecord& d = r.divergence;
-      if (d.found) {
-        out += format("%-10s %-9s %6llu %-9s %-7s %10llu %-6s %-14s 0x%08x 0x%08x\n",
-                      c.machine.c_str(), c.workload.c_str(),
-                      static_cast<unsigned long long>(r.injection), target_kind_name(r.target),
-                      outcome_name(r.outcome), static_cast<unsigned long long>(d.cycle),
-                      diverged_element_name(d.element), coord_text(d).c_str(), d.golden_value,
-                      d.faulty_value);
-      } else {
-        out += format("%-10s %-9s %6llu %-9s %-7s %10s %-6s %-14s %-10s %-10s\n",
-                      c.machine.c_str(), c.workload.c_str(),
-                      static_cast<unsigned long long>(r.injection), target_kind_name(r.target),
-                      outcome_name(r.outcome), "-", d.beyond_window ? "beyond" : "none", "-", "-",
-                      "-");
-      }
-    }
-    if (c.forensics_skipped != 0) {
-      out += format("%-10s %-9s   (%llu more candidate(s) past the replay budget)\n",
-                    c.machine.c_str(), c.workload.c_str(),
-                    static_cast<unsigned long long>(c.forensics_skipped));
-    }
-  }
-  return out;
-}
-
-namespace {
-
-void write_tally(obs::JsonWriter& w, const TargetTally& t, bool protection) {
-  w.begin_object();
-  w.key("injections");
-  w.value(t.injections);
-  w.key("masked");
-  w.value(t.masked);
-  // Protection outcome keys only in protected campaigns: unprotected
-  // reports stay byte-identical to earlier schema revisions.
-  if (protection) {
-    w.key("corrected");
-    w.value(t.corrected);
-    w.key("recovered");
-    w.value(t.recovered);
-    w.key("detected");
-    w.value(t.detected);
-  }
-  w.key("sdc");
-  w.value(t.sdc);
-  w.key("timeout");
-  w.value(t.timeout);
-  w.key("trap");
-  w.value(t.trap);
-  w.key("err");
-  w.value(t.err);
-  w.key("latent");
-  w.value(t.latent);
-  w.end_object();
-}
-
-}  // namespace
-
-std::string render_resil_report_json(const CampaignReport& report) {
-  obs::JsonWriter w;
-  w.begin_object();
-  w.key("schema");
-  w.value("ttsc-resil-report");
-  w.key("version");
-  w.value(std::uint64_t{1});
-  w.key("seed");
-  w.value(report.seed);
-  w.key("injections_per_cell");
-  w.value(report.injections_per_cell);
-  // Both markers appear only when set, keeping unprotected / completed
-  // reports byte-identical to earlier schema revisions.
-  if (report.protection) {
-    w.key("protection");
-    w.value(true);
-  }
-  if (report.truncated) {
-    w.key("truncated");
-    w.value(true);
-  }
-  // "machines" keyed by "name", like the run report, so report_diff
-  // compares campaigns machine-by-machine, order-insensitively.
-  w.key("machines");
-  w.begin_array();
-  std::vector<std::string> machine_order;
-  for (const CellReport& c : report.cells) {
-    bool seen = false;
-    for (const std::string& m : machine_order) seen = seen || m == c.machine;
-    if (!seen) machine_order.push_back(c.machine);
-  }
-  for (const std::string& machine : machine_order) {
-    w.begin_object();
-    w.key("name");
-    w.value(machine);
-    w.key("cells");
-    w.begin_object();
-    for (const CellReport& c : report.cells) {
-      if (c.machine != machine) continue;
-      w.key(c.workload);
-      w.begin_object();
-      if (!c.ok) {
-        w.key("error");
-        w.value(c.error);
-        w.end_object();
-        continue;
-      }
-      w.key("golden_cycles");
-      w.value(c.golden_cycles);
-      w.key("imem_bits");
-      w.value(c.imem_bits);
-      w.key("targets");
-      w.begin_object();
-      for (int t = 0; t < kNumTargetKinds; ++t) {
-        const TargetTally& tt = c.targets[static_cast<std::size_t>(t)];
-        if (tt.injections == 0) continue;
-        w.key(target_kind_name(static_cast<TargetKind>(t)));
-        write_tally(w, tt, report.protection);
-      }
-      w.end_object();
-      w.key("total");
-      write_tally(w, c.total(), report.protection);
-      if (c.protected_machine) {
-        w.key("protect");
-        w.begin_object();
-        w.key("rf_corrected");
-        w.value(c.protect.rf_corrected);
-        w.key("rf_detected");
-        w.value(c.protect.rf_detected);
-        w.key("fu_detected");
-        w.value(c.protect.fu_detected);
-        w.key("guard_corrected");
-        w.value(c.protect.guard_corrected);
-        w.key("imem_corrected");
-        w.value(c.protect.imem_corrected);
-        w.key("imem_detected");
-        w.value(c.protect.imem_detected);
-        w.key("rollbacks");
-        w.value(c.protect.rollbacks);
-        w.key("retries");
-        w.value(c.protect.retries);
-        w.key("recovered");
-        w.value(c.protect.recovered);
-        w.key("unrecoverable");
-        w.value(c.protect.unrecoverable);
-        w.key("recovery_cycles");
-        w.value(c.protect.recovery_cycles);
-        w.key("recovery_cycles_max");
-        w.value(c.protect.recovery_cycles_max);
-        w.end_object();
-      }
-      // Per-cell forensics only when the campaign ran with forensics on:
-      // forensics-off reports stay byte-identical to the pre-forensics
-      // schema (the existing resil_smoke.json golden depends on it).
-      if (report.forensics) {
-        w.key("forensics");
-        w.begin_object();
-        w.key("candidates");
-        w.value(c.forensics_candidates);
-        w.key("analyzed");
-        w.value(static_cast<std::uint64_t>(c.forensics.size()));
-        w.key("skipped_budget");
-        w.value(c.forensics_skipped);
-        w.key("records");
-        w.begin_array();
-        for (const ForensicRecord& r : c.forensics) {
-          const DivergenceRecord& d = r.divergence;
-          w.begin_object();
-          w.key("injection");
-          w.value(r.injection);
-          w.key("target");
-          w.value(target_kind_name(r.target));
-          w.key("outcome");
-          w.value(outcome_name(r.outcome));
-          w.key("latent");
-          w.value(r.latent);
-          w.key("fault_cycle");
-          w.value(r.fault_cycle);
-          w.key("found");
-          w.value(d.found);
-          w.key("beyond_window");
-          w.value(d.beyond_window);
-          if (d.found) {
-            w.key("cycle");
-            w.value(d.cycle);
-            w.key("element");
-            w.value(diverged_element_name(d.element));
-            switch (d.element) {
-              case DivergedElement::RfCell:
-                w.key("rf");
-                w.value(d.unit);
-                w.key("reg");
-                w.value(d.index);
-                break;
-              case DivergedElement::Guard:
-                w.key("guard");
-                w.value(d.unit);
-                break;
-              case DivergedElement::MemByte:
-                w.key("addr");
-                w.value(std::uint64_t{d.addr});
-                break;
-              case DivergedElement::Pc:
-              case DivergedElement::Halt:
-                break;
-            }
-            w.key("golden_value");
-            w.value(std::uint64_t{d.golden_value});
-            w.key("faulty_value");
-            w.value(std::uint64_t{d.faulty_value});
-          }
-          w.key("compared_events");
-          w.value(d.compared_events);
-          w.end_object();
-        }
-        w.end_array();
-        w.end_object();
-      }
-      w.end_object();
-    }
-    w.end_object();
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-  return w.take() + "\n";
-}
-
-void write_resil_report(const std::string& path, const CampaignReport& report) {
-  const std::string text = render_resil_report_json(report);
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out || !(out << text) || (out.close(), !out)) {
-    throw Error("cannot write resilience report: " + path);
-  }
 }
 
 }  // namespace ttsc::resil

@@ -74,23 +74,26 @@ constexpr const char* outcome_name(Outcome o) {
 }
 
 /// How an injection's outcome was produced, exported as "resil.path.<name>"
-/// counters. Every injection of a cell counts under exactly one path:
+/// counters. Every injection of a cell counts under exactly one path. The
+/// cell's plan routes each injection once — a lockstep lane (a state fault
+/// of an unprotected cell with batching on), a standalone run, or a repeat
+/// of an earlier imem draw — and execution refines the route into a path:
 ///
-///  * Scalar           — its own engine run from cycle 0 (protected cells,
-///                       unprotected imem faults, `--no-batch`, escaped imem
-///                       faults);
-///  * BatchedConverged — a lockstep lane that reconverged with the leader;
-///  * BatchedInDiff    — a lockstep lane that finished as a sparse diff (and
-///                       every lane of a group that failed twice);
-///  * Evicted          — a lockstep lane evicted to its own run;
-///  * ImemAnalytic     — a protected imem fault the code does not let escape,
-///                       resolved from the golden run's fetch table with no
-///                       engine run;
-///  * Resumed          — its own engine run, started past cycle 0 from a
-///                       golden snapshot (resil/cell.hpp);
-///  * Repeated         — an imem fault flipping the same bits as an earlier
-///                       injection of the cell: no run of its own, it takes
-///                       that injection's outcome (a run, and so its
+///  * Scalar           — standalone: its own engine run from cycle 0
+///                       (protected cells, unprotected imem faults,
+///                       `--no-batch`, escaped imem faults);
+///  * Resumed          — standalone: its own engine run, started past cycle
+///                       0 from a golden snapshot (resil/cell.hpp);
+///  * ImemAnalytic     — standalone: a protected imem fault the code does
+///                       not let escape, resolved from the golden run's
+///                       fetch table with no engine run;
+///  * BatchedConverged — lane: reconverged with the leader;
+///  * BatchedInDiff    — lane: finished as a sparse diff (and every lane of
+///                       a group that failed twice);
+///  * Evicted          — lane: evicted to its own run;
+///  * Repeated         — repeat: an imem fault flipping the same bits as an
+///                       earlier injection of the cell: no run of its own, it
+///                       takes that injection's outcome (a run, and so its
 ///                       classification, is a pure function of the flipped
 ///                       bits). An analytic one stays ImemAnalytic.
 enum class InjectionPath : std::uint8_t {
@@ -137,6 +140,9 @@ struct TargetTally {
   /// Detected is the safe detected-unrecoverable stop, so none of the
   /// protected classes count as vulnerable.
   std::uint64_t vulnerable() const { return sdc + timeout + trap; }
+  /// vulnerable() in percent of the injections (0 without injections): the
+  /// vuln% of the AVF and protection-efficiency tables.
+  double vuln_pct() const;
   void accumulate(const TargetTally& other);
 };
 
@@ -181,11 +187,56 @@ struct ProtectStats {
   std::uint64_t recovery_cycles = 0;
   std::uint64_t recovery_cycles_max = 0;
 
-  bool any() const {
-    return rf_corrected != 0 || rf_detected != 0 || fu_detected != 0 || guard_corrected != 0 ||
-           imem_corrected != 0 || imem_detected != 0 || rollbacks != 0 || retries != 0 ||
-           recovered != 0 || unrecoverable != 0;
-  }
+  bool any() const;
+  /// Sums every count and keeps the larger recovery_cycles_max.
+  void accumulate(const ProtectStats& other);
+};
+
+/// Every TargetTally count in report order: its key in the report JSON and
+/// in the "resil.<target>.<key>" metrics, whether only protected campaigns
+/// carry it, and its AVF table column with that column's width in the
+/// protected table (the unprotected table sets every column 8 wide).
+struct TallyField {
+  const char* key;
+  std::uint64_t TargetTally::*count;
+  bool protection;
+  const char* column;  // nullptr: not an AVF table column
+  int protected_width;
+};
+inline constexpr TallyField kTallyFields[] = {
+    {"injections", &TargetTally::injections, false, "inj", 7},
+    {"masked", &TargetTally::masked, false, "masked", 7},
+    {"corrected", &TargetTally::corrected, true, "corr", 7},
+    {"recovered", &TargetTally::recovered, true, "recov", 7},
+    {"detected", &TargetTally::detected, true, "detect", 7},
+    {"sdc", &TargetTally::sdc, false, "sdc", 7},
+    {"timeout", &TargetTally::timeout, false, "timeout", 7},
+    {"trap", &TargetTally::trap, false, "trap", 6},
+    {"err", &TargetTally::err, false, "err", 5},
+    {"latent", &TargetTally::latent, false, nullptr, 0},
+};
+
+/// Every ProtectStats field in report order: its key in the report's
+/// "protect" section and its registry counter. recovery_cycles_max, the one
+/// maximum, has no counter and accumulates by max; every other field sums.
+struct ProtectField {
+  const char* key;
+  const char* metric;
+  std::uint64_t ProtectStats::*value;
+};
+inline constexpr ProtectField kProtectFields[] = {
+    {"rf_corrected", "protect.rf.corrected", &ProtectStats::rf_corrected},
+    {"rf_detected", "protect.rf.detected", &ProtectStats::rf_detected},
+    {"fu_detected", "protect.fu.detected", &ProtectStats::fu_detected},
+    {"guard_corrected", "protect.guard.corrected", &ProtectStats::guard_corrected},
+    {"imem_corrected", "protect.imem.corrected", &ProtectStats::imem_corrected},
+    {"imem_detected", "protect.imem.detected", &ProtectStats::imem_detected},
+    {"rollbacks", "recovery.rollbacks", &ProtectStats::rollbacks},
+    {"retries", "recovery.retries", &ProtectStats::retries},
+    {"recovered", "recovery.recovered", &ProtectStats::recovered},
+    {"unrecoverable", "recovery.unrecoverable", &ProtectStats::unrecoverable},
+    {"recovery_cycles", "recovery.cycles", &ProtectStats::recovery_cycles},
+    {"recovery_cycles_max", nullptr, &ProtectStats::recovery_cycles_max},
 };
 
 struct CellReport {
@@ -319,8 +370,8 @@ struct CampaignReport {
 /// Run the campaign. Cells execute sequentially; each cell's injections fan
 /// out over a support::ThreadPool (unless options.serial). Throws
 /// ttsc::Error only for configuration mistakes (unknown machine/workload
-/// name, non-positive injection count) — cell failures degrade to ERR
-/// entries instead.
+/// name, non-positive injection count, batch_lanes or double_bit_permille
+/// out of range) — cell failures degrade to ERR entries instead.
 CampaignReport run_campaign(const CampaignOptions& options);
 
 /// AVF-style text table (the paper-artifact stdout of table_resilience).

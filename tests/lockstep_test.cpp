@@ -74,7 +74,7 @@ std::string check_lane(const sim::BatchResult& br, std::size_t k, const sim::Exe
       err += format("%s: converged lane has a non-empty delta\n", what);
     }
     // checksum_with_delta must agree with checksumming the lane's image
-    // (classify_lane depends on this shortcut).
+    // (the campaign classifies in-diff lanes through this shortcut).
     const std::uint32_t size = static_cast<std::uint32_t>(image->size());
     if (sim::checksum_with_delta(br.leader_mem, lo.delta, 0, size) !=
         image->checksum(0, size)) {

@@ -622,6 +622,11 @@ TEST(Campaign, BatchLaneCountIsValidated) {
   EXPECT_THROW(resil::run_campaign(opt), Error);
   opt.batch_lanes = sim::kMaxLanes + 1;
   EXPECT_THROW(resil::run_campaign(opt), Error);
+  opt = small_campaign();
+  for (const int permille : {-1, 1001}) {
+    opt.double_bit_permille = permille;
+    EXPECT_THROW(resil::run_campaign(opt), Error) << permille;
+  }
 }
 
 TEST(Campaign, SeedChangesTheTable) {
