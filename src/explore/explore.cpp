@@ -1,47 +1,31 @@
 #include "explore/explore.hpp"
 
-#include "fpga/model.hpp"
-#include "report/driver.hpp"
+#include "report/experiments.hpp"
 #include "support/stats.hpp"
 #include "tta/tta.hpp"
 
 namespace ttsc::explore {
 
 DesignPoint evaluate(const mach::Machine& machine,
-                     const std::vector<workloads::Workload>& suite,
-                     report::ModuleCache* cache, support::ThreadPool* pool) {
+                     const std::vector<workloads::Workload>& suite, report::ModuleCache& cache,
+                     support::ThreadPool& pool) {
   TTSC_ASSERT(machine.model == mach::Model::Tta, "exploration targets TTA machines");
+  const report::Matrix matrix = report::Matrix::sweep(cache, &pool, {machine}, suite);
+  const report::MachineResults& results = matrix.machines().front();
   DesignPoint point;
   point.machine = machine;
   point.buses = static_cast<int>(machine.buses.size());
   point.instruction_bits = tta::instruction_bits(machine);
-
-  const fpga::AreaReport area = fpga::estimate_area(machine);
-  const fpga::TimingReport timing = fpga::estimate_timing(machine);
-  point.core_lut = area.core_lut;
-  point.fmax_mhz = timing.fmax_mhz;
-
-  report::ModuleCache local_cache;
-  if (cache == nullptr) cache = &local_cache;
-
-  // Per-suite-index slots, reduced in order below: deterministic whether
-  // the cells run serially or on the pool.
-  std::vector<report::RunOutcome> outcomes(suite.size());
-  auto run_cell = [&](std::size_t i) {
-    outcomes[i] = report::compile_and_run_prebuilt(cache->get(suite[i]), suite[i], machine);
-  };
-  if (pool != nullptr) {
-    support::parallel_for(*pool, suite.size(), run_cell);
-  } else {
-    for (std::size_t i = 0; i < suite.size(); ++i) run_cell(i);
-  }
+  point.core_lut = results.area.core_lut;
+  point.fmax_mhz = results.timing.fmax_mhz;
 
   std::vector<double> cycles;
   std::vector<double> runtimes;
   std::vector<double> images;
-  for (const report::RunOutcome& r : outcomes) {
+  for (const workloads::Workload& w : suite) {
+    const report::RunOutcome& r = results.by_workload.at(w.name);
     cycles.push_back(static_cast<double>(r.cycles));
-    runtimes.push_back(static_cast<double>(r.cycles) / timing.fmax_mhz);
+    runtimes.push_back(static_cast<double>(r.cycles) / point.fmax_mhz);
     images.push_back(static_cast<double>(r.image_bits));
   }
   point.geomean_cycles = geomean(cycles);
@@ -58,7 +42,7 @@ std::vector<DesignPoint> explore_bus_merging(const mach::Machine& start,
   report::ModuleCache cache;
   support::ThreadPool pool;
   std::vector<DesignPoint> trace;
-  DesignPoint baseline = evaluate(start, suite, &cache, &pool);
+  DesignPoint baseline = evaluate(start, suite, cache, pool);
   baseline.accepted = true;
   const double budget = baseline.geomean_cycles * (1.0 + max_cycle_overhead);
   trace.push_back(baseline);
@@ -73,7 +57,7 @@ std::vector<DesignPoint> explore_bus_merging(const mach::Machine& start,
     candidate.name = start.name + "-merged" + std::to_string(candidate.buses.size());
     try {
       candidate.validate();
-      DesignPoint point = evaluate(candidate, suite, &cache, &pool);
+      DesignPoint point = evaluate(candidate, suite, cache, pool);
       point.accepted = point.geomean_cycles <= budget;
       trace.push_back(point);
       if (!point.accepted) break;

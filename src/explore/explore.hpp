@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "mach/machine.hpp"
-#include "report/parallel_runner.hpp"
+#include "report/module_cache.hpp"
 #include "support/thread_pool.hpp"
 #include "workloads/workload.hpp"
 
@@ -32,15 +32,14 @@ struct DesignPoint {
 };
 
 /// Evaluate one machine over a workload suite (all runs cross-checked
-/// against the reference interpreter). With `cache` the per-workload
-/// optimized modules are reused across evaluations (exploration evaluates
-/// the same suite on dozens of candidate machines); with `pool` the suite
-/// is fanned out across its threads. The reduction order is the suite
-/// order, so results are identical with or without a pool.
+/// against the reference interpreter): a one-machine report::Matrix::sweep
+/// on `pool`. `cache` reuses the per-workload optimized modules across
+/// evaluations (exploration evaluates the same suite on dozens of
+/// candidate machines). The geomeans reduce in suite order, so results do
+/// not depend on the pool's size.
 DesignPoint evaluate(const mach::Machine& machine,
-                     const std::vector<workloads::Workload>& suite,
-                     report::ModuleCache* cache = nullptr,
-                     support::ThreadPool* pool = nullptr);
+                     const std::vector<workloads::Workload>& suite, report::ModuleCache& cache,
+                     support::ThreadPool& pool);
 
 /// Greedy bus-merging exploration: drop one bus per step (rebuilding full
 /// connectivity over the remaining buses) while the geomean cycle count

@@ -1,13 +1,11 @@
 #include "ir/verify.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "opt/passes.hpp"
 
 namespace ttsc::opt {
 
 void optimize(ir::Module& module, const std::string& root, const PipelineOptions& options,
               obs::Registry* metrics) {
-  obs::Span span("opt", [&] { return obs::SpanArgs{{"root", root}}; });
   inline_all(module, root);
   ir::Function& func = module.function(root);
   obs::add(metrics, "opt.instrs_in", func.num_instrs());

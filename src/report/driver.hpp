@@ -18,9 +18,35 @@
 #include "prof/prof.hpp"
 #include "sim/collectors.hpp"
 #include "sim/engine.hpp"
-#include "support/timeline.hpp"
 #include "tta/tta.hpp"
 #include "workloads/workload.hpp"
+
+namespace ttsc::support {
+
+/// Wall time of one pipeline run broken down by stage (seconds). Carried in
+/// report::RunOutcome so every grid cell exposes where its time went.
+struct StageSeconds {
+  double frontend = 0.0;
+  double opt = 0.0;
+  double regalloc = 0.0;
+  double schedule = 0.0;
+  double predecode = 0.0;
+  double simulate = 0.0;
+
+  double total() const { return frontend + opt + regalloc + schedule + predecode + simulate; }
+
+  StageSeconds& operator+=(const StageSeconds& o) {
+    frontend += o.frontend;
+    opt += o.opt;
+    regalloc += o.regalloc;
+    schedule += o.schedule;
+    predecode += o.predecode;
+    simulate += o.simulate;
+    return *this;
+  }
+};
+
+}  // namespace ttsc::support
 
 namespace ttsc::report {
 
@@ -70,10 +96,10 @@ struct RunOutcome {
   bool superblocks_applied = false;
 
   // Wall time per pipeline stage. compile_and_run_prebuilt fills regalloc/
-  // schedule/predecode/simulate; frontend/opt belong to the shared
-  // build_optimized call and are filled in by whoever owns that call (the
-  // experiment engine's module cache reports the one-time build cost of the
-  // cell's workload there).
+  // schedule/predecode/simulate (under superblocks, both phases' sum);
+  // frontend/opt belong to the shared build_optimized call and are filled
+  // in by whoever owns that call (the grid sweep reports the one-time build
+  // cost of the cell's workload there, the same in each of its cells).
   support::StageSeconds stage_seconds;
 
   // Execution profile, present when SimOptions::collect_utilization was set.
@@ -110,12 +136,10 @@ RunOutcome compile_and_run(const workloads::Workload& workload, const mach::Mach
 /// Build + optimize a workload once (shared across machines — reuse the
 /// result via compile_and_run_prebuilt or, across a whole sweep, via
 /// report::ModuleCache). The returned module contains the fully inlined,
-/// optimized entry function. When given, `timeline` accrues the frontend
-/// and opt stages plus a "modules_built" counter, and `build_times`
-/// receives this call's frontend/opt wall time. `metrics` (optional)
-/// receives the optimizer's per-pass IR deltas ("opt.*" counters).
+/// optimized entry function. When given, `build_times` receives this call's
+/// frontend/opt wall time. `metrics` (optional) receives the optimizer's
+/// per-pass IR deltas ("opt.*" counters).
 ir::Module build_optimized(const workloads::Workload& workload,
-                           support::Timeline* timeline = nullptr,
                            support::StageSeconds* build_times = nullptr,
                            obs::Registry* metrics = nullptr);
 
@@ -139,8 +163,9 @@ struct Backend {
 /// everything else expands selects), superblock formation along `profile`
 /// when given, scalar operand legalization, lowering with register
 /// allocation, then the model's scheduler or emitter and the predecode.
-/// Each stage opens a span. `metrics` (optional) receives the regalloc and
-/// scheduler counters ("regalloc.*", "tta.schedule.*", "vliw.schedule.*",
+/// One stage scope per stage opens its span and times it into the outcome's
+/// stage_seconds. `metrics` (optional) receives the regalloc and scheduler
+/// counters ("regalloc.*", "tta.schedule.*", "vliw.schedule.*",
 /// "scalar.emit.*").
 Backend compile_backend(const ir::Module& optimized, const workloads::Workload& workload,
                         const mach::Machine& machine, const tta::TtaOptions& tta_options = {},
@@ -148,11 +173,8 @@ Backend compile_backend(const ir::Module& optimized, const workloads::Workload& 
                         const opt::ProfileData* profile = nullptr,
                         const opt::SuperblockOptions& sb_options = {});
 
-/// As compile_and_run, but reusing a pre-optimized module. When given,
-/// `timeline` accrues the regalloc/schedule/predecode/simulate stages and
-/// the "cells_run" / "cycles_simulated" / "spills" counters (plus the
-/// sim_* observer counters when utilization is collected); the same stage
-/// times are always reported in the outcome's stage_seconds.
+/// As compile_and_run, but reusing a pre-optimized module. The outcome's
+/// stage_seconds report the regalloc/schedule/predecode/simulate times.
 ///
 /// `sim_options` selects an optional observer, utilization and profile
 /// collection.
@@ -172,13 +194,12 @@ Backend compile_backend(const ir::Module& optimized, const workloads::Workload& 
 /// the superblock schedule), so a cell can never regress; both phases are
 /// cross-checked against the reference interpreter. The adopted cell's
 /// metrics gain "sched.superblock.{formed,tail_dup_instrs,
-/// cross_block_bypass}" counters and the outcome records the baseline
-/// cycles for delta reporting.
+/// cross_block_bypass}" counters, its stage_seconds cover both phases, and
+/// the outcome records the baseline cycles for delta reporting.
 RunOutcome compile_and_run_prebuilt(const ir::Module& optimized,
                                     const workloads::Workload& workload,
                                     const mach::Machine& machine,
                                     const tta::TtaOptions& tta_options = {},
-                                    support::Timeline* timeline = nullptr,
                                     const sim::SimOptions& sim_options = {},
                                     obs::Registry* metrics = nullptr,
                                     const opt::SuperblockOptions* superblocks = nullptr);

@@ -13,7 +13,13 @@
 #include "fpga/model.hpp"
 #include "report/driver.hpp"
 
+namespace ttsc::support {
+class ThreadPool;
+}
+
 namespace ttsc::report {
+
+class ModuleCache;
 
 struct MachineResults {
   mach::Machine machine;
@@ -26,30 +32,45 @@ struct MachineResults {
 /// cross-checked against the reference interpreter.
 class Matrix {
  public:
-  /// Runs the full matrix serially (compiles and simulates 104
-  /// configurations; each workload's module is built once and shared
-  /// across machines). ParallelRunner produces the identical matrix using
-  /// a thread pool — this serial path is the determinism reference.
+  /// Runs the full matrix serially: sweep() without a pool over all 13
+  /// machines x 8 workloads. ParallelRunner produces the identical matrix
+  /// on a thread pool — this serial path is the determinism reference.
+  static Matrix run(const sim::SimOptions& sim_options = {}, obs::Registry* metrics = nullptr,
+                    bool keep_going = false,
+                    const opt::SuperblockOptions* superblocks = nullptr);
+
+  /// The one grid loop: compile and simulate every (machine, workload)
+  /// cell, each cross-checked against the reference interpreter, on
+  /// `pool`'s workers (inline, in cell order, when `pool` is null). Each
+  /// workload's module comes from `cache`, built once and shared across
+  /// machines, and every cell reports that build's frontend/opt time. The
+  /// outcomes are reduced machine-major, workloads in the given order, so
+  /// the matrix is byte-identical for any pool or none.
+  ///
   /// `sim_options` applies to every cell (e.g. utilization or profile
-  /// collection). `metrics`
-  /// (optional) receives every cell's compiler/scheduler/sim counters; the
-  /// merged registry is byte-identical to a ParallelRunner sweep's at any
-  /// thread count (all merge operations commute and each build/cell
+  /// collection); a non-null observer is ignored, because observers are
+  /// per-run state. `metrics` (optional) receives every cell's
+  /// compiler/scheduler/sim counters; the merged registry is byte-identical
+  /// at any thread count (all merge operations commute and each build/cell
   /// contributes exactly once).
   ///
-  /// `keep_going = false` (the default) rethrows the first cell failure,
-  /// the historical behavior. With `keep_going = true` a cell whose
-  /// pipeline or simulation fails (timeout, trap, divergence) is captured
-  /// as a RunOutcome with ok = false and the error message, the sweep
-  /// continues, and renderers show the cell as ERR.
+  /// `keep_going = false` rethrows the first failing cell's exception (the
+  /// lowest-numbered one under a pool, after the whole grid has run). With
+  /// `keep_going = true` a cell whose pipeline or simulation fails
+  /// (timeout, trap, divergence) is captured as a RunOutcome with ok =
+  /// false and the error message, the sweep continues, and renderers show
+  /// the cell as ERR.
   ///
   /// `superblocks` (optional) runs every cell through the two-phase
   /// profile-guided superblock compile (see compile_and_run_prebuilt); each
   /// outcome then carries baseline_cycles for delta reporting.
-  static Matrix run(support::Timeline* timeline = nullptr,
-                    const sim::SimOptions& sim_options = {},
-                    obs::Registry* metrics = nullptr, bool keep_going = false,
-                    const opt::SuperblockOptions* superblocks = nullptr);
+  static Matrix sweep(ModuleCache& cache, support::ThreadPool* pool,
+                      const std::vector<mach::Machine>& machines,
+                      const std::vector<workloads::Workload>& workloads,
+                      const tta::TtaOptions& tta_options = {},
+                      const sim::SimOptions& sim_options = {}, obs::Registry* metrics = nullptr,
+                      bool keep_going = false,
+                      const opt::SuperblockOptions* superblocks = nullptr);
 
   const MachineResults& machine(const std::string& name) const;
 
@@ -65,11 +86,14 @@ class Matrix {
   /// Runtime in microseconds at the machine's modelled fmax.
   double runtime_us(const std::string& machine, const std::string& workload) const;
 
- private:
-  friend class ParallelRunner;  // fills the same private tables
+  /// Modules the sweep's cache built: one per workload, for any thread
+  /// count (the `--stats` "modules_built").
+  std::size_t modules_built() const { return modules_built_; }
 
+ private:
   std::vector<MachineResults> machines_;
   std::vector<std::string> workload_names_;
+  std::size_t modules_built_ = 0;
 };
 
 std::string render_table2_program_size(const Matrix& m);

@@ -1,11 +1,9 @@
 // Parallel experiment engine.
 //
-// ModuleCache compiles each workload's optimized module exactly once
-// (keyed by workload name, shared by every machine and every worker
-// thread); ParallelRunner fans a (machines x workloads) grid of
-// compile_and_run_prebuilt cells out across a support::ThreadPool and
-// reduces the outcomes into the same MachineResults tables the serial
-// driver produces.
+// ParallelRunner runs the (machines x workloads) grid of Matrix::sweep on
+// its own support::ThreadPool, with one ModuleCache that compiles each
+// workload's optimized module exactly once (keyed by workload name, shared
+// by every machine and every worker thread).
 //
 // Determinism contract: cell (i, j) of the grid depends only on
 // (machine i, workload j) — compilation and simulation are pure — and the
@@ -21,15 +19,13 @@
 #include "report/experiments.hpp"
 #include "report/module_cache.hpp"
 #include "support/thread_pool.hpp"
-#include "support/timeline.hpp"
 
 namespace ttsc::report {
 
 class ParallelRunner {
  public:
   struct Options {
-    int threads = 0;                         // <= 0: hardware concurrency
-    support::Timeline* timeline = nullptr;   // optional --stats aggregation
+    int threads = 0;  // <= 0: hardware concurrency
     /// Simulator configuration for every cell. A non-null observer is
     /// ignored (observers are not thread-safe across cells); use
     /// sim.collect_utilization to get per-cell reports instead.
@@ -62,9 +58,6 @@ class ParallelRunner {
   Matrix run_grid(const std::vector<mach::Machine>& machines,
                   const std::vector<workloads::Workload>& workloads,
                   const tta::TtaOptions& tta_options = {});
-
-  ModuleCache& cache() { return cache_; }
-  support::ThreadPool& pool() { return pool_; }
 
  private:
   Options options_;

@@ -5,9 +5,10 @@
 //             repeat of an earlier imem draw of the same bits. Lane groups
 //             and standalone injections form one work list.
 //  * run    — execute the work list into an index-addressed slot table: one
-//             serial loop or one parallel_for, one watchdog check and one
-//             retry-then-Err site per work item. Execution refines each
-//             route into the InjectionPath that served it.
+//             parallel_for (inline without a pool, under --serial), one
+//             watchdog check and one retry-then-Err site per work item.
+//             Execution refines each route into the InjectionPath that
+//             served it.
 //  * reduce — fill the repeats and tally the slots into the CellReport in
 //             index order, so the report is thread-count and
 //             lane-grouping independent.
@@ -622,11 +623,7 @@ CampaignReport run_campaign(const CampaignOptions& options) {
                                                           : InjectionPath::Scalar};
           }
         };
-        if (pool) {
-          support::parallel_for(*pool, plan.items.size(), run);
-        } else {
-          for (std::size_t item = 0; item < plan.items.size(); ++item) run(item);
-        }
+        support::parallel_for(pool ? &*pool : nullptr, plan.items.size(), run);
         if (cell_expired.load(std::memory_order_relaxed)) {
           throw CellTimeoutError(
               format("cell watchdog expired after %.1fs (%s/%s)", options.cell_timeout_seconds,

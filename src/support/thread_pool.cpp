@@ -64,8 +64,12 @@ void ThreadPool::worker_loop(int index) {
   }
 }
 
-void parallel_for(ThreadPool& pool, std::size_t n,
+void parallel_for(ThreadPool* pool, std::size_t n,
                   const std::function<void(std::size_t)>& fn) {
+  if (pool == nullptr) {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
   if (n == 0) return;
   std::vector<std::exception_ptr> errors(n);
   std::atomic<std::size_t> next{0};
@@ -79,10 +83,10 @@ void parallel_for(ThreadPool& pool, std::size_t n,
     }
   };
   const std::size_t tasks =
-      std::min<std::size_t>(n, static_cast<std::size_t>(pool.size()));
+      std::min<std::size_t>(n, static_cast<std::size_t>(pool->size()));
   std::vector<std::future<void>> pending;
   pending.reserve(tasks);
-  for (std::size_t t = 0; t < tasks; ++t) pending.push_back(pool.submit(drain));
+  for (std::size_t t = 0; t < tasks; ++t) pending.push_back(pool->submit(drain));
   for (std::future<void>& f : pending) f.get();  // drain never throws
   for (std::size_t i = 0; i < n; ++i) {
     if (errors[i]) std::rethrow_exception(errors[i]);

@@ -79,7 +79,11 @@ class ThreadPool {
 /// per-index slot) is deterministic even though the interleaving is not.
 /// If one or more invocations throw, the exception of the lowest failing
 /// index is rethrown after the whole range has run.
-void parallel_for(ThreadPool& pool, std::size_t n,
+///
+/// A null `pool` runs the indices inline on the caller, in index order; the
+/// first throw propagates at once, and it is the lowest failing index too.
+/// The serial drivers pass null, so they share their parallel loop body.
+void parallel_for(ThreadPool* pool, std::size_t n,
                   const std::function<void(std::size_t)>& fn);
 
 }  // namespace ttsc::support

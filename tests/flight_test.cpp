@@ -261,7 +261,7 @@ TEST(FlightDifferential, RecordingsIdenticalOnFastAndReferencePaths) {
   // failure report per seed, asserted after the fleet drains.
   std::vector<std::string> failures(kCorpusSize);
   support::ThreadPool pool(8);
-  support::parallel_for(pool, kCorpusSize, [&](std::size_t idx) {
+  support::parallel_for(&pool, kCorpusSize, [&](std::size_t idx) {
     const std::uint64_t seed = 0xf11e47 + idx;
     for (const mach::Machine& machine : machines) {
       const Compiled c = compile_for(seed, machine);

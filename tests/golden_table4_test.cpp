@@ -139,7 +139,7 @@ TEST(GoldenTable4, SuperblockGridMatchesSnapshotAndNeverRegresses) {
   const std::string path = std::string(TTSC_GOLDEN_DIR) + "/table4_superblock.txt";
   const opt::SuperblockOptions sb_options{.superblocks = true};
   const report::Matrix matrix =
-      report::Matrix::run(nullptr, {}, nullptr, /*keep_going=*/false, &sb_options);
+      report::Matrix::run({}, nullptr, /*keep_going=*/false, &sb_options);
 
   std::size_t mtta2_strict_wins = 0;
   for (const report::MachineResults& m : matrix.machines()) {

@@ -232,7 +232,7 @@ TEST(LockstepCorpus, EveryLaneMatchesScalarHardenedPath) {
   std::vector<std::string> failures(kCorpusSeeds);
   std::vector<char> guarded(kCorpusSeeds, 0);
   support::ThreadPool pool(8);
-  support::parallel_for(pool, kCorpusSeeds, [&](std::size_t idx) {
+  support::parallel_for(&pool, kCorpusSeeds, [&](std::size_t idx) {
     const std::uint64_t seed = 0x5eedc0deull + idx;
     bool any_guarded = false;
     for (const std::string& m : machines) {

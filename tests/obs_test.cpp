@@ -151,7 +151,7 @@ TEST(Metrics, SweepRegistryIsThreadCountInvariant) {
     return registry.render();
   };
   obs::Registry serial_registry;
-  report::Matrix::run(nullptr, {}, &serial_registry);
+  report::Matrix::run({}, &serial_registry);
   const std::string serial = serial_registry.render();
   EXPECT_FALSE(serial.empty());
   EXPECT_EQ(serial, sweep(1));
@@ -220,7 +220,7 @@ TEST(Tracer, PoolWorkersGetNamedShards) {
   tracer.start();
   {
     support::ThreadPool pool(4);
-    support::parallel_for(pool, 64, [&](std::size_t) {
+    support::parallel_for(&pool, 64, [&](std::size_t) {
       obs::Span span("work");
     });
   }
@@ -270,7 +270,7 @@ TEST(Tracer, WorkerIdIsMinusOneOffPool) {
   EXPECT_EQ(support::ThreadPool::current_worker_id(), -1);
   support::ThreadPool pool(2);
   std::atomic<bool> ok{true};
-  support::parallel_for(pool, 16, [&](std::size_t) {
+  support::parallel_for(&pool, 16, [&](std::size_t) {
     const int id = support::ThreadPool::current_worker_id();
     if (id < 0 || id >= 2) ok = false;
   });

@@ -322,10 +322,10 @@ TEST(Ablation, NoBypassStrictlyIncreasesBypassAttributableStalls) {
   sim.collect_profile = true;
   for (const workloads::Workload& w : workloads::all_workloads()) {
     const ir::Module optimized = report::build_optimized(w);
-    const report::RunOutcome with = report::compile_and_run_prebuilt(
-        optimized, w, machine, tta::TtaOptions{}, nullptr, sim);
+    const report::RunOutcome with =
+        report::compile_and_run_prebuilt(optimized, w, machine, tta::TtaOptions{}, sim);
     const report::RunOutcome without = report::compile_and_run_prebuilt(
-        optimized, w, machine, tta::TtaOptions{.software_bypass = false}, nullptr, sim);
+        optimized, w, machine, tta::TtaOptions{.software_bypass = false}, sim);
     ASSERT_TRUE(with.profile.has_value() && without.profile.has_value()) << w.name;
     EXPECT_GT(bypass_stalls(*without.profile), bypass_stalls(*with.profile))
         << w.name << "\nwith bypass:\n"

@@ -187,7 +187,7 @@ TEST(DifferentialFleet, SeededCorpusMatchesInterpreterOnAllModels) {
   // failure report per seed, asserted after the fleet drains.
   std::vector<std::string> failures(kCorpusSize);
   support::ThreadPool pool(8);
-  support::parallel_for(pool, kCorpusSize, [&](std::size_t idx) {
+  support::parallel_for(&pool, kCorpusSize, [&](std::size_t idx) {
     const std::uint64_t seed = 0x5eedc0de + idx;
     ProgramGenerator gen(seed);
     ir::Module original = gen.generate();
@@ -257,7 +257,7 @@ TEST(FastPathDifferential, CycleExactOnAllMachineConfigs) {
   // failure report per seed, asserted after the fleet drains.
   std::vector<std::string> failures(kCorpusSize);
   support::ThreadPool pool(8);
-  support::parallel_for(pool, kCorpusSize, [&](std::size_t idx) {
+  support::parallel_for(&pool, kCorpusSize, [&](std::size_t idx) {
     const std::uint64_t seed = 0xd1ffc0de + idx;
     ProgramGenerator gen(seed);
     ir::Module original = gen.generate();
@@ -334,7 +334,7 @@ TEST(ProfileDifferential, ByteIdenticalFastVsReferenceOnAllMachineConfigs) {
   // failure report per seed, asserted after the fleet drains.
   std::vector<std::string> failures(kCorpusSize);
   support::ThreadPool pool(8);
-  support::parallel_for(pool, kCorpusSize, [&](std::size_t idx) {
+  support::parallel_for(&pool, kCorpusSize, [&](std::size_t idx) {
     const std::uint64_t seed = 0xd1ffc0de + idx;
     ProgramGenerator gen(seed);
     ir::Module original = gen.generate();
@@ -453,7 +453,7 @@ TEST(SuperblockDifferentialFleet, TwoPhaseCompileMatchesBaselineOnAllModels) {
   for (const unsigned threads : {1u, 2u, 8u}) {
     std::vector<std::string> run(kCorpusSize);
     support::ThreadPool pool(threads);
-    support::parallel_for(pool, kCorpusSize, [&](std::size_t idx) {
+    support::parallel_for(&pool, kCorpusSize, [&](std::size_t idx) {
       const std::uint64_t seed = 0x5bd1ff00 + idx;
       ProgramGenerator gen(seed);
       ir::Module original = gen.generate();

@@ -697,7 +697,7 @@ TEST_P(FetchTableExhaustive, PoisonedRunsAgreeWithTheTableAtEveryPc) {
   EXPECT_FALSE(c.fetches.fetched(c.units));
 
   support::ThreadPool pool(4);
-  support::parallel_for(pool, c.units, [&](std::size_t i) {
+  support::parallel_for(&pool, c.units, [&](std::size_t i) {
     const auto pc = static_cast<std::uint32_t>(i);
     const bool is_fetched = c.fetches.fetched(pc);
     {
@@ -922,7 +922,7 @@ TEST(ProtectImemAnalytic, CampaignMatchesExecutedReference) {
     ASSERT_TRUE(report.all_ok());
     ASSERT_EQ(report.cells.size(), opt.machines.size() * opt.workloads.size());
     std::vector<ExecutedCell> want(report.cells.size());
-    support::parallel_for(pool, report.cells.size(), [&](std::size_t i) {
+    support::parallel_for(&pool, report.cells.size(), [&](std::size_t i) {
       const std::size_t wi = i % opt.workloads.size();
       want[i] = executed_reference(opt.machines[i / opt.workloads.size()],
                                    workload_named(opt.workloads[wi]), optimized[wi], opt);

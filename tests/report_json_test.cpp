@@ -29,7 +29,7 @@ struct SweepResult {
 const SweepResult& sweep() {
   static const SweepResult* r = [] {
     auto* s = new SweepResult;
-    s->matrix = report::Matrix::run(nullptr, {}, &s->registry);
+    s->matrix = report::Matrix::run({}, &s->registry);
     s->json = report::render_run_report(s->matrix, &s->registry);
     return s;
   }();

@@ -143,7 +143,7 @@ TEST(SnapshotResume, CutAndResumeEqualsTheUninterruptedRun) {
   std::vector<std::string> failures(kCorpusSize);
   std::vector<std::uint64_t> resumed(kCorpusSize, 0);
   support::ThreadPool pool(4);
-  support::parallel_for(pool, kCorpusSize, [&](std::size_t idx) {
+  support::parallel_for(&pool, kCorpusSize, [&](std::size_t idx) {
     const std::uint64_t seed = 0x5eedc0de + idx;
     SplitMix64 rng(seed ^ 0x5a9);
     for (const std::string& name : machines) {

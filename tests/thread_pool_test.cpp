@@ -1,18 +1,16 @@
-// support::ThreadPool and support::Timeline: the concurrency substrate of
-// the parallel experiment engine. Covers FIFO task ordering, exception
-// propagation from workers to the caller, the nested-submit deadlock
-// guard, parallel_for coverage/determinism, and Timeline stage
-// accumulation, nesting, counters and merging.
+// support::ThreadPool: the concurrency substrate of the parallel
+// experiment engine. Covers FIFO task ordering, exception propagation from
+// workers to the caller, the nested-submit deadlock guard, parallel_for
+// coverage/determinism, and the inline loop parallel_for runs without a
+// pool.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <set>
 #include <thread>
 #include <vector>
 
 #include "support/thread_pool.hpp"
-#include "support/timeline.hpp"
 
 namespace ttsc::support {
 namespace {
@@ -64,13 +62,13 @@ TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
   ThreadPool pool(4);
   constexpr std::size_t kN = 500;
   std::vector<std::atomic<int>> hits(kN);
-  parallel_for(pool, kN, [&](std::size_t i) { hits[i].fetch_add(1); });
+  parallel_for(&pool, kN, [&](std::size_t i) { hits[i].fetch_add(1); });
   for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
 }
 
 TEST(ThreadPool, ParallelForEmptyRangeIsANoop) {
   ThreadPool pool(2);
-  parallel_for(pool, 0, [](std::size_t) { FAIL() << "must not be called"; });
+  parallel_for(&pool, 0, [](std::size_t) { FAIL() << "must not be called"; });
 }
 
 TEST(ThreadPool, ParallelForRethrowsLowestIndexFailure) {
@@ -80,7 +78,7 @@ TEST(ThreadPool, ParallelForRethrowsLowestIndexFailure) {
   // index must still have run.
   std::vector<std::atomic<int>> hits(16);
   try {
-    parallel_for(pool, 16, [&](std::size_t i) {
+    parallel_for(&pool, 16, [&](std::size_t i) {
       hits[i].fetch_add(1);
       if (i == 3 || i == 11) throw std::runtime_error("cell " + std::to_string(i));
     });
@@ -95,9 +93,33 @@ TEST(ThreadPool, ParallelForFromWorkerThreadCompletes) {
   // parallel_for nested inside a pool task drains inline (deadlock guard).
   ThreadPool pool(1);
   std::atomic<int> count{0};
-  pool.submit([&] { parallel_for(pool, 32, [&](std::size_t) { count.fetch_add(1); }); })
+  pool.submit([&] { parallel_for(&pool, 32, [&](std::size_t) { count.fetch_add(1); }); })
       .get();
   EXPECT_EQ(count.load(), 32);
+}
+
+TEST(ThreadPool, ParallelForWithoutPoolRunsInlineInIndexOrder) {
+  // The serial drivers' loop: every index on the calling thread, in order;
+  // the first failure propagates at once, so later indices never run.
+  std::vector<std::size_t> order;
+  const std::thread::id caller = std::this_thread::get_id();
+  parallel_for(nullptr, 8, [&](std::size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
+  });
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4, 5, 6, 7}));
+
+  order.clear();
+  try {
+    parallel_for(nullptr, 16, [&](std::size_t i) {
+      order.push_back(i);
+      if (i == 3 || i == 11) throw std::runtime_error("cell " + std::to_string(i));
+    });
+    FAIL() << "expected a throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "cell 3");
+  }
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3}));
 }
 
 TEST(ThreadPool, DefaultSizeIsAtLeastOne) {
@@ -105,107 +127,6 @@ TEST(ThreadPool, DefaultSizeIsAtLeastOne) {
   EXPECT_GE(pool.size(), 1);
   ThreadPool negative(-3);
   EXPECT_GE(negative.size(), 1);
-}
-
-TEST(Timeline, StageAccumulationSumsAcrossCalls) {
-  Timeline t;
-  t.add_seconds(Stage::kOpt, 0.25);
-  t.add_seconds(Stage::kOpt, 0.5);
-  t.add_seconds(Stage::kSimulate, 1.0);
-  EXPECT_DOUBLE_EQ(t.seconds(Stage::kOpt), 0.75);
-  EXPECT_EQ(t.calls(Stage::kOpt), 2u);
-  EXPECT_DOUBLE_EQ(t.seconds(Stage::kSimulate), 1.0);
-  EXPECT_EQ(t.calls(Stage::kFrontend), 0u);
-}
-
-TEST(Timeline, ScopeRecordsElapsedTime) {
-  Timeline t;
-  {
-    Timeline::Scope scope(t, Stage::kSchedule);
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  EXPECT_EQ(t.calls(Stage::kSchedule), 1u);
-  EXPECT_GT(t.seconds(Stage::kSchedule), 0.0);
-}
-
-TEST(Timeline, NestedSameStageScopeCountsOnce) {
-  // The outer scope's interval covers the inner one: recursive helpers
-  // must not double-count a stage.
-  Timeline t;
-  {
-    Timeline::Scope outer(t, Stage::kRegalloc);
-    {
-      Timeline::Scope inner(t, Stage::kRegalloc);
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-  }
-  EXPECT_EQ(t.calls(Stage::kRegalloc), 1u);
-}
-
-TEST(Timeline, NestedDifferentStagesBothCount) {
-  Timeline t;
-  {
-    Timeline::Scope outer(t, Stage::kRegalloc);
-    Timeline::Scope inner(t, Stage::kSchedule);
-  }
-  EXPECT_EQ(t.calls(Stage::kRegalloc), 1u);
-  EXPECT_EQ(t.calls(Stage::kSchedule), 1u);
-}
-
-TEST(Timeline, SequentialScopesOfSameStageBothCount) {
-  Timeline t;
-  { Timeline::Scope a(t, Stage::kFrontend); }
-  { Timeline::Scope b(t, Stage::kFrontend); }
-  EXPECT_EQ(t.calls(Stage::kFrontend), 2u);
-}
-
-TEST(Timeline, CountersBumpAndDefaultToZero) {
-  Timeline t;
-  EXPECT_EQ(t.counter("modules_built"), 0u);
-  t.bump("modules_built");
-  t.bump("modules_built", 7);
-  EXPECT_EQ(t.counter("modules_built"), 8u);
-}
-
-TEST(Timeline, MergeFoldsStagesAndCounters) {
-  Timeline a;
-  Timeline b;
-  a.add_seconds(Stage::kOpt, 1.0);
-  a.bump("cells_run", 3);
-  b.add_seconds(Stage::kOpt, 2.0);
-  b.add_seconds(Stage::kSimulate, 4.0);
-  b.bump("cells_run", 5);
-  b.bump("spills", 2);
-  a.merge(b);
-  EXPECT_DOUBLE_EQ(a.seconds(Stage::kOpt), 3.0);
-  EXPECT_EQ(a.calls(Stage::kOpt), 2u);
-  EXPECT_DOUBLE_EQ(a.seconds(Stage::kSimulate), 4.0);
-  EXPECT_EQ(a.counter("cells_run"), 8u);
-  EXPECT_EQ(a.counter("spills"), 2u);
-}
-
-TEST(Timeline, ConcurrentAccumulationIsConsistent) {
-  Timeline t;
-  ThreadPool pool(4);
-  parallel_for(pool, 256, [&](std::size_t) {
-    t.add_seconds(Stage::kSimulate, 0.001);
-    t.bump("cells_run");
-  });
-  EXPECT_EQ(t.calls(Stage::kSimulate), 256u);
-  EXPECT_EQ(t.counter("cells_run"), 256u);
-  EXPECT_NEAR(t.seconds(Stage::kSimulate), 0.256, 1e-9);
-}
-
-TEST(Timeline, RenderListsStagesAndCounters) {
-  Timeline t;
-  t.add_seconds(Stage::kFrontend, 0.125);
-  t.bump("modules_built", 8);
-  const std::string text = t.render();
-  for (const char* needle :
-       {"stage profile", "frontend", "opt", "regalloc", "schedule", "simulate", "total",
-        "modules_built", "8"}) {
-    EXPECT_NE(text.find(needle), std::string::npos) << needle << "\n" << text;
-  }
 }
 
 }  // namespace
