@@ -14,15 +14,19 @@
 //             lane-grouping independent.
 //
 // Forensic replays and the metrics export follow reduce; the text and JSON
-// renderings live in resil/report.cpp.
+// renderings live in resil/report.cpp. Cells run one at a time, in option
+// order, with a one-cell look-ahead: while the pool runs cell k's work
+// list, the calling thread prepares and plans cell k+1.
 #include "resil/campaign.hpp"
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <exception>
 #include <map>
 #include <optional>
 #include <span>
+#include <utility>
 
 #include "mach/configs.hpp"
 #include "report/driver.hpp"
@@ -516,6 +520,37 @@ struct CellTimeoutError : Error {
   using Error::Error;
 };
 
+/// A cell prepared and planned ahead of its run: its golden run, the
+/// protection it runs under and its plan, or in `error` what preparing or
+/// planning threw, which the cell's own try rethrows. `cell` is set once
+/// prepare succeeded, even when the plan then threw.
+struct StagedCell {
+  std::optional<PreparedCell> cell;
+  mach::Protection prot_cfg;
+  CellPlan plan;
+  std::exception_ptr error;
+};
+
+StagedCell stage_cell(const CampaignOptions& options, const std::string& machine_name,
+                      const workloads::Workload& w, report::ModuleCache& modules) {
+  StagedCell staged;
+  try {
+    const PreparedCell& cell = staged.cell.emplace(
+        prepare_cell(machine_name, w, modules.get(w), options.superblocks));
+    mach::Protection& prot_cfg = staged.prot_cfg = cell.machine().protect;
+    if (options.retry_budget_override > 0) prot_cfg.retry_budget = options.retry_budget_override;
+    if (options.checkpoint_override > 0) {
+      prot_cfg.checkpoint_interval = static_cast<std::uint32_t>(options.checkpoint_override);
+    }
+    staged.plan = plan_cell(cell, options,
+                            mix_seed(options.seed, hash_name(machine_name + "/" + w.name)),
+                            options.batch && !prot_cfg.any());
+  } catch (...) {
+    staged.error = std::current_exception();
+  }
+  return staged;
+}
+
 }  // namespace
 
 CampaignReport run_campaign(const CampaignOptions& options) {
@@ -563,90 +598,103 @@ CampaignReport run_campaign(const CampaignOptions& options) {
   };
   // Each workload's front end and optimizer run once per campaign.
   report::ModuleCache modules;
-
+  std::vector<std::pair<const std::string*, const workloads::Workload*>> cells;
   for (const std::string& machine_name : options.machines) {
-    for (const workloads::Workload* w : cell_workloads) {
-      if (options.cancel != nullptr && *options.cancel != 0) {
-        // Cooperative cancellation (SIGINT/SIGTERM): stop at the cell
-        // boundary and flush what completed as a truncated report.
-        report.truncated = true;
-        return report;
-      }
-      CellReport cr;
-      cr.machine = machine_name;
-      cr.workload = w->name;
-      try {
-        const PreparedCell cell =
-            prepare_cell(machine_name, *w, modules.get(*w), options.superblocks);
-        cr.golden_cycles = cell.golden.cycles;
-        cr.imem_bits = cell.imem_bits;
-        cr.snapshot_bytes = cell.snapshot_bytes();
-        mach::Protection prot_cfg = cell.machine().protect;
-        if (options.retry_budget_override > 0) prot_cfg.retry_budget = options.retry_budget_override;
-        if (options.checkpoint_override > 0) {
-          prot_cfg.checkpoint_interval = static_cast<std::uint32_t>(options.checkpoint_override);
-        }
-        cr.protected_machine = prot_cfg.any();
-        const CellPlan plan =
-            plan_cell(cell, options, mix_seed(options.seed, hash_name(machine_name + "/" + w->name)),
-                      options.batch && !cr.protected_machine);
+    for (const workloads::Workload* w : cell_workloads) cells.emplace_back(&machine_name, w);
+  }
+  auto stage = [&](std::size_t k) {
+    return stage_cell(options, *cells[k].first, *cells[k].second, modules);
+  };
+  const auto cancelled = [&] { return options.cancel != nullptr && *options.cancel != 0; };
+  // Cell k+1, staged on the calling thread while the pool runs cell k.
+  std::optional<StagedCell> ahead;
 
-        // Per-cell wall-clock watchdog. Checked at the top of every work
-        // item; once tripped the remaining items record Err without running
-        // and the cell degrades to a structured error after the loop.
-        const bool watchdog_on = options.cell_timeout_seconds > 0.0;
-        const auto cell_deadline =
-            std::chrono::steady_clock::now() +
-            std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                std::chrono::duration<double>(watchdog_on ? options.cell_timeout_seconds : 0.0));
-        std::atomic<bool> cell_expired{false};
-        auto expired = [&]() -> bool {
-          if (!watchdog_on) return false;
-          if (cell_expired.load(std::memory_order_relaxed)) return true;
-          if (std::chrono::steady_clock::now() >= cell_deadline) {
-            cell_expired.store(true, std::memory_order_relaxed);
-            return true;
-          }
-          return false;
-        };
-
-        std::vector<Slot> slots(plan.specs.size());
-        const mach::Protection* cfg = cr.protected_machine ? &prot_cfg : nullptr;
-        auto run = [&](std::size_t item) {
-          if (!expired() &&
-              attempt_twice([&] { run_item(cell, plan, item, cfg, image_for(cell), slots); })) {
-            return;
-          }
-          for (const std::size_t i : plan.injections(item)) {
-            slots[i] = Slot{plan.specs[i].target, Outcome::Err, false,
-                            plan.routes[i] == Route::Lane ? InjectionPath::BatchedInDiff
-                                                          : InjectionPath::Scalar};
-          }
-        };
-        support::parallel_for(pool ? &*pool : nullptr, plan.items.size(), run);
-        if (cell_expired.load(std::memory_order_relaxed)) {
-          throw CellTimeoutError(
-              format("cell watchdog expired after %.1fs (%s/%s)", options.cell_timeout_seconds,
-                     machine_name.c_str(), w->name.c_str()));
-        }
-
-        reduce(plan, slots, cr);
-        if (options.forensics) {
-          replay_forensics(cell, plan, slots, options.effective_forensics_budget(), cr);
-        }
-      } catch (const CellTimeoutError& e) {
-        // Watchdog expiry aborts the campaign by default; --keep-going
-        // degrades it to a structured ERR cell so the rest of the grid runs.
-        if (!options.keep_going) throw;
-        cr.ok = false;
-        cr.error = e.what();
-      } catch (const std::exception& e) {
-        cr.ok = false;
-        cr.error = e.what();
-      }
-      if (options.registry != nullptr) export_cell_metrics(*options.registry, cr);
-      report.cells.push_back(std::move(cr));
+  for (std::size_t k = 0; k < cells.size(); ++k) {
+    if (cancelled()) {
+      // Cooperative cancellation (SIGINT/SIGTERM): stop at the cell
+      // boundary and flush what completed as a truncated report.
+      report.truncated = true;
+      return report;
     }
+    const std::string& machine_name = *cells[k].first;
+    const workloads::Workload& w = *cells[k].second;
+    CellReport cr;
+    cr.machine = machine_name;
+    cr.workload = w.name;
+    StagedCell staged = ahead ? std::move(*ahead) : stage(k);
+    ahead.reset();
+    try {
+      if (staged.cell) {
+        cr.golden_cycles = staged.cell->golden.cycles;
+        cr.imem_bits = staged.cell->imem_bits;
+        cr.snapshot_bytes = staged.cell->snapshot_bytes();
+        cr.protected_machine = staged.prot_cfg.any();
+      }
+      if (staged.error) std::rethrow_exception(staged.error);
+      const PreparedCell& cell = *staged.cell;
+      const CellPlan& plan = staged.plan;
+
+      // Per-cell wall-clock watchdog. Checked at the top of every work
+      // item; once tripped the remaining items record Err without running
+      // and the cell degrades to a structured error after the loop.
+      const bool watchdog_on = options.cell_timeout_seconds > 0.0;
+      const auto cell_deadline =
+          std::chrono::steady_clock::now() +
+          std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+              std::chrono::duration<double>(watchdog_on ? options.cell_timeout_seconds : 0.0));
+      std::atomic<bool> cell_expired{false};
+      auto expired = [&]() -> bool {
+        if (!watchdog_on) return false;
+        if (cell_expired.load(std::memory_order_relaxed)) return true;
+        if (std::chrono::steady_clock::now() >= cell_deadline) {
+          cell_expired.store(true, std::memory_order_relaxed);
+          return true;
+        }
+        return false;
+      };
+
+      std::vector<Slot> slots(plan.specs.size());
+      const mach::Protection* cfg = cr.protected_machine ? &staged.prot_cfg : nullptr;
+      auto run = [&](std::size_t item) {
+        if (!expired() &&
+            attempt_twice([&] { run_item(cell, plan, item, cfg, image_for(cell), slots); })) {
+          return;
+        }
+        for (const std::size_t i : plan.injections(item)) {
+          slots[i] = Slot{plan.specs[i].target, Outcome::Err, false,
+                          plan.routes[i] == Route::Lane ? InjectionPath::BatchedInDiff
+                                                        : InjectionPath::Scalar};
+        }
+      };
+      // The calling thread would only wait for the pool: it stages the next
+      // cell meanwhile, after the last item under --serial (see
+      // run_campaign in campaign.hpp for why not on a worker).
+      auto stage_next = [&] {
+        if (k + 1 < cells.size() && !cancelled()) ahead = stage(k + 1);
+      };
+      support::parallel_for(pool ? &*pool : nullptr, plan.items.size(), run, stage_next);
+      if (cell_expired.load(std::memory_order_relaxed)) {
+        throw CellTimeoutError(format("cell watchdog expired after %.1fs (%s/%s)",
+                                      options.cell_timeout_seconds, machine_name.c_str(),
+                                      w.name.c_str()));
+      }
+
+      reduce(plan, slots, cr);
+      if (options.forensics) {
+        replay_forensics(cell, plan, slots, options.effective_forensics_budget(), cr);
+      }
+    } catch (const CellTimeoutError& e) {
+      // Watchdog expiry aborts the campaign by default; --keep-going
+      // degrades it to a structured ERR cell so the rest of the grid runs.
+      if (!options.keep_going) throw;
+      cr.ok = false;
+      cr.error = e.what();
+    } catch (const std::exception& e) {
+      cr.ok = false;
+      cr.error = e.what();
+    }
+    if (options.registry != nullptr) export_cell_metrics(*options.registry, cr);
+    report.cells.push_back(std::move(cr));
   }
   return report;
 }

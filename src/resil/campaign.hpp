@@ -367,8 +367,14 @@ struct CampaignReport {
   std::uint64_t infra_failures() const;
 };
 
-/// Run the campaign. Cells execute sequentially; each cell's injections fan
-/// out over a support::ThreadPool (unless options.serial). Throws
+/// Run the campaign. Cells run one at a time, in option order; each cell's
+/// injections fan out over a support::ThreadPool (unless options.serial).
+/// While the pool runs one cell, the calling thread, which would only wait,
+/// prepares and plans the next (after the last injection under serial), so
+/// two prepared cells are live at a time. Staging stays on the caller: a
+/// worker's malloc arena would keep the staged cell's images after the cell.
+/// Reduction, forensics and the metrics export stay on the caller in cell
+/// order, and a cell's watchdog starts when its injections do. Throws
 /// ttsc::Error only for configuration mistakes (unknown machine/workload
 /// name, non-positive injection count, batch_lanes or double_bit_permille
 /// out of range) — cell failures degrade to ERR entries instead.

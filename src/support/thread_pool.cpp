@@ -65,12 +65,13 @@ void ThreadPool::worker_loop(int index) {
 }
 
 void parallel_for(ThreadPool* pool, std::size_t n,
-                  const std::function<void(std::size_t)>& fn) {
+                  const std::function<void(std::size_t)>& fn,
+                  const std::function<void()>& on_caller) {
   if (pool == nullptr) {
     for (std::size_t i = 0; i < n; ++i) fn(i);
+    if (on_caller) on_caller();
     return;
   }
-  if (n == 0) return;
   std::vector<std::exception_ptr> errors(n);
   std::atomic<std::size_t> next{0};
   auto drain = [&] {
@@ -87,10 +88,19 @@ void parallel_for(ThreadPool* pool, std::size_t n,
   std::vector<std::future<void>> pending;
   pending.reserve(tasks);
   for (std::size_t t = 0; t < tasks; ++t) pending.push_back(pool->submit(drain));
+  std::exception_ptr caller_error;
+  if (on_caller) {
+    try {
+      on_caller();
+    } catch (...) {
+      caller_error = std::current_exception();
+    }
+  }
   for (std::future<void>& f : pending) f.get();  // drain never throws
   for (std::size_t i = 0; i < n; ++i) {
     if (errors[i]) std::rethrow_exception(errors[i]);
   }
+  if (caller_error) std::rethrow_exception(caller_error);
 }
 
 }  // namespace ttsc::support

@@ -11,7 +11,8 @@
 //    deadlock (the wait observes a completed future).
 //  * Deterministic error propagation: parallel_for captures one exception
 //    per index and, after every index has run, rethrows the lowest-index
-//    failure — independent of thread interleaving.
+//    failure — independent of thread interleaving. Its optional caller-side
+//    callback ranks after every index.
 #pragma once
 
 #include <condition_variable>
@@ -83,7 +84,14 @@ class ThreadPool {
 /// A null `pool` runs the indices inline on the caller, in index order; the
 /// first throw propagates at once, and it is the lowest failing index too.
 /// The serial drivers pass null, so they share their parallel loop body.
+///
+/// `on_caller`, when given, runs once on the calling thread, which would
+/// otherwise sit idle: after the drains are queued and before the wait, so
+/// it overlaps the pool's work (after index n-1 without a pool). Its throw
+/// leaves the call only after every index has run, and only when no index
+/// failed: it ranks as index n.
 void parallel_for(ThreadPool* pool, std::size_t n,
-                  const std::function<void(std::size_t)>& fn);
+                  const std::function<void(std::size_t)>& fn,
+                  const std::function<void()>& on_caller = {});
 
 }  // namespace ttsc::support

@@ -203,29 +203,35 @@ TEST(BenchOutput, UnwritableOutputFilesFailClosed) {
 // The six table_resilience campaigns CI gates, end to end: each report
 // equals its JSON golden byte for byte, and stdout (the AVF table, plus the
 // protection-efficiency or forensics table when enabled) its text golden.
-// A --no-batch or --serial run reproduces its batched, threaded
-// campaign's goldens.
+// A --no-batch, --serial or --threads 1 run reproduces its batched,
+// threaded campaign's goldens: --serial stages the next cell after the
+// current one's last item, --threads 1 beside one worker, --threads 4
+// beside four.
 TEST(BenchOutput, ResilienceCampaignsMatchGoldens) {
   const std::string smoke =
-      " --machines=mblaze-3,m-vliw-2,m-tta-2 --workloads=sha --injections 64 --seed 7715 "
-      "--threads 4";
+      " --machines=mblaze-3,m-vliw-2,m-tta-2 --workloads=sha --injections 64 --seed 7715";
   const std::string guarded =
-      " --machines=g-tta-2 --workloads=sha,blowfish --injections 64 --seed 7715 --threads 4";
+      " --machines=g-tta-2 --workloads=sha,blowfish --injections 64 --seed 7715";
   const std::string protect =
       " --machines=mblaze-3,m-tta-1 --workloads=sha --protect=parity,eccdmr,full "
-      "--double-bit 250 --injections 48 --seed 99 --threads 4";
+      "--double-bit 250 --injections 48 --seed 99";
+  const std::string forensics = smoke + " --forensics --forensics-budget 8";
+  const std::string threads = " --threads 4";
   struct Case {
     std::string args;
     const char* golden;
   };
   const Case cases[] = {
-      {smoke, "resil_smoke"},
-      {smoke + " --no-batch", "resil_smoke"},
+      {smoke + threads, "resil_smoke"},
+      {smoke + threads + " --no-batch", "resil_smoke"},
       {smoke + " --serial", "resil_smoke"},
-      {guarded, "resil_smoke_guarded"},
-      {guarded + " --no-batch", "resil_smoke_guarded"},
-      {protect, "resil_protect"},
-      {smoke + " --forensics --forensics-budget 8", "resil_forensics"},
+      {smoke + " --threads 1", "resil_smoke"},
+      {guarded + threads, "resil_smoke_guarded"},
+      {guarded + threads + " --no-batch", "resil_smoke_guarded"},
+      {protect + threads, "resil_protect"},
+      {protect + " --serial", "resil_protect"},
+      {forensics + threads, "resil_forensics"},
+      {forensics + " --serial", "resil_forensics"},
   };
   const std::string json = tmp("resil.json");
   for (const Case& c : cases) {

@@ -1060,18 +1060,23 @@ TEST(ProtectCampaign, CancelFlagTruncatesAtTheCellBoundary) {
 }
 
 TEST(ProtectCampaign, WatchdogAbortsOrDegradesUnderKeepGoing) {
-  resil::CampaignOptions opt = small_campaign();
-  opt.serial = true;
-  opt.cell_timeout_seconds = 1e-9;  // expired before the first injection
-  EXPECT_THROW(resil::run_campaign(opt), Error);
-  opt.keep_going = true;
-  const resil::CampaignReport report = resil::run_campaign(opt);
-  ASSERT_EQ(report.cells.size(), 2u);
-  for (const resil::CellReport& c : report.cells) {
-    EXPECT_FALSE(c.ok);
-    EXPECT_NE(c.error.find("watchdog"), std::string::npos);
+  // Threaded, the first cell's CellTimeoutError leaves run_campaign while
+  // the second cell, staged during the first one's run, is still held.
+  for (const bool serial : {true, false}) {
+    resil::CampaignOptions opt = small_campaign();
+    opt.serial = serial;
+    opt.threads = 4;
+    opt.cell_timeout_seconds = 1e-9;  // expired before the first injection
+    EXPECT_THROW(resil::run_campaign(opt), Error) << "serial " << serial;
+    opt.keep_going = true;
+    const resil::CampaignReport report = resil::run_campaign(opt);
+    ASSERT_EQ(report.cells.size(), 2u) << "serial " << serial;
+    for (const resil::CellReport& c : report.cells) {
+      EXPECT_FALSE(c.ok) << "serial " << serial;
+      EXPECT_NE(c.error.find("watchdog"), std::string::npos) << "serial " << serial;
+    }
+    EXPECT_FALSE(report.all_ok()) << "serial " << serial;
   }
-  EXPECT_FALSE(report.all_ok());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
 // support::ThreadPool: the concurrency substrate of the parallel
 // experiment engine. Covers FIFO task ordering, exception propagation from
 // workers to the caller, the nested-submit deadlock guard, parallel_for
-// coverage/determinism, and the inline loop parallel_for runs without a
-// pool.
+// coverage/determinism, the inline loop parallel_for runs without a pool,
+// and its caller-side callback.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -120,6 +123,86 @@ TEST(ThreadPool, ParallelForWithoutPoolRunsInlineInIndexOrder) {
     EXPECT_STREQ(e.what(), "cell 3");
   }
   EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3}));
+}
+
+TEST(ThreadPool, ParallelForCallbackRunsOnTheCallerWhileThePoolDrains) {
+  // Index 0 holds the only worker until the callback raises the flag, so it
+  // sees the flag only when the callback runs before parallel_for waits.
+  // The wait is bounded: a callback that runs after the drain fails the
+  // case instead of hanging it.
+  ThreadPool pool(1);
+  std::atomic<bool> flag{false};
+  bool seen = false;
+  std::thread::id callback_thread;
+  parallel_for(
+      &pool, 1,
+      [&](std::size_t) {
+        const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (!flag.load() && std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::yield();
+        }
+        seen = flag.load();
+      },
+      [&] {
+        callback_thread = std::this_thread::get_id();
+        flag.store(true);
+      });
+  EXPECT_TRUE(seen);
+  EXPECT_EQ(callback_thread, std::this_thread::get_id());
+}
+
+TEST(ThreadPool, ParallelForWithoutPoolRunsCallbackOnceAfterTheLastIndex) {
+  std::vector<std::size_t> order;
+  int calls = 0;
+  parallel_for(nullptr, 5, [&](std::size_t i) { order.push_back(i); },
+               [&] {
+                 ++calls;
+                 order.push_back(5);
+               });
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4, 5}));
+
+  // An empty range still runs the callback, with or without a pool.
+  ThreadPool pool(2);
+  calls = 0;
+  parallel_for(nullptr, 0, [](std::size_t) { FAIL() << "must not be called"; }, [&] { ++calls; });
+  parallel_for(&pool, 0, [](std::size_t) { FAIL() << "must not be called"; }, [&] { ++calls; });
+  EXPECT_EQ(calls, 2);
+}
+
+TEST(ThreadPool, ParallelForCallbackThrowRanksAfterEveryIndex) {
+  // The callback throws at once, while the indices still run: its exception
+  // leaves parallel_for only after every index has run.
+  ThreadPool pool(4);
+  constexpr std::size_t kN = 32;
+  std::vector<std::atomic<int>> hits(kN);
+  const auto slow = [&](std::size_t i) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    hits[i].fetch_add(1);
+  };
+  try {
+    parallel_for(&pool, kN, slow, [] { throw std::runtime_error("callback"); });
+    FAIL() << "expected a rethrow";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "callback");
+  }
+  for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+
+  // A failing index still wins over the callback, and the lowest one does.
+  for (auto& h : hits) h.store(0);
+  try {
+    parallel_for(
+        &pool, kN,
+        [&](std::size_t i) {
+          slow(i);
+          if (i == 3 || i == 11) throw std::runtime_error("cell " + std::to_string(i));
+        },
+        [] { throw std::runtime_error("callback"); });
+    FAIL() << "expected a rethrow";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "cell 3");
+  }
+  for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
 }
 
 TEST(ThreadPool, DefaultSizeIsAtLeastOne) {
